@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import msform, propagation, spectral, structure
-from .integrator import MeshParams, gauss_tableau, integrate
+from .integrator import MeshParams, NewtonError, gauss_tableau, integrate
 from .solutions import builtin_initial_condition
 
 __all__ = ["main", "analyze_pipeline", "classify_registry"]
@@ -340,14 +340,9 @@ def _cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="diamondstab", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for any randomized checks (reproducibility control)",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="three-step stability analysis of one PDE", parents=[common])
+    pa = sub.add_parser("analyze", help="three-step stability analysis of one PDE")
     pa.add_argument("pde")
     pa.add_argument("--params", nargs="*", metavar="key=val")
     pa.add_argument("--dt", type=float, default=0.05)
@@ -363,12 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--format", choices=["json", "text"], default="text")
     pa.set_defaults(func=_cmd_analyze)
 
-    pc = sub.add_parser("classify", help="classify every registered PDE", parents=[common])
+    pc = sub.add_parser("classify", help="classify every registered PDE")
     pc.add_argument("--category")
     pc.add_argument("--out")
     pc.set_defaults(func=_cmd_classify)
 
-    pr = sub.add_parser("run", help="integrate a PDE on the diamond mesh", parents=[common])
+    pr = sub.add_parser("run", help="integrate a PDE on the diamond mesh")
     pr.add_argument("--pde", required=True)
     pr.add_argument("--scheme", default="simple", help="simple or rk:R")
     pr.add_argument("--dx", type=float, required=True)
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--params", nargs="*", metavar="key=val")
     pr.set_defaults(func=_cmd_run)
 
-    ps = sub.add_parser("sweep", help="stability boundary dt_max(dx)", parents=[common])
+    ps = sub.add_parser("sweep", help="stability boundary dt_max(dx)")
     ps.add_argument("--pde", required=True)
     ps.add_argument("--scheme", default="simple")
     ps.add_argument("--criterion", default="strict")
@@ -400,7 +395,7 @@ def main(argv=None) -> int:
     except msform.UnknownFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import bsr_matrix
+from scipy.sparse.linalg import splu
 
 from .msform import LinearizedForm, MultiSymplecticForm, eval_S, eval_grad_S, eval_jac_S
 
@@ -243,7 +245,7 @@ def solve_diamonds(
             if small_step:
                 break
         scale = 1.0 + np.linalg.norm(np.stack([Zt, Zb, Zl, Zr]), axis=(0, 2))
-        bad = norm > 1e-9 * opscale * scale
+        bad = ~(norm <= 1e-9 * opscale * scale)
         if bad.any():
             raise NewtonError(
                 f"diamond solve did not converge for {form.name!r} at rows {np.where(bad)[0][:5].tolist()}"
@@ -257,7 +259,7 @@ def solve_diamond_simple(form, z_b, z_l, z_r, dt: float, dx: float) -> np.ndarra
     res = _residual(form, zt, np.atleast_2d(z_b), np.atleast_2d(z_l), np.atleast_2d(z_r), dt, dx)
     opscale = np.abs(form.K).max() / dt + np.abs(form.L).max() / dx + 1.0
     scale = 1.0 + max(np.linalg.norm(np.asarray(v, dtype=float)) for v in (zt, z_b, z_l, z_r))
-    if np.linalg.norm(res) > 1e-10 * opscale * scale:
+    if not np.linalg.norm(res) <= 1e-10 * opscale * scale:
         raise NewtonError("diamond residual above tolerance")
     return zt[0]
 
@@ -272,12 +274,16 @@ def solve_diamond_rk(
     max_iter: int = 50,
     step_tol: float = 1e-13,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Collocation update of one diamond.
+    """Collocation update of a batch of independent diamonds.
 
     Inputs are the r-point stacks on the two lower edges (bottom stack
-    indexed by the spatial stage, left stack by the temporal stage); returns
-    the stacks on the two upper edges.  Stage values Z[i, j] solve the
+    indexed by the spatial stage, left stack by the temporal stage), either
+    (r, d) for one diamond or (N, r, d) for N diamonds; returns the stacks on
+    the two upper edges in the same shape.  Stage values Z[n, i, j] solve the
     collocation system; outputs contract the stages with beta = b^T A^{-1}.
+    Linear forms check the stage matrix once and solve every diamond
+    against it; nonlinear forms run Newton on every diamond until its own
+    step is small.  Each output row equals a one-diamond call bit for bit.
     """
     from .structure import classify_consistency
 
@@ -287,20 +293,22 @@ def solve_diamond_rk(
             "(structurally inconsistent form)"
         )
     r, d = tableau.r, form.d
+    m = r * r * d
     F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
-    zb = np.asarray(zb_stack, dtype=float).reshape(r, d)
-    zl = np.asarray(zl_stack, dtype=float).reshape(r, d)
+    single = np.ndim(zb_stack) <= 2
+    zb = np.asarray(zb_stack, dtype=float).reshape(-1, r, d)
+    zl = np.asarray(zl_stack, dtype=float).reshape(-1, r, d)
+    n = len(zb)
     Ktil = form.K / dt - form.L / dx
     Ltil = form.K / dt + form.L / dx
 
-    def residual(Z):
-        # Z has shape (r, r, d): spatial stage i, temporal stage j
+    def residual(Z, zb, zl):
+        # Z has shape (n, r, r, d): diamond, spatial stage i, temporal stage j
         G = eval_grad_S(form, Z)
-        tpart = np.einsum("jk,ikd->ijd", F, Z) - mu[None, :, None] * zb[:, None, :]
-        xpart = np.einsum("ik,kjd->ijd", F, Z) - mu[:, None, None] * zl[None, :, :]
-        return G - tpart @ Ktil.T - xpart @ Ltil.T
+        tpart = F @ Z - mu[:, None] * zb[:, :, None, :]
+        xpart = (F @ Z.reshape(len(Z), r, r * d)).reshape(Z.shape) - mu[:, None, None] * zl[:, None, :, :]
+        return (G - tpart @ Ktil.T - xpart @ Ltil.T).reshape(len(Z), m)
 
-    Z = np.repeat(zb[:, None, :], r, axis=1)
     if form.is_linear:
         from .structure import rk_stage_matrix
         from .msform import linearize
@@ -312,33 +320,44 @@ def solve_diamond_rk(
                 f"collocation stage matrix is singular for {form.name!r} "
                 "(structurally inconsistent form)"
             )
-        rhs = -residual(np.zeros((r, r, d)))
-        Z = np.linalg.solve(Q, rhs.reshape(-1)).reshape(r, r, d)
+        rhs = -residual(np.zeros((n, r, r, d)), zb, zl)
+        # a solve per diamond: BLAS takes another kernel for many right-hand
+        # sides than for one, which would make a row depend on its batch
+        Z = np.linalg.solve(Q, rhs[..., None]).reshape(n, r, r, d)
     else:
         Ieye = np.eye(r)
         const = -np.kron(Ieye, np.kron(F, Ktil)) - np.kron(F, np.kron(Ieye, Ltil))
-        res = residual(Z)
+        Z = np.repeat(zb[:, :, None, :], r, axis=2)
+        res = residual(Z, zb, zl)
+        rows = np.arange(n)  # diamonds whose Newton step is not yet small
         for _ in range(max_iter):
-            Jblocks = eval_jac_S(form, Z)  # (r, r, d, d)
-            J = const.copy()
-            for i in range(r):
-                for j in range(r):
-                    k = (i * r + j) * d
-                    J[k : k + d, k : k + d] += Jblocks[i, j]
+            if rows.size == 0:
+                break
+            Za = Z[rows]
+            Jblocks = eval_jac_S(form, Za).reshape(len(rows), r * r, d, d)
+            J = np.repeat(const[None], len(rows), axis=0)
+            for s in range(r * r):
+                J[:, s * d : (s + 1) * d, s * d : (s + 1) * d] += Jblocks[:, s]
             try:
-                delta = np.linalg.solve(J, res.reshape(-1))
+                delta = np.linalg.solve(J, res[rows, :, None])[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise NewtonError("singular collocation Newton matrix") from exc
-            Z = Z - delta.reshape(r, r, d)
-            res = residual(Z)
-            if np.linalg.norm(delta) < step_tol * (1.0 + np.linalg.norm(Z)):
-                break
-        if np.linalg.norm(res) > 1e-9 * (1.0 + np.linalg.norm(Z)):
-            raise NewtonError("collocation Newton did not converge")
+            Za = Za - delta.reshape(Za.shape)
+            Z[rows] = Za
+            res[rows] = residual(Za, zb[rows], zl[rows])
+            small = np.linalg.norm(delta, axis=1) < step_tol * (
+                1.0 + np.linalg.norm(Za.reshape(len(rows), m), axis=1)
+            )
+            rows = rows[~small]
+        converged = np.linalg.norm(res, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(Z.reshape(n, m), axis=1))
+        if not converged.all():
+            raise NewtonError(
+                f"collocation Newton did not converge at rows {np.where(~converged)[0][:5].tolist()}"
+            )
 
-    zt = (1.0 - alpha) * zb + np.einsum("k,ikd->id", beta, Z)
-    zr = (1.0 - alpha) * zl + np.einsum("k,kjd->jd", beta, Z)
-    return zt, zr
+    zt = (1.0 - alpha) * zb + beta @ Z
+    zr = (1.0 - alpha) * zl + (beta @ Z.reshape(n, r, r * d)).reshape(n, r, d)
+    return (zt[0], zr[0]) if single else (zt, zr)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +408,13 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams, max_iter: in
 
     Cell i spans [x_{i-1/2}, x_{i+1/2}]; the unknown top values sit at the
     half positions and couple globally (the box scheme is fully implicit),
-    so this is a single Newton solve of size N*d.
+    so this is a single Newton solve of size N*d with a sparse Jacobian.
     """
     N, d = mesh.N, form.d
     dt2, dx = mesh.dt / 2.0, mesh.dx
     xh = mesh.x_half()
     bot = _eval_pointwise(ic, xh, d)  # bottom corners at half positions
+    _require_finite(bot, "initial condition")
     K, L = form.K, form.L
 
     def residual(U):
@@ -411,23 +431,28 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams, max_iter: in
     res = residual(U)
     # residual entries scale with the K/dt operator, so tolerance must too
     opscale = (np.abs(K).max() / dt2 + np.abs(L).max() / dx + 1.0)
+    dself = K / (2 * dt2) + L / (2 * dx)
+    dprev = K / (2 * dt2) - L / (2 * dx)
+    # cyclic block-bidiagonal Jacobian: block row i couples cells i and i-1
+    cells = np.arange(N)
+    block_cols = np.stack([cells, (cells - 1) % N], axis=1).reshape(-1)
     for _ in range(max_iter):
         if np.linalg.norm(res) < 1e-11 * opscale * (1.0 + np.linalg.norm(U)):
             break
-        J = np.zeros((N * d, N * d))
         ctr = 0.25 * (U + np.roll(U, 1, axis=0) + bot + np.roll(bot, 1, axis=0))
-        JS = eval_jac_S(form, ctr)
-        dself = K / (2 * dt2) + L / (2 * dx)
-        dprev = K / (2 * dt2) - L / (2 * dx)
-        for i in range(N):
-            J[i * d : (i + 1) * d, i * d : (i + 1) * d] = dself - 0.25 * JS[i]
-            p = (i - 1) % N
-            J[i * d : (i + 1) * d, p * d : (p + 1) * d] = dprev - 0.25 * JS[i]
+        JS = 0.25 * eval_jac_S(form, ctr)
+        blocks = np.stack([dself - JS, dprev - JS], axis=1).reshape(2 * N, d, d)
+        J = bsr_matrix((blocks, block_cols, 2 * np.arange(N + 1)), shape=(N * d, N * d))
+        # SuperLU's column ordering turns an exact zero pivot into a rounding
+        # residue (the wave box Jacobian at even N), so small pivots count too
         try:
-            delta = np.linalg.solve(J, res.reshape(-1)).reshape(N, d)
-        except np.linalg.LinAlgError as exc:
+            lu = splu(J.tocsc())
+        except RuntimeError as exc:
             raise NewtonError("box initialization failed: singular Jacobian") from exc
-        U = U - delta
+        pivots = np.abs(lu.U.diagonal())
+        if not pivots.min() > N * d * np.finfo(float).eps * pivots.max():
+            raise NewtonError("box initialization failed: singular Jacobian")
+        U = U - lu.solve(res.reshape(-1)).reshape(N, d)
         res = residual(U)
     else:
         raise NewtonError("box initialization did not converge")
@@ -454,24 +479,21 @@ def init_edges_rk(
     xi = mesh.x_int()
 
     if exact is not None:
-        def sample(x, t):
-            return np.asarray(exact(float(x), float(t)), dtype=float)
+        def sample(xs, t):
+            return _eval_pointwise(lambda x: exact(x, t), xs, d)
     else:
         half = _box_half_step(form, ic, mesh)
-        xh = mesh.x_half()
 
-        def sample(x, t):
-            base = np.asarray(ic(float(x)), dtype=float)
-            j = int(np.round((x - mesh.a) / dx - 0.5)) % N
+        def sample(xs, t):
+            base = _eval_pointwise(ic, xs, d)
+            j = np.rint((xs - mesh.a) / dx - 0.5).astype(int) % N
             frac = 2.0 * t / dt
             return (1.0 - frac) * base + frac * half[j]
 
-    for i in range(N):
-        for k in range(r):
-            c = tableau.c[k]
-            state[2 * i, k] = sample(xi[i] + 0.5 * dx * c, 0.5 * dt * c)
-            xnext = xi[i] + dx
-            state[2 * i + 1, k] = sample(xnext - 0.5 * dx * c, 0.5 * dt * c)
+    for k, c in enumerate(tableau.c):
+        t = 0.5 * dt * c
+        state[0::2, k] = sample(xi + 0.5 * dx * c, t)
+        state[1::2, k] = sample((xi + dx) - 0.5 * dx * c, t)
     return state
 
 
@@ -494,9 +516,11 @@ def integrate(
     """Advance the diamond scheme to the time horizon.
 
     ``scheme`` is "simple" or an RKTableau / "rk:R" string.  Each half-step
-    is an independent map over the N diamonds.  A value exceeding
-    ``blowup`` ends the run with status "diverged" (an outcome, not an
-    error).  Observers are sampled every ``cadence`` full steps.
+    is an independent map over the N diamonds, solved as one batch.  A value
+    exceeding ``blowup``, or any non-finite value, ends the run with status
+    "diverged" (an outcome, not an error).  A non-finite initial state is
+    rejected with ValueError.  Observers are sampled every ``cadence`` full
+    steps.
     """
     if isinstance(scheme, str) and scheme.startswith("rk"):
         scheme = gauss_tableau(int(scheme.split(":", 1)[1]))
@@ -515,6 +539,7 @@ def integrate(
     if scheme == "simple":
         state = init_half_step(form, ic, mesh, method=init_method, exact=exact)
         values = state.values.copy()
+        _require_finite(values, "initial state")
 
         def record(step):
             t = step * mesh.dt
@@ -541,38 +566,34 @@ def integrate(
             values[0::2] = solve_diamonds(
                 form, evens, np.roll(odds, 1, axis=0), odds, mesh.dt, mesh.dx
             )
-            if np.abs(values[0::2]).max() > blowup:
+            if _blown_up(values[0::2], blowup):
                 return result("diverged", step, diverged_at=(step - 0.5) * mesh.dt)
             evens = values[0::2]
             odds = values[1::2]
             values[1::2] = solve_diamonds(
                 form, odds, evens, np.roll(evens, -1, axis=0), mesh.dt, mesh.dx
             )
-            if np.abs(values[1::2]).max() > blowup:
+            if _blown_up(values[1::2], blowup):
                 return result("diverged", step, diverged_at=step * mesh.dt)
             if step % cadence == 0 or step == nt:
                 record(step)
         return result("completed", nt)
 
-    # collocation scheme: state holds 2N edge stacks
+    # collocation scheme: state holds 2N edge stacks; the diamond on cell i
+    # takes slot 2i from below and its left neighbour slot 2i-1 in the first
+    # half-step, and slots 2i+1 (below) and 2i (left) in the second
     tableau = scheme
     edges = init_edges_rk(form, tableau, ic, mesh, exact=exact)
-    N = mesh.N
+    _require_finite(edges, "initial state")
     for step in range(1, nt + 1):
-        new = edges.copy()
-        for i in range(N):
-            left, bottom = (2 * i - 1) % (2 * N), 2 * i
-            zt, zr = solve_diamond_rk(form, tableau, edges[bottom], edges[left], mesh.dt, mesh.dx)
-            new[left], new[bottom] = zt, zr
-        edges = new
-        new = edges.copy()
-        for i in range(N):
-            left, bottom = 2 * i, 2 * i + 1
-            zt, zr = solve_diamond_rk(form, tableau, edges[bottom], edges[left], mesh.dt, mesh.dx)
-            new[left], new[bottom] = zt, zr
-        edges = new
+        zt, zr = solve_diamond_rk(
+            form, tableau, edges[0::2], np.roll(edges[1::2], 1, axis=0), mesh.dt, mesh.dx
+        )
+        edges[0::2], edges[1::2] = zr, np.roll(zt, -1, axis=0)
+        zt, zr = solve_diamond_rk(form, tableau, edges[1::2], edges[0::2], mesh.dt, mesh.dx)
+        edges[0::2], edges[1::2] = zt, zr
         t = step * mesh.dt
-        if np.abs(edges).max() > blowup:
+        if _blown_up(edges, blowup):
             return RunResult("diverged", None, np.array(times), None, snapshots,
                              diverged_at=t, edge_state=edges)
         if step % cadence == 0 or step == nt:
@@ -580,6 +601,16 @@ def integrate(
             if want_snapshots:
                 snapshots.append((t, edges.copy()))
     return RunResult("completed", None, np.array(times), None, snapshots, edge_state=edges)
+
+
+def _blown_up(values: np.ndarray, blowup: float) -> bool:
+    peak = np.abs(values).max()
+    return not np.isfinite(peak) or peak > blowup
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is not finite")
 
 
 # ---------------------------------------------------------------------------

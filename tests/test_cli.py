@@ -100,6 +100,18 @@ def test_cli_run_writes_outputs(tmp_path):
     assert header == ["x", "p1", "q1", "p2", "q2"]
 
 
+def test_cli_run_solver_failure_is_one_line_error(tmp_path, capsys):
+    # kdv is structurally inconsistent: the collocation stage solve fails
+    rc = main([
+        "run", "--pde", "kdv", "--scheme", "rk:2", "--dx", "0.1", "--dt", "0.01",
+        "--T", "0.02", "--ic", "zero", "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "singular" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_sweep_emits_slope(tmp_path):
     path = tmp_path / "sweep.csv"
     rc = main([

@@ -7,6 +7,7 @@ from diamondstab.integrator import (
     MeshState,
     NewtonError,
     gauss_tableau,
+    init_edges_rk,
     init_half_step,
     integrate,
     random_tangent_pair,
@@ -16,7 +17,8 @@ from diamondstab.integrator import (
     total_energy,
     verify_discrete_conservation,
 )
-from diamondstab.msform import eval_grad_S, linearize, registry_get
+from diamondstab import structure
+from diamondstab.msform import eval_grad_S, eval_jac_S, linearize, registry_get
 from diamondstab.solutions import (
     dirac_breather,
     linear_kg_plane_wave,
@@ -246,6 +248,185 @@ def test_rk_singular_stage_matrix_raises():
     t2 = gauss_tableau(2)
     with pytest.raises(NewtonError, match="singular"):
         solve_diamond_rk(form, t2, np.zeros((2, 4)), np.zeros((2, 4)), 0.1, 0.1)
+
+
+@pytest.mark.parametrize("name,r", [("dirac", 2), ("wave", 1), ("wave", 2)])
+def test_rk_batch_equals_row_by_row(name, r):
+    # dirac runs the Newton path, wave the linear one
+    form = registry_get(name)
+    tab = gauss_tableau(r)
+    rng = np.random.default_rng(40 + r)
+    zb, zl = 0.3 * rng.standard_normal((2, 7, r, form.d))
+    zt, zr = solve_diamond_rk(form, tab, zb, zl, 0.2, 0.3)
+    assert zt.shape == zr.shape == (7, r, form.d)
+    for i in range(7):
+        one_t, one_r = solve_diamond_rk(form, tab, zb[i], zl[i], 0.2, 0.3)
+        assert np.array_equal(one_t, zt[i]) and np.array_equal(one_r, zr[i])
+    first_t, first_r = solve_diamond_rk(form, tab, zb[:1], zl[:1], 0.2, 0.3)
+    assert np.array_equal(first_t, zt[:1]) and np.array_equal(first_r, zr[:1])
+
+
+def _dirac_rk_setup():
+    form = registry_get("dirac")
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"))
+    mesh = MeshParams(a=-12.0, b=12.0, N=40, dt=0.2, T=1.0)
+    return form, ic, exact, mesh
+
+
+def test_rk_run_matches_per_diamond_loop():
+    form, ic, exact, mesh = _dirac_rk_setup()
+    tab = gauss_tableau(2)
+    res = integrate(form, tab, ic, mesh, observers=(), exact=exact)
+    N = mesh.N
+    edges = init_edges_rk(form, tab, ic, mesh, exact=exact)
+    for _ in range(mesh.nt):
+        for first in (True, False):
+            new = edges.copy()
+            for i in range(N):
+                left, bottom = ((2 * i - 1) % (2 * N), 2 * i) if first else (2 * i, 2 * i + 1)
+                new[left], new[bottom] = solve_diamond_rk(
+                    form, tab, edges[bottom], edges[left], mesh.dt, mesh.dx
+                )
+            edges = new
+    assert res.status == "completed"
+    assert np.abs(res.edge_state - edges).max() <= 1e-13
+
+
+def test_rk_run_checks_consistency_once_per_half_step(monkeypatch):
+    form, ic, exact, mesh = _dirac_rk_setup()
+    calls = []
+    original = structure.classify_consistency
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "classify_consistency", counted)
+    res = integrate(form, "rk:2", ic, mesh, observers=(), exact=exact)
+    assert res.status == "completed"
+    assert 0 < len(calls) <= 2 * mesh.nt
+
+
+def test_init_edges_rk_pointwise_fallbacks():
+    form, ic, exact, mesh = _dirac_rk_setup()
+    tab = gauss_tableau(2)
+    vectorised = init_edges_rk(form, tab, ic, mesh, exact=exact)
+    scalar_only = init_edges_rk(form, tab, ic, mesh, exact=lambda x, t: exact(float(x), t))
+    np.testing.assert_array_equal(scalar_only, vectorised)
+    # without an exact solution the nodes interpolate between the data and
+    # the box half-step in the cell the edge belongs to
+    half = init_half_step(form, ic, mesh, method="box").half_points()
+    boxed = init_edges_rk(form, tab, ic, mesh)
+    xi, dx = mesh.x_int(), mesh.dx
+    for k, c in enumerate(tab.c):
+        for i in range(mesh.N):
+            rising = (1 - c) * ic(xi[i] + 0.5 * dx * c) + c * half[i]
+            falling = (1 - c) * ic(xi[i] + dx - 0.5 * dx * c) + c * half[i]
+            np.testing.assert_allclose(boxed[2 * i, k], rising, atol=1e-14)
+            np.testing.assert_allclose(boxed[2 * i + 1, k], falling, atol=1e-14)
+
+
+def _dense_box_newton(form, ic, mesh):
+    # the box step of init_half_step, solved with a dense (N d)^2 Jacobian
+    N, d = mesh.N, form.d
+    K, L = form.K, form.L
+    dt2, dx = mesh.dt / 2.0, mesh.dx
+    bot = ic(mesh.x_half())
+    bm = np.roll(bot, 1, axis=0)
+
+    def residual(U):
+        um = np.roll(U, 1, axis=0)
+        ctr = 0.25 * (U + um + bot + bm)
+        return (
+            0.5 * (U + um - bot - bm) @ K.T / dt2
+            + 0.5 * (U + bot - um - bm) @ L.T / dx
+            - eval_grad_S(form, ctr)
+        )
+
+    U = bot.copy()
+    for _ in range(30):
+        JS = eval_jac_S(form, 0.25 * (U + np.roll(U, 1, axis=0) + bot + bm))
+        J = np.zeros((N * d, N * d))
+        for i in range(N):
+            p = (i - 1) % N
+            J[i * d : (i + 1) * d, i * d : (i + 1) * d] = K / (2 * dt2) + L / (2 * dx) - 0.25 * JS[i]
+            J[i * d : (i + 1) * d, p * d : (p + 1) * d] = K / (2 * dt2) - L / (2 * dx) - 0.25 * JS[i]
+        step = np.linalg.solve(J, residual(U).reshape(-1)).reshape(N, d)
+        U = U - step
+        if np.abs(step).max() <= 1e-15 * (1.0 + np.abs(U).max()):
+            break
+    return U
+
+
+@pytest.mark.parametrize("name", ["nls", "dirac"])
+def test_box_start_matches_dense_newton(name):
+    form = registry_get(name)
+    if name == "nls":
+        ic = nls_two_soliton_ic()
+        mesh = MeshParams(a=-24.0, b=24.0, N=96, dt=1e-3, T=1e-3)
+    else:
+        ic, _ = dirac_breather(form.param("m"), form.param("lam"))
+        mesh = MeshParams(a=-12.0, b=12.0, N=40, dt=0.2, T=0.2)
+    half = init_half_step(form, ic, mesh, method="box").half_points()
+    ref = _dense_box_newton(form, ic, mesh)
+    assert np.abs(half - ref).max() <= 1e-13
+
+
+def test_box_start_singular_jacobian_raises():
+    # odd d makes the skew L singular, so the sawtooth mode of an even mesh
+    # is a kernel vector of the box Jacobian
+    form = registry_get("wave")
+    mesh = MeshParams(a=0.0, b=1.0, N=16, dt=0.05, T=0.5)
+
+    def ic(x):
+        return np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x), 0 * x], axis=-1)
+
+    with pytest.raises(NewtonError, match="singular Jacobian"):
+        init_half_step(form, ic, mesh, method="box")
+
+
+def test_nonfinite_values_fail_convergence_tests():
+    nls = registry_get("nls")
+    Z = np.zeros((3, 4))
+    Z[1, 0] = np.nan
+    with pytest.raises(NewtonError, match=r"rows \[1\]"):
+        solve_diamonds(nls, Z, Z, Z, 0.1, 0.1)
+    zb = np.zeros((3, 2, 4))
+    zb[2, 0, 1] = np.nan
+    with pytest.raises(NewtonError, match=r"rows \[2\]"):
+        solve_diamond_rk(registry_get("dirac"), gauss_tableau(2), zb, zb, 0.1, 0.1)
+    # cubic terms overflow at this amplitude: the box Newton meets inf and NaN
+    mesh = MeshParams(a=0.0, b=2.0, N=8, dt=0.05, T=0.5)
+    with np.errstate(all="ignore"), pytest.raises(NewtonError, match="box initialization"):
+        init_half_step(nls, lambda x: np.full(4, 1e200), mesh, method="box")
+
+
+@pytest.mark.parametrize("scheme,init", [("simple", "exact"), ("simple", "box"), ("rk:2", "exact"), ("rk:2", "box")])
+def test_integrate_rejects_nonfinite_initial_state(scheme, init):
+    form = registry_get("nls")
+    mesh = MeshParams(a=0.0, b=2.0, N=8, dt=0.05, T=0.5)
+
+    def nan(x, t=0.0):
+        return np.full((np.size(x), 4), np.nan)
+
+    exact = nan if init == "exact" else None
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(form, scheme, nan, mesh, observers=(), exact=exact, init_method=init)
+
+
+@pytest.mark.parametrize("scheme", ["simple", "rk:1"])
+def test_integrate_overflow_is_divergence(scheme):
+    # no finite bound: only the non-finite test can stop the unstable run
+    form = registry_get("mixed_kg")
+    ic, exact = mixed_kg_cosine(form.param("a"))
+    mesh = MeshParams(a=-1.0, b=1.0, N=40, dt=1e-3, T=1.0)
+    with np.errstate(all="ignore"):
+        res = integrate(
+            form, scheme, lambda x: 1e300 * ic(x), mesh, observers=(),
+            exact=lambda x, t: 1e300 * exact(x, t), blowup=np.inf,
+        )
+    assert res.status == "diverged"
+    assert res.diverged_at < mesh.T
 
 
 def test_discrete_conservation_random_pairs():
