@@ -20,7 +20,6 @@ from .structure import (
     check_singularity_simple,
     classify_consistency,
     dm_decompose,
-    max_matching,
 )
 from .propagation import (
     build_propagation_graph,
@@ -43,10 +42,12 @@ from .integrator import (
     gauss_tableau,
     init_half_step,
     integrate,
+    parse_scheme,
     solve_diamond_rk,
     solve_diamond_simple,
     total_energy,
     verify_discrete_conservation,
 )
+from .pipeline import PipelineReport, reference_linearization, run_pipeline
 
 __version__ = "0.1.0"

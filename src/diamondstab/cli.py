@@ -17,16 +17,16 @@ import csv
 import json
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import msform, propagation, spectral, structure
-from .integrator import MeshParams, NewtonError, gauss_tableau, integrate
+from .integrator import MeshParams, NewtonError, integrate, parse_scheme
+from .pipeline import PipelineReport, reference_linearization, run_pipeline
 from .solutions import builtin_initial_condition
 
-__all__ = ["main", "analyze_pipeline", "classify_registry"]
+__all__ = ["main"]
 
 
 def _fraction_str(x) -> str:
@@ -34,14 +34,6 @@ def _fraction_str(x) -> str:
         return "inf"
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def _linearization_for(form, rho: float | None):
-    if form.name == "nls":
-        return msform.nls_constant_amplitude_linearization(
-            rho if rho is not None else 9.0, form.param("a")
-        )
-    return msform.linearize(form, np.zeros(form.d))
 
 
 def _step1_dict(dm: structure.DMReport) -> dict:
@@ -79,98 +71,28 @@ def _step2_dict(graph, cycles, verdict) -> dict:
     }
 
 
-def analyze_pipeline(
-    name: str,
-    params: dict | None = None,
-    dt: float = 0.05,
-    dx: float = 0.1,
-    N: int = 20,
-    criterion: spectral.Criterion | None = None,
-    scheme: str = "simple",
-    dot_dir: str | None = None,
-) -> dict:
-    """Steps 1 -> 2 -> 3 with early exit; returns the JSON-ready report."""
-    params = dict(params or {})
-    rho = params.pop("rho", None)
-    form = msform.registry_get(name, **params)
-    report: dict = {"pde": name, "classification": None}
-
-    bip = structure.build_equation_unknown_graph(form)
-    dm = structure.dm_decompose(bip)
-    report["step1"] = _step1_dict(dm)
-    if dot_dir:
-        out = Path(dot_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}_bipartite.dot").write_text(structure.bipartite_dot(bip, dm))
-    if not dm.consistent:
-        report["classification"] = "StructurallyInconsistent"
-        return report
-
-    lin = _linearization_for(form, rho)
-    dm_lin = structure.classify_consistency(lin)
-    graph = propagation.build_propagation_graph(lin, dm_lin)
-    cycles = propagation.enumerate_cycles(graph)
-    verdict = propagation.stability_threshold(cycles)
-    report["step2"] = _step2_dict(graph, cycles, verdict)
-    if dot_dir:
-        (Path(dot_dir) / f"{name}_propagation.dot").write_text(
-            propagation.propagation_dot(graph)
-        )
-    if verdict.unconditionally_unstable:
-        report["classification"] = "UnconditionallyUnstable"
-        return report
-
-    criterion = criterion or spectral.Criterion("strict")
-    if scheme == "simple":
-        family = spectral.assemble_symbol_family_simple(
-            spectral.build_blocks_simple(lin, dt, dx), N
-        )
-    else:
-        tableau = gauss_tableau(int(scheme.split(":", 1)[1]))
-        family = spectral.assemble_symbol_family_rk(
-            spectral.build_blocks_rk(lin, tableau, dt, dx), N
-        )
-    sv = spectral.spectral_verdict(family, criterion, dt=dt)
-    report["step3"] = {
-        "dt": dt,
-        "dx": dx,
-        "N": N,
-        "criterion": criterion.kind,
-        "dominant_modulus": sv.dominant_all,
-        "dominant_modulus_nonzero_modes": sv.dominant_nonzero,
-        "stable": sv.stable,
+def _report_dict(name: str, report: PipelineReport, args) -> dict:
+    """The JSON-ready analyze report; keys of steps not run are absent."""
+    out: dict = {
+        "pde": name,
+        "classification": report.classification,
+        "step1": _step1_dict(report.dm),
     }
-    report["classification"] = "ConditionallyStable"
-    report["step2_lower_exponent"] = _fraction_str(verdict.s_lo)
-    return report
-
-
-def classify_registry(params: dict | None = None) -> list[dict]:
-    rows = []
-    for name in msform.registry_names():
-        form = msform.registry_get(name)
-        dm = structure.classify_consistency(form)
-        if not dm.consistent:
-            rows.append({"pde": name, "category": "StructurallyInconsistent", "s_lo": ""})
-            continue
-        lin = _linearization_for(form, None)
-        dm_lin = structure.classify_consistency(lin)
-        graph = propagation.build_propagation_graph(lin, dm_lin)
-        verdict = propagation.stability_threshold(propagation.enumerate_cycles(graph))
-        if verdict.unconditionally_unstable:
-            rows.append({"pde": name, "category": "UnconditionallyUnstable", "s_lo": ""})
-        else:
-            rows.append({
-                "pde": name,
-                "category": "ConditionallyStable",
-                "s_lo": _fraction_str(verdict.s_lo),
-            })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# subcommand drivers
-# ---------------------------------------------------------------------------
+    if report.verdict is not None:
+        out["step2"] = _step2_dict(report.graph, report.cycles, report.verdict)
+    sv = report.spectral_verdict
+    if sv is not None:
+        out["step3"] = {
+            "dt": args.dt,
+            "dx": args.dx,
+            "N": args.N,
+            "criterion": sv.criterion.kind,
+            "dominant_modulus": sv.dominant_all,
+            "dominant_modulus_nonzero_modes": sv.dominant_nonzero,
+            "stable": sv.stable,
+        }
+        out["step2_lower_exponent"] = _fraction_str(report.verdict.s_lo)
+    return out
 
 
 def _parse_params(items) -> dict:
@@ -184,7 +106,6 @@ def _parse_params(items) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    report = dict(report)
     report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -216,50 +137,61 @@ def _human_summary(report: dict) -> str:
             f"{'stable' if s3['stable'] else 'unstable'} under {s3['criterion']} "
             f"at dt={s3['dt']}, dx={s3['dx']}, N={s3['N']}"
         )
-    lines.append(f"  classification: {report['classification']}")
+    lines.append(f"  classification: {report['classification'] or 'undecided after step 1'}")
     return "\n".join(lines)
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze_pipeline(
-        args.pde,
-        params=_parse_params(args.params),
+    params = _parse_params(args.params)
+    rho = params.pop("rho", None)
+    form = msform.registry_get(args.pde, **params)
+    stop_after = 1 if args.step1 else 2 if args.step2 else 3
+    report = run_pipeline(
+        form,
+        rho=rho,
+        stop_after=stop_after,
         dt=args.dt,
         dx=args.dx,
         N=args.N,
         criterion=spectral.Criterion.parse(args.criterion),
-        scheme=args.scheme,
-        dot_dir=args.dot_dir,
+        scheme=parse_scheme(args.scheme),
     )
-    if args.step1:
-        report = {"pde": report["pde"], "step1": report["step1"],
-                  "classification": report["classification"]}
-    elif args.step2:
-        report = {k: v for k, v in report.items() if k in ("pde", "step2", "classification")}
-    elif args.step3:
-        report = {k: v for k, v in report.items() if k in ("pde", "step3", "classification")}
-    _emit(report, args)
+    if args.dot_dir:
+        dots = Path(args.dot_dir)
+        dots.mkdir(parents=True, exist_ok=True)
+        (dots / f"{args.pde}_bipartite.dot").write_text(structure.bipartite_dot(report.bip, report.dm))
+        if report.graph is not None:
+            (dots / f"{args.pde}_propagation.dot").write_text(propagation.propagation_dot(report.graph))
+    out = _report_dict(args.pde, report, args)
+    if args.step1 or args.step2 or args.step3:
+        shown = f"step{stop_after}"
+        out = {k: v for k, v in out.items() if k in ("pde", shown, "classification")}
+    _emit(out, args)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    rows = classify_registry()
+    rows = []
+    for name in msform.registry_names():
+        report = run_pipeline(msform.registry_get(name), stop_after=2)
+        stable = report.classification == "ConditionallyStable"
+        rows.append({
+            "pde": name,
+            "category": report.classification,
+            "s_lo": _fraction_str(report.verdict.s_lo) if stable else "",
+        })
     if args.category:
         rows = [r for r in rows if r["category"] == args.category]
-    out = args.out or "-"
-    if out == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=["pde", "category", "s_lo"])
+    to_file = args.out and args.out != "-"
+    with open(args.out, "w", newline="", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=["pde", "category", "s_lo"])
         writer.writeheader()
         writer.writerows(rows)
-    else:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["pde", "category", "s_lo"])
-            writer.writeheader()
-            writer.writerows(rows)
     return 0
 
 
 def _cmd_run(args) -> int:
+    scheme = parse_scheme(args.scheme)
     params = _parse_params(args.params)
     params.pop("rho", None)
     form = msform.registry_get(args.pde, **params)
@@ -268,7 +200,7 @@ def _cmd_run(args) -> int:
     mesh = MeshParams(a=a, b=b, N=N, dt=args.dt, T=args.T)
     ic, exact = builtin_initial_condition(args.ic, form)
     observers = tuple(args.observe.split(",")) if args.observe else ()
-    result = integrate(form, args.scheme, ic, mesh, observers=observers, exact=exact)
+    result = integrate(form, scheme, ic, mesh, observers=observers, exact=exact)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -302,27 +234,25 @@ def _cmd_run(args) -> int:
                     w.writerow([x] + list(row))
     if "snapshots" in observers and result.edge_state is not None:
         # collocation runs: resolve the final edge stacks at their node positions
-        tableau = gauss_tableau(int(args.scheme.split(":", 1)[1]))
         with open(outdir / "edges_final.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x"] + list(form.names))
             xs = mesh.x_int()
             for i in range(N):
-                for k, c in enumerate(tableau.c):
+                for k, c in enumerate(scheme.c):
                     w.writerow([xs[i] + 0.5 * mesh.dx * c] + list(result.edge_state[2 * i, k]))
                 xnext = mesh.a + (i + 1) * mesh.dx
-                for k, c in enumerate(tableau.c):
+                for k, c in enumerate(scheme.c):
                     w.writerow([xnext - 0.5 * mesh.dx * c] + list(result.edge_state[2 * i + 1, k]))
     print(f"status: {result.status}" + (f" (diverged at t={result.diverged_at})" if result.diverged_at else ""))
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    scheme = parse_scheme(args.scheme)
     params = _parse_params(args.params)
     rho = params.pop("rho", None)
-    form = msform.registry_get(args.pde, **params)
-    lin = _linearization_for(form, rho)
-    scheme = "simple" if args.scheme == "simple" else gauss_tableau(int(args.scheme.split(":")[1]))
+    lin = reference_linearization(msform.registry_get(args.pde, **params), rho)
     dx_list = [float(v) for v in args.dx_list.split(",")]
     result = spectral.stability_boundary_sweep(
         lin, scheme, args.domain_length, dx_list, spectral.Criterion.parse(args.criterion)
@@ -350,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--N", type=int, default=20)
     pa.add_argument("--criterion", default="strict")
     pa.add_argument("--scheme", default="simple")
-    pa.add_argument("--step1", action="store_true", help="report step 1 only")
-    pa.add_argument("--step2", action="store_true", help="report step 2 only")
-    pa.add_argument("--step3", action="store_true", help="report step 3 only")
+    steps = pa.add_mutually_exclusive_group()
+    steps.add_argument("--step1", action="store_true", help="run and report step 1 only")
+    steps.add_argument("--step2", action="store_true", help="stop after step 2, report it only")
+    steps.add_argument("--step3", action="store_true", help="report step 3 only")
     pa.add_argument("--out")
     pa.add_argument("--dot-dir", help="write Graphviz renderings of the step-1/2 graphs here")
     pa.add_argument("--format", choices=["json", "text"], default="text")

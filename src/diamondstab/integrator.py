@@ -21,6 +21,7 @@ from .msform import LinearizedForm, MultiSymplecticForm, eval_S, eval_grad_S, ev
 __all__ = [
     "RKTableau",
     "gauss_tableau",
+    "parse_scheme",
     "MeshParams",
     "MeshState",
     "RunResult",
@@ -97,6 +98,16 @@ def gauss_tableau(r: int) -> RKTableau:
         for i in range(r):
             A[i, j] = anti(c[i]) - anti(0.0)
     return RKTableau(r=r, A=A, b=b, c=c)
+
+
+def parse_scheme(text: str):
+    """"simple" -> "simple"; "rk:R" -> the R-stage Gauss tableau."""
+    if text == "simple":
+        return "simple"
+    kind, colon, stages = text.partition(":")
+    if kind != "rk" or not colon or not stages.isdigit():
+        raise ValueError(f"unknown scheme {text!r}; expected 'simple' or 'rk:R'")
+    return gauss_tableau(int(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +533,8 @@ def integrate(
     rejected with ValueError.  Observers are sampled every ``cadence`` full
     steps.
     """
-    if isinstance(scheme, str) and scheme.startswith("rk"):
-        scheme = gauss_tableau(int(scheme.split(":", 1)[1]))
+    if isinstance(scheme, str):
+        scheme = parse_scheme(scheme)
     nt = mesh.nt
     if cadence is None:
         cadence = max(100, math.ceil(nt / 200))

@@ -28,7 +28,6 @@ __all__ = [
     "UnknownFormError",
     "validate_form",
     "linearize",
-    "linear_form_from",
     "eval_grad_S",
     "eval_jac_S",
     "eval_S",
@@ -242,34 +241,6 @@ def linearize(form: MultiSymplecticForm, z_ref) -> LinearizedForm:
         L=form.L,
         Peff=eval_jac_S(form, z_ref),
         z_ref=z_ref,
-    )
-
-
-def linear_form_from(lin: LinearizedForm) -> MultiSymplecticForm:
-    """Wrap a linearization as a (linear) form usable by the integrators."""
-    d = lin.d
-    s_terms = []
-    for i in range(d):
-        for j in range(i, d):
-            c = lin.Peff[i, j]
-            if c == 0.0:
-                continue
-            e = [0] * d
-            if i == j:
-                e[i] = 2
-                s_terms.append((0.5 * c, tuple(e)))
-            else:
-                e[i] = 1
-                e[j] = 1
-                s_terms.append((c, tuple(e)))
-    return MultiSymplecticForm(
-        name=lin.name + "_linearized",
-        names=lin.names,
-        K=lin.K,
-        L=lin.L,
-        P=lin.Peff,
-        terms=(),
-        s_terms=tuple(s_terms),
     )
 
 

@@ -1,0 +1,77 @@
+"""The three-step stability decision (consistency, propagation cycles,
+spectra) as one function with early exit."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import msform, propagation, spectral, structure
+
+__all__ = ["PipelineReport", "reference_linearization", "run_pipeline"]
+
+
+@dataclass(frozen=True)
+class PipelineReport:
+    """What each step produced; fields of steps not run are None.
+
+    Steps 1 and 2 decide ``classification``: "StructurallyInconsistent",
+    "UnconditionallyUnstable" or "ConditionallyStable", and None when a
+    consistent form stopped after Step 1.  Step 3 judges one (dt, dx, N).
+    """
+
+    bip: structure.BipartiteSystem
+    dm: structure.DMReport
+    classification: str | None = None
+    lin: msform.LinearizedForm | None = None
+    graph: propagation.PropagationGraph | None = None
+    cycles: tuple[propagation.Cycle, ...] | None = None
+    verdict: propagation.Step2Verdict | None = None
+    spectral_verdict: spectral.SpectralVerdict | None = None
+
+
+def reference_linearization(form, rho: float | None = None) -> msform.LinearizedForm:
+    """The linear form Steps 2 and 3 analyse: NLS about the plane wave of
+    constant amplitude ``rho`` (default 9), every other form about z = 0."""
+    if form.name == "nls":
+        return msform.nls_constant_amplitude_linearization(
+            rho if rho is not None else 9.0, form.param("a")
+        )
+    return msform.linearize(form, np.zeros(form.d))
+
+
+def run_pipeline(
+    form,
+    *,
+    rho: float | None = None,
+    stop_after: int = 3,
+    dt: float = 0.05,
+    dx: float = 0.1,
+    N: int = 20,
+    criterion: spectral.Criterion | None = None,
+    scheme="simple",
+) -> PipelineReport:
+    """Steps 1 -> 2 -> 3, stopping at the first step that decides the form.
+
+    Steps after ``stop_after`` (1, 2 or 3) never run.  ``scheme`` is
+    "simple" or an RKTableau (``integrator.parse_scheme`` reads "rk:R");
+    ``criterion`` defaults to strict.
+    """
+    if stop_after not in (1, 2, 3):
+        raise ValueError(f"stop_after must be 1, 2 or 3, got {stop_after!r}")
+    bip = structure.build_equation_unknown_graph(form)
+    dm = structure.dm_decompose(bip)
+    if not dm.consistent or stop_after == 1:
+        return PipelineReport(bip, dm, None if dm.consistent else "StructurallyInconsistent")
+
+    lin = reference_linearization(form, rho)
+    graph = propagation.build_propagation_graph(lin, structure.classify_consistency(lin))
+    cycles = tuple(propagation.enumerate_cycles(graph))
+    verdict = propagation.stability_threshold(cycles)
+    sv = None
+    if verdict.feasible and stop_after == 3:
+        family = spectral.symbol_family(lin, scheme, dt, dx, N)
+        sv = spectral.spectral_verdict(family, criterion or spectral.Criterion("strict"), dt=dt)
+    classification = "ConditionallyStable" if verdict.feasible else "UnconditionallyUnstable"
+    return PipelineReport(bip, dm, classification, lin, graph, cycles, verdict, sv)

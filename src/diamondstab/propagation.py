@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
 from .msform import LinearizedForm
 from .structure import DMReport
 
@@ -164,29 +162,29 @@ def propagation_dot(graph: PropagationGraph) -> str:
 
 
 def enumerate_cycles(graph: PropagationGraph) -> list[Cycle]:
-    """All simple directed cycles, with parallel edges expanded separately."""
-    mg = nx.MultiDiGraph()
-    mg.add_nodes_from(graph.nodes)
-    for idx, e in enumerate(graph.edges):
-        mg.add_edge(e.src, e.dst, key=idx)
+    """All simple directed cycles, with parallel edges expanded separately.
+
+    Depth-first search from each node in turn, visiting only nodes later in
+    ``graph.nodes``, so every cycle starts at its earliest node and is found
+    once per choice of parallel edges.
+    """
+    rank = {n: i for i, n in enumerate(graph.nodes)}
+    out: dict[str, list[PropEdge]] = {n: [] for n in graph.nodes}
+    for e in graph.edges:
+        out[e.src].append(e)
     cycles: list[Cycle] = []
-    for node_cycle in nx.simple_cycles(mg):
-        k = len(node_cycle)
-        hops = [(node_cycle[i], node_cycle[(i + 1) % k]) for i in range(k)]
-        choices = []
-        for u, v in hops:
-            choices.append([graph.edges[key] for key in mg[u][v]])
-        stack = [(0, [])]
-        while stack:
-            depth, chosen = stack.pop()
-            if depth == len(hops):
-                weight = AffineIndex(0, 0)
-                for e in chosen:
-                    weight = weight + e.index
-                cycles.append(Cycle(tuple(node_cycle), tuple(chosen), weight))
-                continue
-            for e in choices[depth]:
-                stack.append((depth + 1, chosen + [e]))
+
+    def extend(root: str, path: list[str], chosen: list[PropEdge]) -> None:
+        for e in out[path[-1]]:
+            if e.dst == root:
+                edges = (*chosen, e)
+                weight = sum((x.index for x in edges), AffineIndex(0, 0))
+                cycles.append(Cycle(tuple(path), edges, weight))
+            elif rank[e.dst] > rank[root] and e.dst not in path:
+                extend(root, path + [e.dst], chosen + [e])
+
+    for root in graph.nodes:
+        extend(root, [root], [])
     return cycles
 
 

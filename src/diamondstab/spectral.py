@@ -33,6 +33,7 @@ __all__ = [
     "build_blocks_rk",
     "assemble_symbol_family_rk",
     "assemble_full_update_matrix_rk",
+    "symbol_family",
     "spectral_verdict",
     "stability_boundary_sweep",
 ]
@@ -41,9 +42,10 @@ __all__ = [
 class SingularUpdateError(RuntimeError):
     """Raised when the local update matrix is singular.
 
-    For the simple scheme this is the pivot K/dt - Peff/4 (singular for all
-    step sizes exactly when the form is structurally inconsistent); for the
-    collocation scheme the stage matrix Q inherits that singularity.
+    For the simple scheme this is the pivot K/dt - Peff/4, for the
+    collocation scheme the stage matrix Q.  Structural inconsistency makes
+    it singular at every step size, but so can cancelling entries of a
+    consistent form (det(x K - Peff/4) = 0 for all x).
     """
 
 
@@ -116,8 +118,8 @@ def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBloc
     A0 = K / dt - P / 4.0
     if _equilibrated_min_sv(A0) < 1e-12:
         raise SingularUpdateError(
-            f"update pivot K/dt - P/4 is singular for {lin.name!r}; "
-            "the form is structurally inconsistent on the diamond mesh"
+            f"update pivot K/dt - P/4 is singular for {lin.name!r} at dt={dt:g}; "
+            "the form may be structurally inconsistent, or its entries cancel"
         )
     inv = np.linalg.inv(A0)
     return SimpleBlocks(
@@ -333,7 +335,8 @@ class SweepResult:
         return None if self.log_c is None else float(np.exp(self.log_c))
 
 
-def _family_for(lin: LinearizedForm, scheme, dt: float, dx: float, N: int) -> SymbolFamily:
+def symbol_family(lin: LinearizedForm, scheme, dt: float, dx: float, N: int) -> SymbolFamily:
+    """Frequency symbols of one full step; ``scheme`` is "simple" or an RKTableau."""
     if scheme == "simple":
         return assemble_symbol_family_simple(build_blocks_simple(lin, dt, dx), N)
     return assemble_symbol_family_rk(build_blocks_rk(lin, scheme, dt, dx), N)
@@ -358,7 +361,7 @@ def stability_boundary_sweep(
         N = max(2, round(domain_length / dx))
 
         def stable(dt: float) -> bool:
-            fam = _family_for(lin, scheme, dt, dx, N)
+            fam = symbol_family(lin, scheme, dt, dx, N)
             return spectral_verdict(fam, criterion, dt=dt).stable
 
         # locate a stable bracket end by geometric descent from dx: the first

@@ -11,11 +11,13 @@ update matrix is singular for every step size.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .msform import LinearizedForm, MultiSymplecticForm
 
@@ -26,7 +28,6 @@ __all__ = [
     "SingularityReport",
     "RKSingularityReport",
     "build_equation_unknown_graph",
-    "max_matching",
     "dm_decompose",
     "classify_consistency",
     "check_singularity_simple",
@@ -129,26 +130,6 @@ def build_equation_unknown_graph(form: MultiSymplecticForm | LinearizedForm) -> 
     )
 
 
-def max_matching(bip: BipartiteSystem) -> dict[int, int]:
-    """Maximum-cardinality matching equation -> unknown via augmenting paths."""
-    adj = {i: bip.neighbors(i) for i in range(bip.n)}
-    match_un: dict[int, int] = {}  # unknown -> equation
-
-    def try_augment(eq: int, seen: set[int]) -> bool:
-        for un in adj[eq]:
-            if un in seen:
-                continue
-            seen.add(un)
-            if un not in match_un or try_augment(match_un[un], seen):
-                match_un[un] = eq
-                return True
-        return False
-
-    for eq in range(bip.n):
-        try_augment(eq, set())
-    return {eq: un for un, eq in match_un.items()}
-
-
 def _preferred_matching(bip: BipartiteSystem) -> dict[int, int]:
     """Maximum matching that uses as many K-induced edges as possible.
 
@@ -215,19 +196,18 @@ def dm_decompose(bip: BipartiteSystem) -> DMReport:
     core_uns = [j for j in range(bip.n) if j not in over_uns and j not in under_uns]
 
     # fine blocks: SCCs of the directed graph "equation i feeds equation j"
-    # where i -> j if the unknown matched to i also appears in j.
-    dg = nx.DiGraph()
-    dg.add_nodes_from(core_eqs)
-    for eq in core_eqs:
-        un = matching[eq]
-        for other in adj_un[un]:
-            if other != eq and other in set(core_eqs):
-                dg.add_edge(eq, other)
-    condensed = nx.condensation(dg)
+    # where i -> j if the unknown matched to i also appears in j
+    pos = {eq: k for k, eq in enumerate(core_eqs)}
+    feeds = [
+        (pos[eq], pos[other])
+        for eq in core_eqs
+        for other in adj_un[matching[eq]]
+        if other != eq and other in pos
+    ]
     well_blocks: list[DMBlock] = []
     order: list[tuple[int, int]] = []
-    for comp in nx.topological_sort(condensed):
-        eqs = tuple(sorted(condensed.nodes[comp]["members"]))
+    for eqs in _topological_components(len(core_eqs), feeds):
+        eqs = tuple(core_eqs[k] for k in eqs)
         uns = tuple(sorted(matching[e] for e in eqs))
         well_blocks.append(DMBlock("well-determined", eqs, uns))
         order.extend((e, matching[e]) for e in eqs)
@@ -245,9 +225,33 @@ def dm_decompose(bip: BipartiteSystem) -> DMReport:
         names=bip.names,
         matching=tuple(sorted(matching.items())),
         blocks=tuple(blocks),
-        order=tuple(order) if consistent else tuple(order),
+        order=tuple(order),
         consistent=consistent,
     )
+
+
+def _topological_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Strongly connected components of a digraph on 0..n-1, upstream first.
+
+    ``edges`` must come grouped by source in increasing order, so that they
+    are the rows of a CSR matrix.  Kahn's algorithm with a FIFO queue seeded
+    in scipy's label order; each component is a sorted tuple of its nodes.
+    """
+    src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(len(src)), dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
+    ncomp, label = connected_components(adj, directed=True, connection="strong")
+    succ: list[list[int]] = [[] for _ in range(ncomp)]
+    for ca, cb in zip(label[src].tolist(), label[dst].tolist()):
+        if ca != cb and cb not in succ[ca]:
+            succ[ca].append(cb)
+    indegree = Counter(c for out in succ for c in out)
+    order = [c for c in range(ncomp) if indegree[c] == 0]
+    for c in order:  # the queue grows while it is read
+        for nxt in succ[c]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                order.append(nxt)
+    return [tuple(int(v) for v in np.flatnonzero(label == c)) for c in order]
 
 
 def classify_consistency(form) -> DMReport:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.optimize import root
 
-from diamondstab.cli import classify_registry
 from diamondstab.integrator import (
     MeshParams,
     gauss_tableau,
@@ -27,8 +26,9 @@ from diamondstab.msform import (
     linearize,
     nls_constant_amplitude_linearization,
     registry_get,
+    registry_names,
 )
-from diamondstab.propagation import build_propagation_graph, enumerate_cycles, stability_threshold
+from diamondstab.pipeline import run_pipeline
 from diamondstab.solutions import dirac_breather, mixed_kg_cosine, nls_two_soliton_ic
 from diamondstab.spectral import (
     Criterion,
@@ -38,7 +38,7 @@ from diamondstab.spectral import (
     spectral_verdict,
     stability_boundary_sweep,
 )
-from diamondstab.structure import check_singularity_rk, classify_consistency
+from diamondstab.structure import check_singularity_rk
 
 
 def report(criterion: int, ok: bool, message: str) -> None:
@@ -68,7 +68,7 @@ EXPECTED_CATEGORY = {
 
 def test_criterion_01_classification_table():
     t0 = time.time()
-    rows = {r["pde"]: r["category"] for r in classify_registry()}
+    rows = {n: run_pipeline(registry_get(n), stop_after=2).classification for n in registry_names()}
     elapsed = time.time() - t0
     mismatches = {k: (rows[k], v) for k, v in EXPECTED_CATEGORY.items() if rows[k] != v}
     counts = {c: sum(1 for v in rows.values() if v == c) for c in set(rows.values())}
@@ -121,11 +121,8 @@ def _dominant_nonzero_mode(lin, s, dx):
 
 @pytest.mark.parametrize("name,expected", STEP2_EXPECTED, ids=[n for n, _ in STEP2_EXPECTED])
 def test_criterion_02_step2_thresholds(name, expected):
-    form = registry_get(name)
-    lin = linearize(form, np.zeros(form.d))
-    verdict = stability_threshold(
-        enumerate_cycles(build_propagation_graph(lin, classify_consistency(lin)))
-    )
+    result = run_pipeline(registry_get(name), stop_after=2)
+    lin, verdict = result.lin, result.verdict
     got = None if verdict.unconditionally_unstable else verdict.s_lo
     ok = got == expected
     message = f"{name}: s_lo = {got} (expected {expected})"

@@ -1,33 +1,38 @@
 import csv
 import json
 
-from diamondstab.cli import analyze_pipeline, classify_registry, main
+import pytest
+
+from diamondstab import propagation, spectral
+from diamondstab.cli import main
+from diamondstab.msform import registry_get, registry_names
+from diamondstab.pipeline import run_pipeline
 
 
 def test_analyze_kdv_stops_after_step1():
-    report = analyze_pipeline("kdv")
-    assert report["classification"] == "StructurallyInconsistent"
-    assert "step2" not in report and "step3" not in report
-    kinds = {b["kind"] for b in report["step1"]["blocks"]}
+    report = run_pipeline(registry_get("kdv"))
+    assert report.classification == "StructurallyInconsistent"
+    assert report.verdict is None and report.spectral_verdict is None
+    kinds = {b.kind for b in report.dm.blocks}
     assert "overdetermined" in kinds and "underdetermined" in kinds
 
 
 def test_analyze_mixed_kg_stops_after_step2():
-    report = analyze_pipeline("mixed_kg")
-    assert report["classification"] == "UnconditionallyUnstable"
-    assert "step3" not in report
-    assert "-s-1" in report["step2"]["verdict"]["witness_cycles"]
+    report = run_pipeline(registry_get("mixed_kg"))
+    assert report.classification == "UnconditionallyUnstable"
+    assert report.spectral_verdict is None
+    assert "-s-1" in [c.weight.label() for c in report.verdict.witness]
 
 
 def test_analyze_dirac_full_pipeline():
-    report = analyze_pipeline("dirac", dt=0.2, dx=0.3, N=40, scheme="simple")
-    assert report["classification"] == "ConditionallyStable"
-    assert report["step3"]["stable"] is True
-    assert report["step2"]["verdict"]["unconditionally_unstable"] is False
+    report = run_pipeline(registry_get("dirac"), dt=0.2, dx=0.3, N=40, scheme="simple")
+    assert report.classification == "ConditionallyStable"
+    assert report.spectral_verdict.stable is True
+    assert report.verdict.unconditionally_unstable is False
 
 
 def test_classify_registry_categories():
-    rows = {r["pde"]: r["category"] for r in classify_registry()}
+    rows = {n: run_pipeline(registry_get(n), stop_after=2).classification for n in registry_names()}
     assert len(rows) == 14
     expected_inconsistent = {
         "advection", "kdv", "camassa_holm", "bbm", "hunter_saxton_1", "hunter_saxton_2",
@@ -135,3 +140,75 @@ def test_cli_params_override(capsys):
     assert main(["analyze", "bbm", "--params", "sigma=2.0", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["classification"] == "StructurallyInconsistent"
+
+
+def test_cli_step1_on_consistent_form_is_undecided(capsys):
+    assert main(["analyze", "wave", "--step1", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] is None and report["step1"]["consistent"]
+    assert main(["analyze", "wave", "--step1"]) == 0
+    assert "classification: undecided after step 1" in capsys.readouterr().out
+
+
+def test_cli_step_flags_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "wave", "--step2", "--step3"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_step_flags_stop_the_pipeline(monkeypatch, capsys):
+    step3 = _count_calls(
+        monkeypatch, spectral, ["spectral_verdict", "build_blocks_simple", "build_blocks_rk"]
+    )
+    step2 = _count_calls(monkeypatch, propagation, ["build_propagation_graph"])
+    assert main(["analyze", "wave", "--step1"]) == 0
+    assert step2["build_propagation_graph"] == 0
+    assert main(["analyze", "wave", "--step2"]) == 0
+    assert main(["analyze", "wave", "--step2", "--scheme", "rk:2"]) == 0
+    assert main(["classify"]) == 0
+    assert step2["build_propagation_graph"] == 2 + 8  # two analyze runs, 8 consistent forms
+    assert step3 == {"spectral_verdict": 0, "build_blocks_simple": 0, "build_blocks_rk": 0}
+    # the counters see Step 3 when it does run
+    assert main(["analyze", "wave"]) == 0
+    assert main(["analyze", "wave", "--scheme", "rk:2"]) == 0
+    assert step3 == {"spectral_verdict": 2, "build_blocks_simple": 1, "build_blocks_rk": 1}
+
+
+def test_run_pipeline_rejects_bad_stop_after():
+    with pytest.raises(ValueError, match="stop_after"):
+        run_pipeline(registry_get("wave"), stop_after=4)
+
+
+BAD_SCHEME_COMMANDS = {
+    "analyze": ["analyze", "wave"],
+    "sweep": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4"],
+    "run": ["run", "--pde", "dirac", "--dx", "0.6", "--dt", "0.2", "--domain=-12,12",
+            "--T", "0.4", "--ic", "breather"],
+}
+
+
+@pytest.mark.parametrize("scheme", ["rk", "foo", "rk:x"])
+@pytest.mark.parametrize("command", sorted(BAD_SCHEME_COMMANDS))
+def test_cli_bad_scheme_is_one_line_error(command, scheme, tmp_path, capsys):
+    argv = BAD_SCHEME_COMMANDS[command] + ["--scheme", scheme]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(scheme) in err[0]
+    assert captured.out == ""

@@ -1,9 +1,17 @@
+import itertools
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamondstab
 from diamondstab.msform import linearize, registry_get
+from diamondstab.pipeline import run_pipeline
 from diamondstab.propagation import (
     AffineIndex,
     Cycle,
@@ -17,14 +25,7 @@ from diamondstab.structure import classify_consistency
 
 
 def graph_for(name, rho=None):
-    form = registry_get(name)
-    if name == "nls" and rho is not None:
-        from diamondstab.msform import nls_constant_amplitude_linearization
-        lin = nls_constant_amplitude_linearization(rho, form.param("a"))
-    else:
-        lin = linearize(form, np.zeros(form.d))
-    dm = classify_consistency(lin)
-    return build_propagation_graph(lin, dm)
+    return run_pipeline(registry_get(name), rho=rho, stop_after=2).graph
 
 
 def edge_set(graph):
@@ -105,6 +106,55 @@ def test_parallel_edges_make_distinct_cycles():
     assert {(c.weight.a, c.weight.b) for c in cycles} == {(1, 0), (0, -1)}
 
 
+def brute_force_cycles(graph):
+    """Every simple cycle as (nodes, edges), by trying each node sequence
+    that starts at its earliest node and each choice of parallel edges."""
+    rank = {n: i for i, n in enumerate(graph.nodes)}
+    found = Counter()
+    for k in range(1, len(graph.nodes) + 1):
+        for seq in itertools.permutations(graph.nodes, k):
+            if min(seq, key=rank.get) != seq[0]:
+                continue
+            hops = [
+                [e for e in graph.edges if (e.src, e.dst) == (seq[i], seq[(i + 1) % k])]
+                for i in range(k)
+            ]
+            for chosen in itertools.product(*hops):
+                found[(seq, chosen)] += 1
+    return found
+
+
+def test_cycles_match_brute_force_on_random_multigraphs():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        names = tuple(str(v) for v in rng.permutation(list("abcde"[:n])))
+        edges = tuple(
+            PropEdge(
+                names[rng.integers(n)], names[rng.integers(n)],
+                AffineIndex(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))), i,
+            )
+            for i in range(int(rng.integers(0, 3 * n + 1)))
+        )
+        graph = PropagationGraph(names, edges)
+        cycles = enumerate_cycles(graph)
+        assert Counter((c.nodes, c.edges) for c in cycles) == brute_force_cycles(graph)
+        for c in cycles:
+            assert (c.weight.a, c.weight.b) == (
+                sum(e.index.a for e in c.edges), sum(e.index.b for e in c.edges)
+            )
+
+
+def test_import_leaves_out_networkx():
+    src = str(Path(diamondstab.__file__).resolve().parents[1])
+    code = "import sys; import diamondstab; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [
@@ -139,7 +189,8 @@ def test_binding_cycles_at_boundary_reported():
 
 
 def test_nls_threshold_insensitive_to_linearization_amplitude():
-    for rho in (None, 0.5, 9.0):
+    # rho = 0 is the linearization about z = 0
+    for rho in (None, 0.0, 0.5, 9.0):
         verdict = stability_threshold(enumerate_cycles(graph_for("nls", rho=rho)))
         assert verdict.s_lo == Fraction(2)
 

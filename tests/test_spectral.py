@@ -244,12 +244,7 @@ def test_nls_growth_pair_at_paper_domain():
 
 def test_sweep_slope_dominates_step2_exponent():
     # the empirical boundary exponent can only be at least the necessary one
-    from diamondstab.propagation import (
-        build_propagation_graph,
-        enumerate_cycles,
-        stability_threshold,
-    )
-    from diamondstab.structure import classify_consistency
+    from diamondstab.pipeline import run_pipeline
 
     cases = [
         ("wave", Criterion("nozero"), [0.4, 0.2, 0.1]),
@@ -259,15 +254,9 @@ def test_sweep_slope_dominates_step2_exponent():
         ("nls", Criterion("growth", theta=1.1), [0.4, 0.2, 0.1]),
     ]
     for name, crit, dxs in cases:
-        form = registry_get(name)
-        if name == "nls":
-            lin = nls_constant_amplitude_linearization(9.0, form.param("a"))
-        else:
-            lin = linearize(form, np.zeros(form.d))
-        s_lo = stability_threshold(
-            enumerate_cycles(build_propagation_graph(lin, classify_consistency(lin)))
-        ).s_lo
-        res = stability_boundary_sweep(lin, "simple", 4.0, dxs, crit, iterations=30)
+        report = run_pipeline(registry_get(name), stop_after=2)
+        s_lo = report.verdict.s_lo
+        res = stability_boundary_sweep(report.lin, "simple", 4.0, dxs, crit, iterations=30)
         assert res.slope is not None
         assert res.slope >= float(s_lo) - 0.15, (name, res.slope, s_lo)
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from diamondstab.msform import MultiSymplecticForm, linearize, registry_get, registry_names
 from diamondstab.structure import (
+    BipartiteSystem,
     build_equation_unknown_graph,
     check_singularity_rk,
     check_singularity_simple,
     classify_consistency,
     dm_decompose,
-    max_matching,
 )
 from diamondstab.integrator import gauss_tableau
 
@@ -42,13 +44,17 @@ def test_diagonal_form_has_diagonal_edges():
     assert bip.edges == frozenset({(0, 0), (1, 1), (2, 2)})
 
 
+def dm_matching(form):
+    return dm_decompose(build_equation_unknown_graph(form)).matching
+
+
 def test_max_matching_sizes():
-    assert len(max_matching(build_equation_unknown_graph(registry_get("wave")))) == 3
-    assert len(max_matching(build_equation_unknown_graph(registry_get("advection")))) == 2
+    assert len(dm_matching(registry_get("wave"))) == 3
+    assert len(dm_matching(registry_get("advection"))) == 2
     empty = MultiSymplecticForm(
         "none", ("a", "b"), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
     )
-    assert max_matching(build_equation_unknown_graph(empty)) == {}
+    assert dm_matching(empty) == ()
 
 
 def test_wave_dm_order():
@@ -100,7 +106,12 @@ def test_inconsistent_registry(name):
 def test_verdict_iff_perfect_matching(name):
     bip = build_equation_unknown_graph(registry_get(name))
     dm = dm_decompose(bip)
-    assert dm.consistent == (len(max_matching(bip)) == bip.n)
+    # independent oracle: scipy's Hopcroft-Karp on the biadjacency matrix
+    eqs, uns = zip(*bip.edges)
+    biadj = csr_matrix((np.ones(len(eqs)), (eqs, uns)), shape=(bip.n, bip.n))
+    size = int((maximum_bipartite_matching(biadj, perm_type="column") >= 0).sum())
+    assert dm.consistent == (size == bip.n)
+    assert len(dm.matching) == size
 
 
 def test_computation_order_is_topological():
@@ -117,6 +128,25 @@ def test_computation_order_is_topological():
                 for un in bip.neighbors(eq):
                     assert un in solved or un in b.unknowns
             solved.update(b.unknowns)
+
+
+def test_dm_blocks_are_block_triangular_on_random_systems():
+    # blocks come in solving order: an equation of a well-determined block
+    # uses only its own unknowns and those of earlier blocks
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        edges = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(int(rng.integers(0, 3 * n)))}
+        prov = tuple(sorted((e, "KS"[int(rng.integers(2))]) for e in edges))
+        bip = BipartiteSystem(n, tuple(f"z{i}" for i in range(n)), frozenset(edges), prov)
+        dm = dm_decompose(bip)
+        solved = set()
+        for b in dm.blocks:
+            if b.kind == "well-determined":
+                for eq in b.equations:
+                    assert set(bip.neighbors(eq)) <= solved | set(b.unknowns)
+            solved.update(b.unknowns)
+        assert [(e, u) for b in dm.well for e, u in dm.matching if e in b.equations] == list(dm.order)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
