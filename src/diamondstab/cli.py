@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     except msform.UnknownFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, NewtonError) as exc:
+    except (ValueError, OSError, NewtonError, spectral.SingularUpdateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ values per mesh edge and solves an r*r-stage system per diamond.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,14 +183,50 @@ class RunResult:
 # single-diamond solves (vectorized over diamonds)
 # ---------------------------------------------------------------------------
 
+# a row stays with the chord while each step shrinks at least this factor
+# and the steps predicted from that rate reach the tolerance within the budget
+_CHORD_CONTRACTION = 100.0
+_CHORD_BUDGET = 2
 
-def _residual(form, Zt, Zb, Zl, Zr, dt, dx):
-    avg = 0.25 * (Zt + Zb + Zl + Zr)
-    return (
-        (Zt - Zb) @ (form.K / dt).T
-        + (Zr - Zl) @ (form.L / dx).T
-        - eval_grad_S(form, avg)
-    )
+# per form: dt -> (K/dt - P/4)^{-T}, or None where that matrix is singular
+_CHORD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _chord_matrix(form: MultiSymplecticForm, dt: float) -> np.ndarray | None:
+    per_dt = _CHORD_CACHE.setdefault(form, {})
+    if dt not in per_dt:
+        inv = _inverse_or_none(form.K / dt - 0.25 * form.P)
+        per_dt[dt] = None if inv is None else inv.T
+    return per_dt[dt]
+
+
+def _inverse_or_none(M: np.ndarray) -> np.ndarray | None:
+    """M^{-1}, or None where M is singular to working precision."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.linalg.norm(M, np.inf) * np.linalg.norm(inv, np.inf)
+    return inv if cond < 1.0 / (len(M) * np.finfo(float).eps) else None
+
+
+def _fold_corners(form, Zb, Zl, Zr, dt, dx):
+    """The known corners of each diamond folded into two constants per row."""
+    KdtT = (form.K / dt).T
+    return KdtT, (Zr - Zl) @ (form.L / dx).T - Zb @ KdtT, Zb + Zl + Zr
+
+
+def _residual(form, Zt, KdtT, c, s):
+    return Zt @ KdtT + c - eval_grad_S(form, 0.25 * (Zt + s))
+
+
+def _row_norms(Z: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", Z, Z))
+
+
+def _as_rows(Z) -> np.ndarray:
+    # a contiguous copy: the zig-zag halves arrive as strided views
+    return np.array(Z, dtype=float, ndmin=2)
 
 
 def solve_diamonds(
@@ -204,72 +241,150 @@ def solve_diamonds(
 ) -> np.ndarray:
     """Solve a batch of diamond updates; rows are independent diamonds.
 
-    Linear forms use one factorization of K/dt - P/4; nonlinear forms run a
-    damped Newton iteration started from the bottom value.
+    Linear forms use one factorization of K/dt - P/4.  Nonlinear forms run a
+    chord iteration with the inverse of that same matrix, started from the
+    bottom value; the rows it leaves unsolved go on to a damped Newton
+    iteration (see _chord_iterate for the rule).
     """
-    Zb = np.atleast_2d(np.asarray(Zb, dtype=float))
-    Zl = np.atleast_2d(np.asarray(Zl, dtype=float))
-    Zr = np.atleast_2d(np.asarray(Zr, dtype=float))
-    K, L = form.K, form.L
+    Zb, Zl, Zr = _as_rows(Zb), _as_rows(Zl), _as_rows(Zr)
+    if not form.is_linear:
+        return _solve_nonlinear(form, Zb, Zl, Zr, dt, dx, _chord_matrix(form, dt), max_iter, step_tol)
+    K, L, P = form.K, form.L, form.P
+    A0 = K / dt - 0.25 * P
+    rhs = (
+        Zb @ (K / dt + 0.25 * P).T
+        + Zl @ (L / dx + 0.25 * P).T
+        + Zr @ (-L / dx + 0.25 * P).T
+    )
+    try:
+        return np.linalg.solve(A0, rhs.T).T
+    except np.linalg.LinAlgError as exc:
+        raise NewtonError(f"singular update matrix for {form.name!r}") from exc
 
-    if form.is_linear:
-        P = form.P
-        A0 = K / dt - 0.25 * P
-        rhs = (
-            Zb @ (K / dt + 0.25 * P).T
-            + Zl @ (L / dx + 0.25 * P).T
-            + Zr @ (-L / dx + 0.25 * P).T
-        )
-        try:
-            Zt = np.linalg.solve(A0, rhs.T).T
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular update matrix for {form.name!r}") from exc
+
+def _newton_diamonds(form, Zb, Zl, Zr, dt, dx, max_iter=50, step_tol=1e-13):
+    """The nonlinear branch of solve_diamonds with damped Newton on every row
+    and no chord iteration; the reference the chord path is tested against."""
+    Zb, Zl, Zr = _as_rows(Zb), _as_rows(Zl), _as_rows(Zr)
+    return _solve_nonlinear(form, Zb, Zl, Zr, dt, dx, None, max_iter, step_tol)
+
+
+def _solve_nonlinear(form, Zb, Zl, Zr, dt, dx, chord, max_iter, step_tol):
+    # residual entries scale with the K/dt operator; tolerances follow
+    opscale = np.abs(form.K).max() / dt + np.abs(form.L).max() / dx + 1.0
+    KdtT, c, s = _fold_corners(form, Zb, Zl, Zr, dt, dx)
+    Zt = Zb.copy()
+    res = _residual(form, Zt, KdtT, c, s)
+    if chord is None:
+        rows = np.arange(len(Zt))
     else:
-        # residual entries scale with the K/dt operator; tolerances follow
-        opscale = np.abs(K).max() / dt + np.abs(L).max() / dx + 1.0
-        Zt = Zb.copy()
-        res = _residual(form, Zt, Zb, Zl, Zr, dt, dx)
-        norm = np.linalg.norm(res, axis=1)
-        for _ in range(max_iter):
-            scale = 1.0 + np.linalg.norm(Zt, axis=1)
-            active = norm > 1e-13 * opscale * scale
-            if not active.any():
-                break
-            avg = 0.25 * (Zt + Zb + Zl + Zr)
-            J = K / dt - 0.25 * eval_jac_S(form, avg)
-            try:
-                delta = np.linalg.solve(J, res[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise NewtonError(f"singular Newton matrix for {form.name!r}") from exc
-            step = np.where(active, 1.0, 0.0)
-            trial = Zt - step[:, None] * delta
-            for _halve in range(10):
-                tres = _residual(form, trial, Zb, Zl, Zr, dt, dx)
-                tnorm = np.linalg.norm(tres, axis=1)
-                worse = active & (tnorm > norm) & (step > 1e-3)
-                if not worse.any():
-                    break
-                step[worse] *= 0.5
-                trial[worse] = Zt[worse] - step[worse, None] * delta[worse]
-            small_step = np.max(np.linalg.norm(trial - Zt, axis=1) / scale) < step_tol
-            Zt, res, norm = trial, tres, tnorm
-            if small_step:
-                break
-        scale = 1.0 + np.linalg.norm(np.stack([Zt, Zb, Zl, Zr]), axis=(0, 2))
-        bad = ~(norm <= 1e-9 * opscale * scale)
-        if bad.any():
-            raise NewtonError(
-                f"diamond solve did not converge for {form.name!r} at rows {np.where(bad)[0][:5].tolist()}"
-            )
+        rows = _chord_iterate(form, Zt, res, KdtT, c, s, chord, max_iter, step_tol)
+    if rows.size:
+        lost = rows[~np.isfinite(res[rows]).all(axis=1)]
+        if lost.size:  # the residual overflowed at the chord iterate: start afresh
+            Zt[lost] = Zb[lost]
+            res[lost] = _residual(form, Zt[lost], KdtT, c[lost], s[lost])
+        Zt[rows], res[rows] = _damped_newton(
+            form, Zt[rows], res[rows], KdtT, c[rows], s[rows], opscale, max_iter, step_tol
+        )
+    norm = _row_norms(res)
+    # norm <= tol * scale with scale >= 1: only rows above tol need the scale
+    bad = np.flatnonzero(~(norm <= 1e-9 * opscale))
+    if bad.size:
+        scale = 1.0 + np.linalg.norm(np.stack([Zt, Zb, Zl, Zr])[:, bad], axis=(0, 2))
+        bad = bad[~(norm[bad] <= 1e-9 * opscale * scale)]
+    if bad.size:
+        raise NewtonError(
+            f"diamond solve did not converge for {form.name!r} at rows {bad[:5].tolist()}"
+        )
     return Zt
+
+
+def _chord_iterate(form, Zt, res, KdtT, c, s, A0invT, max_iter, step_tol):
+    """Chord (simplified Newton) steps Zt -= r(Zt) (K/dt - P/4)^{-T}.
+
+    A row is solved once the step it took is below tol = step_tol (1 + |Zt|),
+    or once its next step would be below tol / _CHORD_CONTRACTION, the error
+    a taken step below tol leaves at that contraction; that step is not
+    taken.  A row goes to Newton, from its last iterate, when its step is
+    not finite, when the step shrinks less than _CHORD_CONTRACTION-fold from
+    the one before, when the steps predicted from that rate would not reach
+    tol within _CHORD_BUDGET more steps, or when max_iter steps have run.
+    Each row decides for itself, so a row's result does not depend on the
+    rest of the batch.  Updates Zt and res in place and returns the rows
+    left for Newton.
+    """
+    rows = np.arange(len(Zt))
+    Za, ra, ca, sa = Zt, res, c, s
+    tol = step_tol * (1.0 + _row_norms(Za))
+    prev = np.inf
+    newton = []
+    for _ in range(max_iter):
+        delta = ra @ A0invT
+        step = _row_norms(delta)
+        rate = step / prev
+        solved = step < tol / _CHORD_CONTRACTION
+        slow = ~(solved | ((rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)))
+        newton.append(rows[slow])
+        go_on = ~(solved | slow)
+        if not go_on.all():
+            rows, Za, ca, sa, delta, step = (a[go_on] for a in (rows, Za, ca, sa, delta, step))
+            if rows.size == 0:
+                break
+        Za = Za - delta
+        ra = _residual(form, Za, KdtT, ca, sa)
+        Zt[rows], res[rows] = Za, ra
+        tol = step_tol * (1.0 + _row_norms(Za))
+        left = ~(step < tol)
+        if not left.all():
+            rows, Za, ra, ca, sa, step, tol = (a[left] for a in (rows, Za, ra, ca, sa, step, tol))
+            if rows.size == 0:
+                break
+        prev = step
+    else:
+        newton.append(rows)
+    return np.concatenate(newton)
+
+
+def _damped_newton(form, Zt, res, KdtT, c, s, opscale, max_iter, step_tol):
+    """Damped Newton on rows started at Zt with residual res; returns the
+    final iterate and its residual."""
+    Kdt = KdtT.T
+    norm = _row_norms(res)
+    for _ in range(max_iter):
+        scale = 1.0 + _row_norms(Zt)
+        active = norm > 1e-13 * opscale * scale
+        if not active.any():
+            break
+        J = Kdt - 0.25 * eval_jac_S(form, 0.25 * (Zt + s))
+        try:
+            delta = np.linalg.solve(J, res[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NewtonError(f"singular Newton matrix for {form.name!r}") from exc
+        step = np.where(active, 1.0, 0.0)
+        trial = Zt - step[:, None] * delta
+        for _halve in range(10):
+            tres = _residual(form, trial, KdtT, c, s)
+            tnorm = _row_norms(tres)
+            worse = active & (tnorm > norm) & (step > 1e-3)
+            if not worse.any():
+                break
+            step[worse] *= 0.5
+            trial[worse] = Zt[worse] - step[worse, None] * delta[worse]
+        small_step = np.max(_row_norms(trial - Zt) / scale) < step_tol
+        Zt, res, norm = trial, tres, tnorm
+        if small_step:
+            break
+    return Zt, res
 
 
 def solve_diamond_simple(form, z_b, z_l, z_r, dt: float, dx: float) -> np.ndarray:
     """One diamond: top value from bottom/left/right corner values."""
+    z_b, z_l, z_r = _as_rows(z_b), _as_rows(z_l), _as_rows(z_r)
     zt = solve_diamonds(form, z_b, z_l, z_r, dt, dx)
-    res = _residual(form, zt, np.atleast_2d(z_b), np.atleast_2d(z_l), np.atleast_2d(z_r), dt, dx)
+    res = _residual(form, zt, *_fold_corners(form, z_b, z_l, z_r, dt, dx))
     opscale = np.abs(form.K).max() / dt + np.abs(form.L).max() / dx + 1.0
-    scale = 1.0 + max(np.linalg.norm(np.asarray(v, dtype=float)) for v in (zt, z_b, z_l, z_r))
+    scale = 1.0 + max(np.linalg.norm(v) for v in (zt, z_b, z_l, z_r))
     if not np.linalg.norm(res) <= 1e-10 * opscale * scale:
         raise NewtonError("diamond residual above tolerance")
     return zt[0]
@@ -442,13 +557,25 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams, max_iter: in
     res = residual(U)
     # residual entries scale with the K/dt operator, so tolerance must too
     opscale = (np.abs(K).max() / dt2 + np.abs(L).max() / dx + 1.0)
+
+    def converged():
+        return np.linalg.norm(res) < 1e-11 * opscale * (1.0 + np.linalg.norm(U))
+
+    if N % 2 == 0 and not converged():
+        # on the sawtooth U_i = (-1)^i w block row i is (-1)^i (L/dx) w: the
+        # eval_jac_S part cancels, so L w = 0 makes every iterate singular
+        if _inverse_or_none(L) is None:
+            raise NewtonError(
+                "box initialization failed: singular Jacobian, because L is singular and "
+                f"N = {N} is even; use the exact start or an odd N"
+            )
     dself = K / (2 * dt2) + L / (2 * dx)
     dprev = K / (2 * dt2) - L / (2 * dx)
     # cyclic block-bidiagonal Jacobian: block row i couples cells i and i-1
     cells = np.arange(N)
     block_cols = np.stack([cells, (cells - 1) % N], axis=1).reshape(-1)
     for _ in range(max_iter):
-        if np.linalg.norm(res) < 1e-11 * opscale * (1.0 + np.linalg.norm(U)):
+        if converged():
             break
         ctr = 0.25 * (U + np.roll(U, 1, axis=0) + bot + np.roll(bot, 1, axis=0))
         JS = 0.25 * eval_jac_S(form, ctr)
@@ -571,20 +698,17 @@ def integrate(
             )
 
         record(0)
+        # the diamond on cell i has half point i-1 on its left in the first
+        # half-step and integer point i+1 on its right in the second
+        cells = np.arange(mesh.N)
+        left, right = (cells - 1) % mesh.N, (cells + 1) % mesh.N
+        evens, odds = values[0::2], values[1::2]
         for step in range(1, nt + 1):
-            evens = values[0::2]
-            odds = values[1::2]
-            values[0::2] = solve_diamonds(
-                form, evens, np.roll(odds, 1, axis=0), odds, mesh.dt, mesh.dx
-            )
-            if _blown_up(values[0::2], blowup):
+            evens[:] = solve_diamonds(form, evens, odds[left], odds, mesh.dt, mesh.dx)
+            if _blown_up(evens, blowup):
                 return result("diverged", step, diverged_at=(step - 0.5) * mesh.dt)
-            evens = values[0::2]
-            odds = values[1::2]
-            values[1::2] = solve_diamonds(
-                form, odds, evens, np.roll(evens, -1, axis=0), mesh.dt, mesh.dx
-            )
-            if _blown_up(values[1::2], blowup):
+            odds[:] = solve_diamonds(form, odds, evens, evens[right], mesh.dt, mesh.dx)
+            if _blown_up(odds, blowup):
                 return result("diverged", step, diverged_at=step * mesh.dt)
             if step % cadence == 0 or step == nt:
                 record(step)

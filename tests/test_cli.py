@@ -117,6 +117,16 @@ def test_cli_run_solver_failure_is_one_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("pde", ["kdv", "camassa_holm"])
+def test_cli_sweep_inconsistent_form_is_one_line_error(pde, capsys):
+    # the update pivot K/dt - P/4 of a structurally inconsistent form is singular
+    rc = main(["sweep", "--pde", pde, "--dx-list", "0.4", "--domain-length", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "singular" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_sweep_emits_slope(tmp_path):
     path = tmp_path / "sweep.csv"
     rc = main([

@@ -1,7 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import root
 
+from diamondstab import integrator
 from diamondstab.integrator import (
     MeshParams,
     MeshState,
@@ -18,7 +21,14 @@ from diamondstab.integrator import (
     verify_discrete_conservation,
 )
 from diamondstab import structure
-from diamondstab.msform import eval_grad_S, eval_jac_S, linearize, registry_get
+from diamondstab.msform import (
+    MultiSymplecticForm,
+    PolynomialTerm,
+    eval_grad_S,
+    eval_jac_S,
+    linearize,
+    registry_get,
+)
 from diamondstab.solutions import (
     dirac_breather,
     linear_kg_plane_wave,
@@ -383,6 +393,210 @@ def test_box_start_singular_jacobian_raises():
 
     with pytest.raises(NewtonError, match="singular Jacobian"):
         init_half_step(form, ic, mesh, method="box")
+
+
+def test_box_start_even_mesh_with_singular_L_raises_before_factorising(monkeypatch):
+    form = registry_get("wave")  # d = 3: the skew L is singular
+    calls = []
+    original = integrator.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "splu", counted)
+
+    def ic(x):
+        return np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x), 0 * x], axis=-1)
+
+    even = MeshParams(a=0.0, b=1.0, N=16, dt=0.05, T=0.5)
+    with pytest.raises(NewtonError, match="L is singular and N = 16 is even.*exact start or an odd N"):
+        init_half_step(form, ic, even, method="box")
+    assert calls == []
+    odd = MeshParams(a=0.0, b=1.0, N=15, dt=0.05, T=0.5)
+    state = init_half_step(form, ic, odd, method="box")
+    assert calls and np.isfinite(state.values).all()
+
+
+# -- chord iteration of the nonlinear diamond solve ------------------------------
+
+
+def _nls_start(dt):
+    form = registry_get("nls")
+    mesh = MeshParams(a=-24.0, b=24.0, N=480, dt=dt, T=dt)
+    values = init_half_step(form, nls_two_soliton_ic(), mesh, method="box").values
+    return form, mesh, values
+
+
+def _dirac_start():
+    form = registry_get("dirac")
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"), 0.5)
+    mesh = MeshParams(a=-24.0, b=24.0, N=160, dt=0.2, T=0.2)
+    return form, mesh, init_half_step(form, ic, mesh, exact=exact).values
+
+
+def _half_step_corners(values):
+    # first half-step of integrate: the diamond on cell i has half point i-1 on its left
+    evens, odds = values[0::2], values[1::2]
+    return evens, np.roll(odds, 1, axis=0), odds
+
+
+def _relative_gap(a, b):
+    return np.abs(a - b).max() / (1.0 + np.abs(b).max())
+
+
+def _diamond_by_mpmath(form, zb, zl, zr, dt, dx, start):
+    # the diamond equation solved with 40 significant digits
+    with mpmath.workdps(40):
+        K, L, P = (mpmath.matrix(M.tolist()) for M in (form.K, form.L, form.P))
+        zb, zl, zr = (mpmath.matrix(v.tolist()) for v in (zb, zl, zr))
+
+        def equation(*zt):
+            zt = mpmath.matrix(zt)
+            avg = (zt + zb + zl + zr) / 4
+            grad = P * avg
+            for term in form.terms:
+                grad[term.row - 1] += term.coeff * mpmath.fprod(avg[j] ** e for j, e in enumerate(term.exponents))
+            return list(K * (zt - zb) / dt + L * (zr - zl) / dx - grad)
+
+        return np.array([float(x) for x in mpmath.findroot(equation, start.tolist())])
+
+
+@pytest.mark.parametrize("case", ["nls-2.5e-6", "nls-4e-5", "dirac"])
+def test_chord_solve_matches_newton_only(case):
+    form, mesh, values = _dirac_start() if case == "dirac" else _nls_start(float(case[4:]))
+    Zb, Zl, Zr = _half_step_corners(values)
+    for half in range(2):
+        chord = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+        newton = integrator._newton_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+        # Newton stops once the residual is below 1e-13 * opscale * (1 + |z|)
+        # in every row; in the NLS constraint rows at dt = 4e-5 that leaves
+        # v and w up to 1.7e-9 off on near-zero rows, which it returns unsolved
+        assert _relative_gap(chord, newton) <= 1e-8
+        # where the two differ most, the chord is within 1e-13 of a 40-digit solve
+        gap = np.abs(chord - newton).max(axis=1)
+        for i in np.argsort(gap)[-2:]:
+            exact = _diamond_by_mpmath(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx, newton[i])
+            assert np.abs(chord[i] - exact).max() <= 1e-13 * (1.0 + np.abs(exact).max())
+        # the second half-step runs from the first one's tops
+        Zb, Zl, Zr = values[1::2], chord, np.roll(chord, -1, axis=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["nls", "dirac"]),
+    amplitude=st.floats(0.01, 2.0),
+    dt_over_dx=st.floats(0.01, 1.0),
+    rows=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chord_solve_properties(name, amplitude, dt_over_dx, rows, seed):
+    form = registry_get(name)
+    dx = 0.2
+    dt = dt_over_dx * dx
+    Zb, Zl, Zr = amplitude * np.random.default_rng(seed).standard_normal((3, rows, form.d))
+    batch = solve_diamonds(form, Zb, Zl, Zr, dt, dx)
+    assert _relative_gap(batch, integrator._newton_diamonds(form, Zb, Zl, Zr, dt, dx)) <= 1e-12
+    for i in range(rows):
+        one = solve_diamonds(form, Zb[i], Zl[i], Zr[i], dt, dx)
+        assert _relative_gap(one[0], batch[i]) <= 1e-14
+
+
+def test_chord_skipped_where_the_update_matrix_is_singular():
+    # K/dt - P/4 = [[-1, 1], [-1, 1]] at dt = 1: Newton alone solves the rows
+    form = MultiSymplecticForm(
+        "pivot", ("a", "b"), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.diag([4.0, -4.0]),
+        (PolynomialTerm(1, 1.0, (3, 0)),),
+    )
+    assert integrator._chord_matrix(form, 1.0) is None
+    assert integrator._chord_matrix(form, 0.5) is not None
+    Zb, Zl, Zr = 0.5 + 0.1 * np.random.default_rng(5).standard_normal((3, 6, 2))
+    np.testing.assert_array_equal(
+        solve_diamonds(form, Zb, Zl, Zr, 1.0, 0.1), integrator._newton_diamonds(form, Zb, Zl, Zr, 1.0, 0.1)
+    )
+
+
+def _diamond_by_lm(form, zb, zl, zr, dt, dx):
+    # evolution rows scaled by dt and constraint rows by dx, so each is O(1)
+    K, L = form.K, form.L
+    D = np.where(np.abs(K).sum(axis=1) > 0, dt, dx)
+
+    def f(zt):
+        avg = 0.25 * (zt + zb + zl + zr)
+        return D * (K @ (zt - zb) / dt + L @ (zr - zl) / dx - eval_grad_S(form, avg))
+
+    def jac(zt):
+        return D[:, None] * (K / dt - 0.25 * eval_jac_S(form, 0.25 * (zt + zb + zl + zr)))
+
+    return root(f, zb, jac=jac, method="lm", options={"xtol": 1e-15, "ftol": 1e-15}).x
+
+
+def test_chord_batch_with_newton_rows_matches_scipy_root(monkeypatch):
+    form, mesh, values = _nls_start(4e-5)
+    Zb, Zl, Zr = (Z[::12] for Z in _half_step_corners(values))
+    amp = np.ones(len(Zb))
+    amp[::4] = 20.0  # there the chord contracts too slowly and hands over
+    Zb, Zl, Zr = (amp[:, None] * Z for Z in (Zb, Zl, Zr))
+    newton_rows = []
+    original = integrator._damped_newton
+
+    def recorded(form, Zt, *args):
+        newton_rows.append(len(Zt))
+        return original(form, Zt, *args)
+
+    monkeypatch.setattr(integrator, "_damped_newton", recorded)
+    got = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+    assert len(newton_rows) == 1 and 0 < newton_rows[0] < len(Zb)
+    for i in range(len(Zb)):
+        ref = _diamond_by_lm(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)
+        assert np.abs(got[i] - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
+
+
+def _count_jacobians(monkeypatch):
+    calls = []
+    original = integrator.eval_jac_S
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "eval_jac_S", counted)
+    return calls
+
+
+def test_chord_needs_no_jacobian_on_the_bounded_nls_run(monkeypatch):
+    form, mesh, values = _nls_start(2.5e-6)
+    calls = _count_jacobians(monkeypatch)
+    run = MeshParams(mesh.a, mesh.b, mesh.N, mesh.dt, 20 * mesh.dt)
+    res = integrate(form, "simple", nls_two_soliton_ic(), run, observers=(),
+                    exact=lambda x, t: values[1::2], init_method="exact")
+    assert res.status == "completed" and res.state.step == 20
+    assert calls == []
+
+
+def test_chord_needs_no_more_jacobians_than_newton_on_dirac(monkeypatch):
+    form, mesh, values = _dirac_start()
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"), 0.5)
+    inputs = []
+    original = integrator.solve_diamonds
+
+    def recorded(*args):
+        # integrate overwrites the corner arrays it passes in the next half-step
+        inputs.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
+        return original(*args)
+
+    monkeypatch.setattr(integrator, "solve_diamonds", recorded)
+    run = MeshParams(mesh.a, mesh.b, mesh.N, mesh.dt, 10 * mesh.dt)
+    assert integrate(form, "simple", ic, run, observers=(), exact=exact).status == "completed"
+    assert len(inputs) == 20
+    calls = _count_jacobians(monkeypatch)
+    for args in inputs:
+        original(*args)
+    chord = len(calls)
+    calls.clear()
+    for args in inputs:
+        integrator._newton_diamonds(*args)
+    assert 0 < chord <= len(calls)
 
 
 def test_nonfinite_values_fail_convergence_tests():
