@@ -310,9 +310,9 @@ def _chord_iterate(form, Zt, res, KdtT, c, s, A0invT, max_iter, step_tol):
     not finite, when the step shrinks less than _CHORD_CONTRACTION-fold from
     the one before, when the steps predicted from that rate would not reach
     tol within _CHORD_BUDGET more steps, or when max_iter steps have run.
-    Each row decides for itself, so a row's result does not depend on the
-    rest of the batch.  Updates Zt and res in place and returns the rows
-    left for Newton.
+    Each row decides for itself, so whether it goes to Newton does not
+    depend on the rest of the batch.  Updates Zt and res in place and
+    returns the rows left for Newton.
     """
     rows = np.arange(len(Zt))
     Za, ra, ca, sa = Zt, res, c, s
