@@ -320,6 +320,8 @@ def _chord_iterate(form, Zt, res, KdtT, c, s, A0invT, max_iter, step_tol):
     prev = np.inf
     newton = []
     for _ in range(max_iter):
+        if rows.size == 0:
+            break
         delta = ra @ A0invT
         step = _row_norms(delta)
         rate = step / prev
@@ -338,11 +340,8 @@ def _chord_iterate(form, Zt, res, KdtT, c, s, A0invT, max_iter, step_tol):
         left = ~(step < tol)
         if not left.all():
             rows, Za, ra, ca, sa, step, tol = (a[left] for a in (rows, Za, ra, ca, sa, step, tol))
-            if rows.size == 0:
-                break
         prev = step
-    else:
-        newton.append(rows)
+    newton.append(rows)  # empty unless max_iter steps ran
     return np.concatenate(newton)
 
 

@@ -516,6 +516,13 @@ def test_chord_skipped_where_the_update_matrix_is_singular():
     )
 
 
+def test_nonlinear_solve_of_an_empty_batch():
+    form = registry_get("nls")
+    Z = np.zeros((0, 4))
+    assert solve_diamonds(form, Z, Z, Z, 0.1, 0.1).shape == (0, 4)
+    assert integrator._newton_diamonds(form, Z, Z, Z, 0.1, 0.1).shape == (0, 4)
+
+
 def _diamond_by_lm(form, zb, zl, zr, dt, dx):
     # evolution rows scaled by dt and constraint rows by dx, so each is O(1)
     K, L = form.K, form.L
