@@ -78,6 +78,8 @@ def _report_dict(name: str, report: PipelineReport, args) -> dict:
         "classification": report.classification,
         "step1": _step1_dict(report.dm),
     }
+    if report.lin_dm is not None and not report.lin_dm.consistent:
+        out["step1_linearization"] = _step1_dict(report.lin_dm)
     if report.verdict is not None:
         out["step2"] = _step2_dict(report.graph, report.cycles, report.verdict)
     sv = report.spectral_verdict
@@ -117,11 +119,12 @@ def _emit(report: dict, args) -> None:
 
 def _human_summary(report: dict) -> str:
     lines = [f"PDE: {report['pde']}"]
-    s1 = report.get("step1")
-    if s1:
-        lines.append(f"  step 1: {'consistent' if s1['consistent'] else 'structurally inconsistent'}")
-        for b in s1["blocks"]:
-            lines.append(f"    {b['kind']}: equations {b['equations']} unknowns {b['unknowns']}")
+    for key, what in (("step1", "step 1"), ("step1_linearization", "step 1 on the linearization")):
+        s1 = report.get(key)
+        if s1:
+            lines.append(f"  {what}: {'consistent' if s1['consistent'] else 'structurally inconsistent'}")
+            for b in s1["blocks"]:
+                lines.append(f"    {b['kind']}: equations {b['equations']} unknowns {b['unknowns']}")
     s2 = report.get("step2")
     if s2:
         v = s2["verdict"]
@@ -144,7 +147,12 @@ def _human_summary(report: dict) -> str:
 def _cmd_analyze(args) -> int:
     params = _parse_params(args.params)
     rho = params.pop("rho", None)
-    form = msform.registry_get(args.pde, **params)
+    if args.pde.endswith(".json"):
+        if params:
+            raise ValueError("--params sets the constants of registered forms, not of JSON forms")
+        form = msform.load_form_json(args.pde)
+    else:
+        form = msform.registry_get(args.pde, **params)
     stop_after = 1 if args.step1 else 2 if args.step2 else 3
     report = run_pipeline(
         form,
@@ -159,13 +167,13 @@ def _cmd_analyze(args) -> int:
     if args.dot_dir:
         dots = Path(args.dot_dir)
         dots.mkdir(parents=True, exist_ok=True)
-        (dots / f"{args.pde}_bipartite.dot").write_text(structure.bipartite_dot(report.bip, report.dm))
+        (dots / f"{form.name}_bipartite.dot").write_text(structure.bipartite_dot(report.bip, report.dm))
         if report.graph is not None:
-            (dots / f"{args.pde}_propagation.dot").write_text(propagation.propagation_dot(report.graph))
+            (dots / f"{form.name}_propagation.dot").write_text(propagation.propagation_dot(report.graph))
     out = _report_dict(args.pde, report, args)
     if args.step1 or args.step2 or args.step3:
         shown = f"step{stop_after}"
-        out = {k: v for k, v in out.items() if k in ("pde", shown, "classification")}
+        out = {k: v for k, v in out.items() if k in ("pde", shown, "step1_linearization", "classification")}
     _emit(out, args)
     return 0
 
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="three-step stability analysis of one PDE")
-    pa.add_argument("pde")
+    pa.add_argument("pde", help="a registered form, or a JSON form file (*.json)")
     pa.add_argument("--params", nargs="*", metavar="key=val")
     pa.add_argument("--dt", type=float, default=0.05)
     pa.add_argument("--dx", type=float, default=0.1)

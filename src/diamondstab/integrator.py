@@ -17,7 +17,8 @@ import numpy as np
 from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import splu
 
-from .msform import LinearizedForm, MultiSymplecticForm, eval_S, eval_grad_S, eval_jac_S
+from . import spectral, structure
+from .msform import LinearizedForm, MultiSymplecticForm, eval_S, eval_grad_S, eval_jac_S, linearize
 
 __all__ = [
     "RKTableau",
@@ -49,12 +50,13 @@ class NewtonError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RKTableau:
     """Collocation tableau plus the derived quantities used by the scheme.
 
     F is the inverse of A, mu its row sums, beta = b^T F and
-    alpha = b^T mu; Gauss nodes give alpha = 1 - (-1)^r.
+    alpha = b^T mu; Gauss nodes give alpha = 1 - (-1)^r.  Tableaus compare
+    and hash by identity, so one can key a cache.
     """
 
     r: int
@@ -188,26 +190,36 @@ class RunResult:
 _CHORD_CONTRACTION = 100.0
 _CHORD_BUDGET = 2
 
-# per form: dt -> (K/dt - P/4)^{-T}, or None where that matrix is singular
-_CHORD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# per form: (what, step sizes) -> what was made from the update pivot; the
+# form does not change during a run, so each is made once
+_PIVOT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _cached(form: MultiSymplecticForm, key: tuple, make):
+    per_form = _PIVOT_CACHE.setdefault(form, {})
+    if key not in per_form:
+        per_form[key] = make()
+    return per_form[key]
 
 
 def _chord_matrix(form: MultiSymplecticForm, dt: float) -> np.ndarray | None:
-    per_dt = _CHORD_CACHE.setdefault(form, {})
-    if dt not in per_dt:
-        inv = _inverse_or_none(form.K / dt - 0.25 * form.P)
-        per_dt[dt] = None if inv is None else inv.T
-    return per_dt[dt]
+    """(K/dt - P/4)^{-T}, or None where that matrix is singular."""
+    inv = _cached(form, ("chord", dt), lambda: structure._pivot_inverse(form.K / dt - 0.25 * form.P))
+    return None if inv is None else inv.T
 
 
-def _inverse_or_none(M: np.ndarray) -> np.ndarray | None:
-    """M^{-1}, or None where M is singular to working precision."""
-    try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return None
-    cond = np.linalg.norm(M, np.inf) * np.linalg.norm(inv, np.inf)
-    return inv if cond < 1.0 / (len(M) * np.finfo(float).eps) else None
+def _step3_blocks(form: MultiSymplecticForm, scheme, dt: float, dx: float):
+    """Step 3's one-diamond map of the form linearized at zero; ``scheme`` is
+    "simple" or an RKTableau.  Raises SingularUpdateError where its pivot is
+    singular."""
+
+    def make():
+        lin = linearize(form, np.zeros(form.d))
+        if scheme == "simple":
+            return spectral.build_blocks_simple(lin, dt, dx)
+        return spectral.build_blocks_rk(lin, scheme, dt, dx)
+
+    return _cached(form, (scheme, dt, dx), make)
 
 
 def _fold_corners(form, Zb, Zl, Zr, dt, dx):
@@ -241,25 +253,18 @@ def solve_diamonds(
 ) -> np.ndarray:
     """Solve a batch of diamond updates; rows are independent diamonds.
 
-    Linear forms use one factorization of K/dt - P/4.  Nonlinear forms run a
-    chord iteration with the inverse of that same matrix, started from the
-    bottom value; the rows it leaves unsolved go on to a damped Newton
-    iteration (see _chord_iterate for the rule).
+    Linear forms apply Step 3's one-diamond map z_t = B z_b + Am z_l + Ap z_r
+    (spectral.build_blocks_simple), which raises SingularUpdateError where
+    the pivot K/dt - P/4 is singular.  Nonlinear forms run a chord iteration
+    with the inverse of that pivot, started from the bottom value; the rows
+    it leaves unsolved go on to a damped Newton iteration (see _chord_iterate
+    for the rule).
     """
     Zb, Zl, Zr = _as_rows(Zb), _as_rows(Zl), _as_rows(Zr)
     if not form.is_linear:
         return _solve_nonlinear(form, Zb, Zl, Zr, dt, dx, _chord_matrix(form, dt), max_iter, step_tol)
-    K, L, P = form.K, form.L, form.P
-    A0 = K / dt - 0.25 * P
-    rhs = (
-        Zb @ (K / dt + 0.25 * P).T
-        + Zl @ (L / dx + 0.25 * P).T
-        + Zr @ (-L / dx + 0.25 * P).T
-    )
-    try:
-        return np.linalg.solve(A0, rhs.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NewtonError(f"singular update matrix for {form.name!r}") from exc
+    bl = _step3_blocks(form, "simple", dt, dx)
+    return Zb @ bl.B.T + Zl @ bl.Am.T + Zr @ bl.Ap.T
 
 
 def _newton_diamonds(form, Zb, Zl, Zr, dt, dx, max_iter=50, step_tol=1e-13):
@@ -406,24 +411,28 @@ def solve_diamond_rk(
     (r, d) for one diamond or (N, r, d) for N diamonds; returns the stacks on
     the two upper edges in the same shape.  Stage values Z[n, i, j] solve the
     collocation system; outputs contract the stages with beta = b^T A^{-1}.
-    Linear forms check the stage matrix once and solve every diamond
-    against it; nonlinear forms run Newton on every diamond until its own
-    step is small.  Each output row equals a one-diamond call bit for bit.
+    Step 3's edge map (spectral.build_blocks_rk) of the form linearized at
+    zero, made once per form, tableau, dt and dx, holds the pivot test: it
+    raises SingularUpdateError where the stage matrix is singular.  Linear
+    forms apply that map; nonlinear forms run Newton on every diamond until
+    its own step is small.  Each output row equals a one-diamond call bit
+    for bit.
     """
-    from .structure import classify_consistency
-
-    if not classify_consistency(form).consistent:
-        raise NewtonError(
-            f"collocation stage matrix is singular for {form.name!r} "
-            "(structurally inconsistent form)"
-        )
     r, d = tableau.r, form.d
-    m = r * r * d
-    F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
     single = np.ndim(zb_stack) <= 2
     zb = np.asarray(zb_stack, dtype=float).reshape(-1, r, d)
     zl = np.asarray(zl_stack, dtype=float).reshape(-1, r, d)
     n = len(zb)
+    bl = _step3_blocks(form, tableau, dt, dx)
+    if form.is_linear:
+        # a stacked product applies the map to each row alone
+        zb, zl = zb.reshape(n, r * d, 1), zl.reshape(n, r * d, 1)
+        zt = (bl.Clt @ zl + bl.Cbt @ zb).reshape(n, r, d)
+        zr = (bl.Clr @ zl + bl.Cbr @ zb).reshape(n, r, d)
+        return (zt[0], zr[0]) if single else (zt, zr)
+
+    m = r * r * d
+    F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
     Ktil = form.K / dt - form.L / dx
     Ltil = form.K / dt + form.L / dx
 
@@ -434,51 +443,35 @@ def solve_diamond_rk(
         xpart = (F @ Z.reshape(len(Z), r, r * d)).reshape(Z.shape) - mu[:, None, None] * zl[:, None, :, :]
         return (G - tpart @ Ktil.T - xpart @ Ltil.T).reshape(len(Z), m)
 
-    if form.is_linear:
-        from .structure import rk_stage_matrix
-        from .msform import linearize
-
-        Q = rk_stage_matrix(linearize(form, np.zeros(d)), F, dt, dx)
-        sv = np.linalg.svd(Q, compute_uv=False)
-        if sv[-1] < 1e-10 * max(sv[0], 1.0):
-            raise NewtonError(
-                f"collocation stage matrix is singular for {form.name!r} "
-                "(structurally inconsistent form)"
-            )
-        rhs = -residual(np.zeros((n, r, r, d)), zb, zl)
-        # a solve per diamond: BLAS takes another kernel for many right-hand
-        # sides than for one, which would make a row depend on its batch
-        Z = np.linalg.solve(Q, rhs[..., None]).reshape(n, r, r, d)
-    else:
-        Ieye = np.eye(r)
-        const = -np.kron(Ieye, np.kron(F, Ktil)) - np.kron(F, np.kron(Ieye, Ltil))
-        Z = np.repeat(zb[:, :, None, :], r, axis=2)
-        res = residual(Z, zb, zl)
-        rows = np.arange(n)  # diamonds whose Newton step is not yet small
-        for _ in range(max_iter):
-            if rows.size == 0:
-                break
-            Za = Z[rows]
-            Jblocks = eval_jac_S(form, Za).reshape(len(rows), r * r, d, d)
-            J = np.repeat(const[None], len(rows), axis=0)
-            for s in range(r * r):
-                J[:, s * d : (s + 1) * d, s * d : (s + 1) * d] += Jblocks[:, s]
-            try:
-                delta = np.linalg.solve(J, res[rows, :, None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise NewtonError("singular collocation Newton matrix") from exc
-            Za = Za - delta.reshape(Za.shape)
-            Z[rows] = Za
-            res[rows] = residual(Za, zb[rows], zl[rows])
-            small = np.linalg.norm(delta, axis=1) < step_tol * (
-                1.0 + np.linalg.norm(Za.reshape(len(rows), m), axis=1)
-            )
-            rows = rows[~small]
-        converged = np.linalg.norm(res, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(Z.reshape(n, m), axis=1))
-        if not converged.all():
-            raise NewtonError(
-                f"collocation Newton did not converge at rows {np.where(~converged)[0][:5].tolist()}"
-            )
+    Ieye = np.eye(r)
+    const = -np.kron(Ieye, np.kron(F, Ktil)) - np.kron(F, np.kron(Ieye, Ltil))
+    Z = np.repeat(zb[:, :, None, :], r, axis=2)
+    res = residual(Z, zb, zl)
+    rows = np.arange(n)  # diamonds whose Newton step is not yet small
+    for _ in range(max_iter):
+        if rows.size == 0:
+            break
+        Za = Z[rows]
+        Jblocks = eval_jac_S(form, Za).reshape(len(rows), r * r, d, d)
+        J = np.repeat(const[None], len(rows), axis=0)
+        for s in range(r * r):
+            J[:, s * d : (s + 1) * d, s * d : (s + 1) * d] += Jblocks[:, s]
+        try:
+            delta = np.linalg.solve(J, res[rows, :, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NewtonError("singular collocation Newton matrix") from exc
+        Za = Za - delta.reshape(Za.shape)
+        Z[rows] = Za
+        res[rows] = residual(Za, zb[rows], zl[rows])
+        small = np.linalg.norm(delta, axis=1) < step_tol * (
+            1.0 + np.linalg.norm(Za.reshape(len(rows), m), axis=1)
+        )
+        rows = rows[~small]
+    converged = np.linalg.norm(res, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(Z.reshape(n, m), axis=1))
+    if not converged.all():
+        raise NewtonError(
+            f"collocation Newton did not converge at rows {np.where(~converged)[0][:5].tolist()}"
+        )
 
     zt = (1.0 - alpha) * zb + beta @ Z
     zr = (1.0 - alpha) * zl + (beta @ Z.reshape(n, r, r * d)).reshape(n, r, d)
@@ -563,7 +556,7 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams, max_iter: in
     if N % 2 == 0 and not converged():
         # on the sawtooth U_i = (-1)^i w block row i is (-1)^i (L/dx) w: the
         # eval_jac_S part cancels, so L w = 0 makes every iterate singular
-        if _inverse_or_none(L) is None:
+        if structure._pivot_inverse(L) is None:
             raise NewtonError(
                 "box initialization failed: singular Jacobian, because L is singular and "
                 f"N = {N} is even; use the exact start or an odd N"
@@ -786,9 +779,7 @@ def total_energy(form: MultiSymplecticForm, state, mesh: MeshParams) -> float:
 
 def random_tangent_pair(lin: LinearizedForm, dt: float, dx: float, rng) -> tuple[dict, dict]:
     """Two tangent fields satisfying the linearized diamond update."""
-    from .spectral import build_blocks_simple
-
-    blocks = build_blocks_simple(lin, dt, dx)
+    blocks = spectral.build_blocks_simple(lin, dt, dx)
     pair = []
     for _ in range(2):
         xi_b, xi_l, xi_r = rng.standard_normal((3, lin.d))

@@ -19,6 +19,9 @@ class PipelineReport:
     Steps 1 and 2 decide ``classification``: "StructurallyInconsistent",
     "UnconditionallyUnstable" or "ConditionallyStable", and None when a
     consistent form stopped after Step 1.  Step 3 judges one (dt, dx, N).
+    Steps 2 and 3 read the linearization ``lin``, so Step 1 also runs on it
+    (``lin_dm``); a form consistent only through its nonlinear terms has an
+    inconsistent linearization and is StructurallyInconsistent.
     """
 
     bip: structure.BipartiteSystem
@@ -29,6 +32,7 @@ class PipelineReport:
     cycles: tuple[propagation.Cycle, ...] | None = None
     verdict: propagation.Step2Verdict | None = None
     spectral_verdict: spectral.SpectralVerdict | None = None
+    lin_dm: structure.DMReport | None = None
 
 
 def reference_linearization(form, rho: float | None = None) -> msform.LinearizedForm:
@@ -66,7 +70,10 @@ def run_pipeline(
         return PipelineReport(bip, dm, None if dm.consistent else "StructurallyInconsistent")
 
     lin = reference_linearization(form, rho)
-    graph = propagation.build_propagation_graph(lin, structure.classify_consistency(lin))
+    lin_dm = structure.classify_consistency(lin)
+    if not lin_dm.consistent:
+        return PipelineReport(bip, dm, "StructurallyInconsistent", lin, lin_dm=lin_dm)
+    graph = propagation.build_propagation_graph(lin, lin_dm)
     cycles = tuple(propagation.enumerate_cycles(graph))
     verdict = propagation.stability_threshold(cycles)
     sv = None
@@ -74,4 +81,4 @@ def run_pipeline(
         family = spectral.symbol_family(lin, scheme, dt, dx, N)
         sv = spectral.spectral_verdict(family, criterion or spectral.Criterion("strict"), dt=dt)
     classification = "ConditionallyStable" if verdict.feasible else "UnconditionallyUnstable"
-    return PipelineReport(bip, dm, classification, lin, graph, cycles, verdict, sv)
+    return PipelineReport(bip, dm, classification, lin, graph, cycles, verdict, sv, lin_dm)

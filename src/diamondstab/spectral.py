@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import structure
 from .msform import LinearizedForm
 
 __all__ = [
@@ -40,12 +41,14 @@ __all__ = [
 
 
 class SingularUpdateError(RuntimeError):
-    """Raised when the local update matrix is singular.
+    """Raised when the pivot of the local update is singular.
 
-    For the simple scheme this is the pivot K/dt - Peff/4, for the
-    collocation scheme the stage matrix Q.  Structural inconsistency makes
-    it singular at every step size, but so can cancelling entries of a
-    consistent form (det(x K - Peff/4) = 0 for all x).
+    For the simple scheme the pivot is K/dt - Peff/4, for the collocation
+    scheme the stage matrix Q; ``structure._pivot_inverse`` is the one test,
+    and the block builders here and the integrators raise this alike.
+    Structural inconsistency makes the pivot singular at every step size,
+    but so can cancelling entries of a consistent form
+    (det(x K - Peff/4) = 0 for all x).
     """
 
 
@@ -95,33 +98,15 @@ class SymbolFamily:
         return np.linalg.eigvals(self.symbol(k))
 
 
-def _equilibrated_min_sv(A: np.ndarray) -> float:
-    """Smallest singular value after row/column equilibration.
-
-    Entries of the update pivots scale like 1/dt against O(1), so a raw
-    relative SVD test misreads extreme-but-invertible scalings as singular;
-    equilibration keeps the test meaningful across the whole dt bracket.
-    """
-    r = np.abs(A).max(axis=1)
-    r[r == 0.0] = 1.0
-    B = A / r[:, None]
-    c = np.abs(B).max(axis=0)
-    c[c == 0.0] = 1.0
-    B = B / c[None, :]
-    sv = np.linalg.svd(B, compute_uv=False)
-    return float(sv[-1] / max(sv[0], 1.0))
-
-
 def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBlocks:
     """Closed-form one-diamond map z_t = B z_b + Am z_l + Ap z_r."""
     K, L, P = lin.K, lin.L, lin.Peff
-    A0 = K / dt - P / 4.0
-    if _equilibrated_min_sv(A0) < 1e-12:
+    inv = structure._pivot_inverse(K / dt - P / 4.0)
+    if inv is None:
         raise SingularUpdateError(
             f"update pivot K/dt - P/4 is singular for {lin.name!r} at dt={dt:g}; "
             "the form may be structurally inconsistent, or its entries cancel"
         )
-    inv = np.linalg.inv(A0)
     return SimpleBlocks(
         B=inv @ (K / dt + P / 4.0),
         Am=inv @ (L / dx + P / 4.0),
@@ -176,21 +161,19 @@ def assemble_full_update_matrix(lin: LinearizedForm, dt: float, dx: float, N: in
 
 def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlocks:
     """Assemble the stage system and contract it to the edge map blocks."""
-    from .structure import rk_stage_matrix
-
     r, d = tableau.r, lin.d
     F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
     Ktil = lin.K / dt - lin.L / dx
     Ltil = lin.K / dt + lin.L / dx
-    Q = rk_stage_matrix(lin, F, dt, dx)
-    if _equilibrated_min_sv(Q) < 1e-10:
+    Q = structure.rk_stage_matrix(lin, F, dt, dx)
+    Qinv = structure._pivot_inverse(Q)
+    if Qinv is None:
         raise SingularUpdateError(
             f"collocation stage matrix Q is singular for {lin.name!r}; "
             "structural inconsistency carries over to the high-order scheme"
         )
     Db = -np.kron(np.eye(r), np.kron(mu[:, None], np.eye(d))) @ np.kron(np.eye(r), Ktil)
     Dl = -np.kron(mu[:, None], np.kron(np.eye(r), np.eye(d))) @ np.kron(np.eye(r), Ltil)
-    Qinv = np.linalg.inv(Q)
     Tt = np.kron(np.eye(r), np.kron(beta[None, :], np.eye(d)))  # contracts temporal stages
     Tr = np.kron(beta[None, :], np.eye(r * d))  # contracts spatial stages
     Idr = np.eye(d * r)

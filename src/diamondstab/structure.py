@@ -26,7 +26,6 @@ __all__ = [
     "DMBlock",
     "DMReport",
     "SingularityReport",
-    "RKSingularityReport",
     "build_equation_unknown_graph",
     "dm_decompose",
     "classify_consistency",
@@ -284,33 +283,42 @@ def bipartite_dot(bip: BipartiteSystem, dm: DMReport | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# numerical singularity confirmation
+# numerical singularity confirmation: _pivot_inverse is the one test of every
+# update pivot (K/dt - Peff/4, the stage matrix Q, the chord matrix, box L)
 # ---------------------------------------------------------------------------
+
+
+def _pivot_inverse(M: np.ndarray) -> np.ndarray | None:
+    """M^{-1}, or None where M is singular.
+
+    M is singular when, after scaling its rows and then its columns to unit
+    max-norm, its smallest singular value over its largest (floored at 1)
+    is below 1e-12.  Pivot entries scale like 1/dt against O(1), so a raw
+    relative test would misread extreme but invertible scalings as singular.
+    The inverse is that of the unscaled M.
+    """
+    r = np.abs(M).max(axis=1)
+    r[r == 0.0] = 1.0
+    B = M / r[:, None]
+    c = np.abs(B).max(axis=0)
+    c[c == 0.0] = 1.0
+    sv = np.linalg.svd(B / c[None, :], compute_uv=False)
+    if sv[-1] < 1e-12 * max(sv[0], 1.0):
+        return None
+    return np.linalg.inv(M)
 
 
 @dataclass(frozen=True)
 class SingularityReport:
     singular: bool
-    min_singular_value: float
-    max_singular_value: float
+    witness_residual: float | None = None
 
 
-@dataclass(frozen=True)
-class RKSingularityReport:
-    singular: bool
-    min_singular_value: float
-    max_singular_value: float
-    witness_residual: float | None
-
-
-def check_singularity_simple(lin: LinearizedForm, dt: float, rel_tol: float = 1e-10) -> SingularityReport:
-    """SVD test of the local update pivot K/dt - Peff/4."""
+def check_singularity_simple(lin: LinearizedForm, dt: float) -> SingularityReport:
+    """Pivot test of the local update matrix K/dt - Peff/4."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A = lin.K / dt - lin.Peff / 4.0
-    sv = np.linalg.svd(A, compute_uv=False)
-    smax = float(sv[0]) if sv[0] > 0 else 1.0
-    return SingularityReport(bool(sv[-1] < rel_tol * smax), float(sv[-1]), float(sv[0]))
+    return SingularityReport(_pivot_inverse(lin.K / dt - lin.Peff / 4.0) is None)
 
 
 def rk_stage_matrix(lin: LinearizedForm, F: np.ndarray, dt: float, dx: float) -> np.ndarray:
@@ -328,10 +336,8 @@ def rk_stage_matrix(lin: LinearizedForm, F: np.ndarray, dt: float, dx: float) ->
     return Q
 
 
-def check_singularity_rk(
-    lin: LinearizedForm, tableau, dt: float, dx: float, rel_tol: float = 1e-10
-) -> RKSingularityReport:
-    """Singularity test of the stage system; builds a kernel witness when the
+def check_singularity_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> SingularityReport:
+    """Pivot test of the stage system; builds a kernel witness when the
     simple scheme is structurally inconsistent.
 
     The witness is z = x (x) x (x) v with (lam, x) an eigenpair of F and v a
@@ -342,9 +348,7 @@ def check_singularity_rk(
         raise ValueError("dt and dx must be positive")
     F = tableau.F
     Q = rk_stage_matrix(lin, F, dt, dx)
-    sv = np.linalg.svd(Q, compute_uv=False)
-    smax = float(sv[0]) if sv[0] > 0 else 1.0
-    singular = bool(sv[-1] < rel_tol * smax)
+    singular = _pivot_inverse(Q) is None
 
     witness_residual = None
     if not classify_consistency(lin).consistent:
@@ -356,4 +360,4 @@ def check_singularity_rk(
         v = vh[-1].conj()
         z = np.kron(x, np.kron(x, v))
         witness_residual = float(np.linalg.norm(Q @ z) / np.linalg.norm(z))
-    return RKSingularityReport(singular, float(sv[-1]), float(sv[0]), witness_residual)
+    return SingularityReport(singular, witness_residual)

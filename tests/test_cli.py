@@ -1,11 +1,20 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from diamondstab import propagation, spectral
 from diamondstab.cli import main
-from diamondstab.msform import registry_get, registry_names
+from diamondstab.integrator import gauss_tableau, solve_diamond_rk
+from diamondstab.msform import (
+    MultiSymplecticForm,
+    PolynomialTerm,
+    form_to_dict,
+    load_form_json,
+    registry_get,
+    registry_names,
+)
 from diamondstab.pipeline import run_pipeline
 
 
@@ -137,6 +146,47 @@ def test_cli_sweep_emits_slope(tmp_path):
     rows = list(csv.reader(open(path, newline="")))
     assert rows[0] == ["dx", "N", "dt_max"]
     assert rows[-1][0] == "slope"
+
+
+def _nonlinear_only_consistent_form():
+    # S = -z1 z2^2 + z1 z3^2: equations 2 and 3 reach z2 and z3 only through
+    # the quadratic gradient terms, which vanish in the linearization at 0
+    K = np.zeros((4, 4))
+    K[1, 2], K[2, 1] = -0.5, 0.5
+    P = np.diag([1.0, 1.0, 0.0, 0.0])
+    P[1, 3] = P[3, 1] = -1.0
+    terms = (
+        PolynomialTerm(2, -1.0, (0, 0, 2, 0)),
+        PolynomialTerm(2, 1.0, (0, 0, 0, 2)),
+        PolynomialTerm(3, -2.0, (0, 1, 1, 0)),
+        PolynomialTerm(4, 2.0, (0, 1, 0, 1)),
+    )
+    return MultiSymplecticForm("nonlinear_only", ("z0", "z1", "z2", "z3"), K, np.zeros((4, 4)), P, terms)
+
+
+def test_form_consistent_only_through_nonlinear_terms(tmp_path, capsys):
+    path = tmp_path / "nonlinear_only.json"
+    path.write_text(json.dumps(form_to_dict(_nonlinear_only_consistent_form())))
+    form = load_form_json(path)
+    report = run_pipeline(form)
+    assert report.dm.consistent and not report.lin_dm.consistent
+    assert report.classification == "StructurallyInconsistent"
+    assert report.lin is not None and report.verdict is None and report.spectral_verdict is None
+    # the collocation stage test refuses the same form
+    with pytest.raises(spectral.SingularUpdateError):
+        solve_diamond_rk(form, gauss_tableau(2), np.zeros((2, 4)), np.zeros((2, 4)), 0.1, 0.1)
+
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classification"] == "StructurallyInconsistent"
+    assert out["step1"]["consistent"] and not out["step1_linearization"]["consistent"]
+    assert "step2" not in out
+    assert main(["analyze", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert "step 1: consistent" in text
+    assert "step 1 on the linearization: structurally inconsistent" in text
+    assert main(["analyze", str(path), "--params", "a=1"]) == 1
+    assert "JSON" in capsys.readouterr().err
 
 
 def test_cli_step1_only_report(capsys):

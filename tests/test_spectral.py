@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diamondstab.integrator import gauss_tableau, solve_diamond_rk, solve_diamonds
+from diamondstab.structure import rk_stage_matrix
 from diamondstab.msform import (
     LinearizedForm,
     linearize,
@@ -135,17 +136,41 @@ def test_rk_blocks_alpha_values():
         assert abs(gauss_tableau(r).alpha - expected) < 1e-12
 
 
+def _stage_solve_oracle(form, tab, zb, zl, dt, dx):
+    """One collocation diamond by a dense stage solve.  Stage Z[i, j] (spatial
+    node i, temporal node j) solves Peff Z[i, j] = Ktil (F Z[i, :] - mu zb[i])_j
+    + Ltil (F Z[:, j] - mu zl[j])_i, i.e. Q Z = -(mu_j Ktil zb[i] + mu_i Ltil zl[j])."""
+    r, d = tab.r, form.d
+    Ktil, Ltil = form.K / dt - form.L / dx, form.K / dt + form.L / dx
+    rhs = np.array([
+        [-(tab.mu[j] * Ktil @ zb[i] + tab.mu[i] * Ltil @ zl[j]) for j in range(r)] for i in range(r)
+    ])
+    Q = rk_stage_matrix(linearize(form, np.zeros(d)), tab.F, dt, dx)
+    Z = np.linalg.solve(Q, rhs.reshape(-1)).reshape(r, r, d)
+    zt = (1.0 - tab.alpha) * zb + np.einsum("j,ijc->ic", tab.beta, Z)
+    zr = (1.0 - tab.alpha) * zl + np.einsum("i,ijc->jc", tab.beta, Z)
+    return zt, zr
+
+
 def test_rk_blocks_match_diamond_solver():
-    form = registry_get("wave")
-    lin = linearize(form, np.zeros(3))
-    t1 = gauss_tableau(1)
-    bl = build_blocks_rk(lin, t1, 0.2, 0.1)
+    dt, dx = 0.2, 0.1
     rng = np.random.default_rng(4)
-    zl = rng.standard_normal((1, 3))
-    zb = rng.standard_normal((1, 3))
-    zt, zr = solve_diamond_rk(form, t1, zb, zl, 0.2, 0.1)
-    np.testing.assert_allclose(zt.reshape(-1), bl.Clt @ zl.reshape(-1) + bl.Cbt @ zb.reshape(-1), atol=1e-12)
-    np.testing.assert_allclose(zr.reshape(-1), bl.Clr @ zl.reshape(-1) + bl.Cbr @ zb.reshape(-1), atol=1e-12)
+    for name in ("wave", "linear_kg"):
+        form = registry_get(name)
+        for r in (1, 2, 3):
+            tab = gauss_tableau(r)
+            bl = build_blocks_rk(lin_for(name), tab, dt, dx)
+            zb, zl = rng.standard_normal((2, 5, r, form.d))
+            zt, zr = solve_diamond_rk(form, tab, zb, zl, dt, dx)
+            for n in range(5):
+                bt = bl.Clt @ zl[n].reshape(-1) + bl.Cbt @ zb[n].reshape(-1)
+                br = bl.Clr @ zl[n].reshape(-1) + bl.Cbr @ zb[n].reshape(-1)
+                np.testing.assert_allclose(zt[n].reshape(-1), bt, atol=1e-12)
+                np.testing.assert_allclose(zr[n].reshape(-1), br, atol=1e-12)
+                ref_t, ref_r = _stage_solve_oracle(form, tab, zb[n], zl[n], dt, dx)
+                scale = np.abs(np.concatenate([ref_t, ref_r])).max()
+                np.testing.assert_allclose(zt[n], ref_t, rtol=0, atol=1e-12 * scale, err_msg=f"{name} r={r}")
+                np.testing.assert_allclose(zr[n], ref_r, rtol=0, atol=1e-12 * scale, err_msg=f"{name} r={r}")
 
 
 def test_rk_blocks_kdv_singular():

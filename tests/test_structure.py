@@ -3,9 +3,10 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from diamondstab.msform import MultiSymplecticForm, linearize, registry_get, registry_names
+from diamondstab.msform import LinearizedForm, MultiSymplecticForm, linearize, registry_get, registry_names
 from diamondstab.structure import (
     BipartiteSystem,
+    _pivot_inverse,
     build_equation_unknown_graph,
     check_singularity_rk,
     check_singularity_simple,
@@ -200,11 +201,36 @@ def test_singularity_simple_kdv():
     assert check_singularity_simple(lin, 0.05).singular
 
 
-@pytest.mark.parametrize("name", sorted(INCONSISTENT))
+PIVOT_DTS = (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(registry_names()))
 def test_inconsistent_implies_singular_for_all_dt(name):
+    # the one pivot rule calls a pivot singular exactly where DM finds the
+    # linearization inconsistent, for both schemes
     lin = linearize(registry_get(name), np.zeros(registry_get(name).d))
-    for dt in (1.0, 0.1, 0.01, 0.001):
-        assert check_singularity_simple(lin, dt).singular
+    inconsistent = not classify_consistency(lin).consistent
+    assert inconsistent == (name in INCONSISTENT)
+    for dt in PIVOT_DTS:
+        assert check_singularity_simple(lin, dt).singular == inconsistent, dt
+        for r in (1, 2):
+            assert check_singularity_rk(lin, gauss_tableau(r), dt, 0.1).singular == inconsistent, (dt, r)
+
+
+def test_cancelling_pivot_is_singular_at_every_dt():
+    # DM finds a perfect matching, but det(x K - P/4) vanishes identically
+    K = np.array([[0, -1, 0, -1], [1, 0, 1, 0], [0, -1, 0, -1], [1, 0, 1, 0]], dtype=float)
+    lin = LinearizedForm("cancel", ("a", "b", "c", "e"), K, np.zeros((4, 4)), np.diag([0.0, 1.0, 0.0, -1.0]), np.zeros(4))
+    assert classify_consistency(lin).consistent
+    for dt in PIVOT_DTS:
+        assert check_singularity_simple(lin, dt).singular, dt
+
+
+def test_accepted_pivot_inverse_is_numpy_inverse():
+    rng = np.random.default_rng(3)
+    for M in (rng.standard_normal((5, 5)), registry_get("dirac").K / 1e-6 - registry_get("dirac").P / 4):
+        inv = _pivot_inverse(M)
+        assert inv is not None and np.array_equal(inv, np.linalg.inv(M))
 
 
 @pytest.mark.parametrize("name,r", [(n, r) for n in ("kdv", "camassa_holm", "bbm") for r in (1, 2)])
