@@ -91,6 +91,8 @@ def _report_dict(name: str, report: PipelineReport, args) -> dict:
             "criterion": sv.criterion.kind,
             "dominant_modulus": sv.dominant_all,
             "dominant_modulus_nonzero_modes": sv.dominant_nonzero,
+            "dominant_k": sv.k_dominant,
+            "dominant_k_nonzero_modes": sv.k_dominant_nonzero,
             "stable": sv.stable,
         }
         out["step2_lower_exponent"] = _fraction_str(report.verdict.s_lo)
@@ -135,8 +137,8 @@ def _human_summary(report: dict) -> str:
     s3 = report.get("step3")
     if s3:
         lines.append(
-            f"  step 3: dominant modulus {s3['dominant_modulus']:.12g} "
-            f"(k>=1: {s3['dominant_modulus_nonzero_modes']:.12g}) -> "
+            f"  step 3: dominant modulus {s3['dominant_modulus']:.12g} at k={s3['dominant_k']} "
+            f"(k>=1: {s3['dominant_modulus_nonzero_modes']:.12g} at k={s3['dominant_k_nonzero_modes']}) -> "
             f"{'stable' if s3['stable'] else 'unstable'} under {s3['criterion']} "
             f"at dt={s3['dt']}, dx={s3['dx']}, N={s3['N']}"
         )

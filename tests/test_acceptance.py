@@ -71,7 +71,7 @@ def test_criterion_01_classification_table():
     rows = {n: run_pipeline(registry_get(n), stop_after=2).classification for n in registry_names()}
     elapsed = time.time() - t0
     mismatches = {k: (rows[k], v) for k, v in EXPECTED_CATEGORY.items() if rows[k] != v}
-    counts = {c: sum(1 for v in rows.values() if v == c) for c in set(rows.values())}
+    counts = {c: sum(1 for v in rows.values() if v == c) for c in sorted(set(rows.values()))}
     report(
         1,
         not mismatches and elapsed < 5.0,

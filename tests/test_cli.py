@@ -202,6 +202,18 @@ def test_cli_params_override(capsys):
     assert report["classification"] == "StructurallyInconsistent"
 
 
+def test_cli_analyze_names_the_dominant_frequency(capsys):
+    # linear_kg at dt = dx / 2: the strict verdict is decided at k = 0
+    cmd = ["analyze", "linear_kg", "--dt", "0.025", "--dx", "0.05", "--N", "160"]
+    assert main(cmd + ["--format", "json"]) == 0
+    step3 = json.loads(capsys.readouterr().out)["step3"]
+    assert step3["dominant_k"] == 0
+    assert 1 <= step3["dominant_k_nonzero_modes"] <= 80
+    assert main(cmd) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if "step 3" in ln)
+    assert " at k=0 " in line and f"at k={step3['dominant_k_nonzero_modes']})" in line
+
+
 def test_cli_step1_on_consistent_form_is_undecided(capsys):
     assert main(["analyze", "wave", "--step1", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

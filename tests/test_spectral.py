@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from diamondstab import spectral
 from diamondstab.integrator import gauss_tableau, solve_diamond_rk, solve_diamonds
 from diamondstab.structure import rk_stage_matrix
 from diamondstab.msform import (
@@ -22,6 +25,7 @@ from diamondstab.spectral import (
     build_m1_m2,
     spectral_verdict,
     stability_boundary_sweep,
+    symbol_family,
 )
 
 
@@ -293,3 +297,107 @@ def test_mixed_kg_spectrally_unstable_everywhere():
             fam = assemble_symbol_family_simple(build_blocks_simple(lin, dt, dx), 16)
             v = spectral_verdict(fam, Criterion("strict"))
             assert v.dominant_all > 1.0 + 1e-6
+
+
+# -- the batched verdict against the per-k loop -------------------------------
+
+BATCH_FAMILIES = {
+    "wave": ("wave", "simple"),
+    "linear_kg": ("linear_kg", "simple"),
+    "dirac": ("dirac", "simple"),
+    "good_boussinesq": ("good_boussinesq", "simple"),
+    "nls_rho9": ("nls_rho9", "simple"),
+    "wave_rk2": ("wave", 2),
+    "dirac_rk2": ("dirac", 2),
+}
+
+
+def batch_family(name, N, dt=0.05, dx=0.1):
+    form, scheme = BATCH_FAMILIES[name]
+    lin = nls_constant_amplitude_linearization(9.0, 2.0) if form == "nls_rho9" else lin_for(form)
+    return symbol_family(lin, "simple" if scheme == "simple" else gauss_tableau(scheme), dt, dx, N)
+
+
+def loop_moduli(fam):
+    return np.array([np.abs(fam.eigenvalues(k)).max() for k in range(fam.N)])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 33, 64, 65, 800])
+@pytest.mark.parametrize("name", list(BATCH_FAMILIES))
+def test_batched_verdict_matches_per_k_loop(name, N):
+    fam = batch_family(name, N)
+    v = spectral_verdict(fam, Criterion("strict"), keep_per_k=True)
+    per_k, loop = np.array(v.per_k), loop_moduli(fam)
+    half = N // 2 + 1
+    assert len(per_k) == N
+    # k <= N/2 are evaluated: the same bits as one eigvals call per k
+    np.testing.assert_array_equal(per_k[:half], loop[:half])
+    # k > N/2 are mirrored from N - k.  Near k = 0 the wave and linear_kg
+    # symbols are nearly defective, and the loop's own values at k and N - k
+    # differ by up to 2e-12 (N = 800), so the bound is 1e-11, not 1e-12
+    tail = loop[half:]
+    assert np.all(np.abs(per_k[half:] - tail) <= 1e-11 * np.maximum(1.0, tail))
+    assert v.dominant_all == per_k.max() and v.dominant_all == per_k[v.k_dominant]
+    assert 0 <= v.k_dominant <= N // 2
+    if N > 1:
+        assert v.dominant_nonzero == per_k[1:].max() == per_k[v.k_dominant_nonzero]
+        assert 1 <= v.k_dominant_nonzero <= N // 2
+
+
+@pytest.mark.parametrize("name", ["dirac", "good_boussinesq", "wave_rk2"])
+def test_symbols_depend_on_k_over_n_only(name):
+    # perfbench's custom_forms check compares the N = 800 verdict with its
+    # own N = 8 modes (k = 100 j), which needs these to be the same bits
+    small, large = batch_family(name, 8), batch_family(name, 800)
+    np.testing.assert_array_equal(small.symbols(range(8)), large.symbols(range(0, 800, 100)))
+    ps = spectral_verdict(small, Criterion("nozero"), keep_per_k=True).per_k
+    pl = spectral_verdict(large, Criterion("nozero"), keep_per_k=True).per_k
+    assert ps == pl[::100]
+
+
+def test_complex_blocks_evaluate_every_frequency():
+    # Lambda_{N-k} = conj(Lambda_k) needs real blocks: here |eig| differs
+    # between k and N - k, so a mirrored half would be wrong
+    rng = np.random.default_rng(3)
+    m, N = 4, 70
+    C0 = rng.standard_normal((m, m)) + 0.3j * np.eye(m)
+    fam = SymbolFamily(C0, rng.standard_normal((m, m)), rng.standard_normal((m, m)), N)
+    per_k = np.array(spectral_verdict(fam, Criterion("strict"), keep_per_k=True).per_k)
+    loop = loop_moduli(fam)
+    np.testing.assert_array_equal(per_k, loop)
+    assert np.abs(loop[1:] - loop[1:][::-1]).max() > 1e-3
+
+
+@pytest.mark.parametrize("name", list(BATCH_FAMILIES))
+def test_k0_symbol_is_the_real_sum(name):
+    fam = batch_family(name, 40)
+    zeta = np.exp(2j * math.pi * 0 / fam.N)
+    parent = fam.C0 + zeta * fam.Cp + fam.Cm / zeta
+    assert fam.symbol(0).tobytes() == parent.tobytes()
+    np.testing.assert_array_equal(fam.symbol(0), (fam.C0 + fam.Cp + fam.Cm).astype(complex))
+
+
+@pytest.mark.parametrize("dx", [0.1, 0.05, 0.025])
+def test_linear_kg_strict_verdict_decided_at_k0(dx):
+    # dt = dx / 2 on a periodic domain of length 8: the nearly defective k = 0
+    # symbol carries the largest rounded modulus (see the FOUND line on
+    # spectral_verdict in CHANGES.md)
+    N = round(8.0 / dx)
+    v = spectral_verdict(batch_family("linear_kg", N, dt=0.5 * dx, dx=dx), Criterion("strict"))
+    assert v.k_dominant == 0
+    assert 1 <= v.k_dominant_nonzero <= N // 2
+    assert v.dominant_nonzero < v.dominant_all
+
+
+def test_sweep_point_counts_its_verdicts(monkeypatch):
+    calls: dict[int, int] = {}
+    original = spectral.spectral_verdict
+
+    def counted(family, *args, **kwargs):
+        calls[family.N] = calls.get(family.N, 0) + 1
+        return original(family, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectral_verdict", counted)
+    res = stability_boundary_sweep(lin_for("wave"), "simple", 4.0, [0.4, 0.2, 0.1], Criterion("strict"))
+    assert [p.verdicts for p in res.points] == [calls[p.N] for p in res.points]
+    assert all(p.verdicts > 1 for p in res.points)
