@@ -190,36 +190,29 @@ class RunResult:
 _CHORD_CONTRACTION = 100.0
 _CHORD_BUDGET = 2
 
-# per form: (what, step sizes) -> what was made from the update pivot; the
-# form does not change during a run, so each is made once
+# per form: (scheme, dt, dx) -> Step 3's one-diamond map; the form does not
+# change during a run, so each map and its pivot inverse are made once
 _PIVOT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _cached(form: MultiSymplecticForm, key: tuple, make):
-    per_form = _PIVOT_CACHE.setdefault(form, {})
-    if key not in per_form:
-        per_form[key] = make()
-    return per_form[key]
-
-
-def _chord_matrix(form: MultiSymplecticForm, dt: float) -> np.ndarray | None:
-    """(K/dt - P/4)^{-T}, or None where that matrix is singular."""
-    inv = _cached(form, ("chord", dt), lambda: structure._pivot_inverse(form.K / dt - 0.25 * form.P))
-    return None if inv is None else inv.T
 
 
 def _step3_blocks(form: MultiSymplecticForm, scheme, dt: float, dx: float):
     """Step 3's one-diamond map of the form linearized at zero; ``scheme`` is
     "simple" or an RKTableau.  Raises SingularUpdateError where its pivot is
     singular."""
-
-    def make():
+    per_form = _PIVOT_CACHE.setdefault(form, {})
+    key = (scheme, dt, dx)
+    if key not in per_form:
         lin = linearize(form, np.zeros(form.d))
         if scheme == "simple":
-            return spectral.build_blocks_simple(lin, dt, dx)
-        return spectral.build_blocks_rk(lin, scheme, dt, dx)
+            per_form[key] = spectral.build_blocks_simple(lin, dt, dx)
+        else:
+            per_form[key] = spectral.build_blocks_rk(lin, scheme, dt, dx)
+    return per_form[key]
 
-    return _cached(form, (scheme, dt, dx), make)
+
+def _opscale(form: MultiSymplecticForm, dt: float, dx: float) -> float:
+    # residual entries scale with the K/dt operator; tolerances follow
+    return np.abs(form.K).max() / dt + np.abs(form.L).max() / dx + 1.0
 
 
 def _fold_corners(form, Zb, Zl, Zr, dt, dx):
@@ -233,12 +226,124 @@ def _residual(form, Zt, KdtT, c, s):
 
 
 def _row_norms(Z: np.ndarray) -> np.ndarray:
+    if Z.ndim > 2:
+        Z = Z.reshape(len(Z), math.prod(Z.shape[1:]))
     return np.sqrt(np.einsum("ij,ij->i", Z, Z))
+
+
+def _take(arrays: tuple, rows) -> tuple:
+    return tuple(a[rows] for a in arrays)
 
 
 def _as_rows(Z) -> np.ndarray:
     # a contiguous copy: the zig-zag halves arrive as strided views
     return np.array(Z, dtype=float, ndmin=2)
+
+
+def _require_solved(bad: np.ndarray) -> None:
+    if bad.size:
+        raise NewtonError(f"diamond solve did not converge at rows {bad[:5].tolist()}")
+
+
+def _solve_nonlinear(residual, jacobian, Z0, data, chord, opscale, max_iter, step_tol):
+    """The nonlinear diamond solve of both schemes.
+
+    Rows (axis 0 of Z0 and of every array in ``data``) are independent
+    diamonds.  ``residual(Z, *data)`` and ``jacobian(Z, *data)`` take the
+    iterates of some rows and the same rows of ``data``.  A chord iteration
+    from Z0 with ``chord``, the transposed inverse of the Jacobian at z = 0,
+    runs first (see _chord_iterate for the rule).  The rows it leaves go
+    on to Newton from their last chord iterate, or from Z0 where that
+    iterate's residual is not below the one at Z0.  ``chord`` None runs
+    Newton alone.  Returns the final iterate and its residual.
+    """
+    Z = Z0.copy()
+    res = residual(Z, *data)
+    if chord is None:
+        rows = np.arange(len(Z))
+    else:
+        res0 = res.copy()
+        rows = _chord_iterate(residual, Z, res, data, chord, max_iter, step_tol)
+    if rows.size:
+        if chord is not None:
+            # Newton starts afresh where the chord raised the residual or overflowed
+            back = rows[~(_row_norms(res[rows]) < _row_norms(res0[rows]))]
+            Z[back], res[back] = Z0[back], res0[back]
+        Z[rows], res[rows] = _newton(
+            residual, jacobian, Z[rows], res[rows], _take(data, rows), opscale, max_iter, step_tol
+        )
+    return Z, res
+
+
+def _chord_iterate(residual, Z, res, data, chord, max_iter, step_tol):
+    """Chord (simplified Newton) steps Z -= r(Z) chord.
+
+    A row is solved once the step it took is below tol = step_tol (1 + |Z|),
+    or once its next step would be below tol / _CHORD_CONTRACTION, the error
+    a taken step below tol leaves at that contraction; that step is not
+    taken.  A row goes to Newton when its step is not finite, when the
+    step shrinks less than _CHORD_CONTRACTION-fold from the one before,
+    when the steps predicted from that rate would not reach tol within
+    _CHORD_BUDGET more steps, or when max_iter steps have run.
+    Each row decides for itself, so whether it goes to Newton does not
+    depend on the rest of the batch.  Updates Z and res in place and
+    returns the rows left for Newton.
+    """
+    rows = np.arange(len(Z))
+    Za, ra, da = Z, res, data
+    tol = step_tol * (1.0 + _row_norms(Za))
+    prev = np.inf
+    newton = []
+    for _ in range(max_iter):
+        if rows.size == 0:
+            break
+        delta = ra @ chord
+        step = _row_norms(delta)
+        rate = step / prev
+        solved = step < tol / _CHORD_CONTRACTION
+        slow = ~(solved | ((rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)))
+        newton.append(rows[slow])
+        go_on = ~(solved | slow)
+        if not go_on.all():
+            rows, Za, delta, step, *da = (a[go_on] for a in (rows, Za, delta, step, *da))
+            if rows.size == 0:
+                break
+        Za = Za - delta
+        ra = residual(Za, *da)
+        Z[rows], res[rows] = Za, ra
+        tol = step_tol * (1.0 + _row_norms(Za))
+        left = ~(step < tol)
+        if not left.all():
+            rows, Za, ra, step, tol, *da = (a[left] for a in (rows, Za, ra, step, tol, *da))
+        prev = step
+    newton.append(rows)  # empty unless max_iter steps ran
+    return np.concatenate(newton)
+
+
+def _newton(residual, jacobian, Z, res, data, opscale, max_iter, step_tol):
+    """Newton on rows started at Z with residual res.
+
+    A row stops once its residual is at most 1e-13 opscale (1 + |Z|) or its
+    own step is below step_tol (1 + |Z|), so its result does not depend on
+    the rest of the batch.  Updates Z and res in place and returns them.
+    """
+    rows = np.arange(len(Z))
+    for _ in range(max_iter):
+        Za, ra = Z[rows], res[rows]
+        scale = 1.0 + _row_norms(Za)
+        live = _row_norms(ra) > 1e-13 * opscale * scale
+        rows, Za, ra, scale = rows[live], Za[live], ra[live], scale[live]
+        if rows.size == 0:
+            break
+        da = _take(data, rows)
+        try:
+            delta = np.linalg.solve(jacobian(Za, *da), ra.reshape(rows.size, -1, 1)).reshape(Za.shape)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonError("singular Newton matrix in the diamond solve") from exc
+        Z[rows] = Za = Za - delta
+        res[rows] = residual(Za, *da)
+        rows = rows[~(_row_norms(delta) / scale < step_tol)]
+    return Z, res
 
 
 def solve_diamonds(
@@ -255,131 +360,34 @@ def solve_diamonds(
 
     Linear forms apply Step 3's one-diamond map z_t = B z_b + Am z_l + Ap z_r
     (spectral.build_blocks_simple), which raises SingularUpdateError where
-    the pivot K/dt - P/4 is singular.  Nonlinear forms run a chord iteration
-    with the inverse of that pivot, started from the bottom value; the rows
-    it leaves unsolved go on to a damped Newton iteration (see _chord_iterate
-    for the rule).
+    the pivot K/dt - P/4 is singular; a stacked product gives each row the
+    bits of a one-row call.  Nonlinear forms run _solve_nonlinear from the
+    bottom values with the inverse of that pivot as the chord, or Newton
+    alone where it is singular.
     """
     Zb, Zl, Zr = _as_rows(Zb), _as_rows(Zl), _as_rows(Zr)
-    if not form.is_linear:
-        return _solve_nonlinear(form, Zb, Zl, Zr, dt, dx, _chord_matrix(form, dt), max_iter, step_tol)
-    bl = _step3_blocks(form, "simple", dt, dx)
-    return Zb @ bl.B.T + Zl @ bl.Am.T + Zr @ bl.Ap.T
-
-
-def _newton_diamonds(form, Zb, Zl, Zr, dt, dx, max_iter=50, step_tol=1e-13):
-    """The nonlinear branch of solve_diamonds with damped Newton on every row
-    and no chord iteration; the reference the chord path is tested against."""
-    Zb, Zl, Zr = _as_rows(Zb), _as_rows(Zl), _as_rows(Zr)
-    return _solve_nonlinear(form, Zb, Zl, Zr, dt, dx, None, max_iter, step_tol)
-
-
-def _solve_nonlinear(form, Zb, Zl, Zr, dt, dx, chord, max_iter, step_tol):
-    # residual entries scale with the K/dt operator; tolerances follow
-    opscale = np.abs(form.K).max() / dt + np.abs(form.L).max() / dx + 1.0
+    if form.is_linear:
+        bl = _step3_blocks(form, "simple", dt, dx)
+        return (Zb[:, None] @ bl.B.T + Zl[:, None] @ bl.Am.T + Zr[:, None] @ bl.Ap.T)[:, 0]
+    try:
+        chord = _step3_blocks(form, "simple", dt, dx).pivot_inv.T
+    except spectral.SingularUpdateError:  # Newton alone
+        chord = None
     KdtT, c, s = _fold_corners(form, Zb, Zl, Zr, dt, dx)
-    Zt = Zb.copy()
-    res = _residual(form, Zt, KdtT, c, s)
-    if chord is None:
-        rows = np.arange(len(Zt))
-    else:
-        rows = _chord_iterate(form, Zt, res, KdtT, c, s, chord, max_iter, step_tol)
-    if rows.size:
-        lost = rows[~np.isfinite(res[rows]).all(axis=1)]
-        if lost.size:  # the residual overflowed at the chord iterate: start afresh
-            Zt[lost] = Zb[lost]
-            res[lost] = _residual(form, Zt[lost], KdtT, c[lost], s[lost])
-        Zt[rows], res[rows] = _damped_newton(
-            form, Zt[rows], res[rows], KdtT, c[rows], s[rows], opscale, max_iter, step_tol
-        )
+    opscale = _opscale(form, dt, dx)
+    Zt, res = _solve_nonlinear(
+        lambda Z, c, s: _residual(form, Z, KdtT, c, s),
+        lambda Z, c, s: KdtT.T - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
+        Zb, (c, s), chord, opscale, max_iter, step_tol,
+    )
     norm = _row_norms(res)
     # norm <= tol * scale with scale >= 1: only rows above tol need the scale
     bad = np.flatnonzero(~(norm <= 1e-9 * opscale))
     if bad.size:
         scale = 1.0 + np.linalg.norm(np.stack([Zt, Zb, Zl, Zr])[:, bad], axis=(0, 2))
         bad = bad[~(norm[bad] <= 1e-9 * opscale * scale)]
-    if bad.size:
-        raise NewtonError(
-            f"diamond solve did not converge for {form.name!r} at rows {bad[:5].tolist()}"
-        )
+    _require_solved(bad)
     return Zt
-
-
-def _chord_iterate(form, Zt, res, KdtT, c, s, A0invT, max_iter, step_tol):
-    """Chord (simplified Newton) steps Zt -= r(Zt) (K/dt - P/4)^{-T}.
-
-    A row is solved once the step it took is below tol = step_tol (1 + |Zt|),
-    or once its next step would be below tol / _CHORD_CONTRACTION, the error
-    a taken step below tol leaves at that contraction; that step is not
-    taken.  A row goes to Newton, from its last iterate, when its step is
-    not finite, when the step shrinks less than _CHORD_CONTRACTION-fold from
-    the one before, when the steps predicted from that rate would not reach
-    tol within _CHORD_BUDGET more steps, or when max_iter steps have run.
-    Each row decides for itself, so whether it goes to Newton does not
-    depend on the rest of the batch.  Updates Zt and res in place and
-    returns the rows left for Newton.
-    """
-    rows = np.arange(len(Zt))
-    Za, ra, ca, sa = Zt, res, c, s
-    tol = step_tol * (1.0 + _row_norms(Za))
-    prev = np.inf
-    newton = []
-    for _ in range(max_iter):
-        if rows.size == 0:
-            break
-        delta = ra @ A0invT
-        step = _row_norms(delta)
-        rate = step / prev
-        solved = step < tol / _CHORD_CONTRACTION
-        slow = ~(solved | ((rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)))
-        newton.append(rows[slow])
-        go_on = ~(solved | slow)
-        if not go_on.all():
-            rows, Za, ca, sa, delta, step = (a[go_on] for a in (rows, Za, ca, sa, delta, step))
-            if rows.size == 0:
-                break
-        Za = Za - delta
-        ra = _residual(form, Za, KdtT, ca, sa)
-        Zt[rows], res[rows] = Za, ra
-        tol = step_tol * (1.0 + _row_norms(Za))
-        left = ~(step < tol)
-        if not left.all():
-            rows, Za, ra, ca, sa, step, tol = (a[left] for a in (rows, Za, ra, ca, sa, step, tol))
-        prev = step
-    newton.append(rows)  # empty unless max_iter steps ran
-    return np.concatenate(newton)
-
-
-def _damped_newton(form, Zt, res, KdtT, c, s, opscale, max_iter, step_tol):
-    """Damped Newton on rows started at Zt with residual res; returns the
-    final iterate and its residual."""
-    Kdt = KdtT.T
-    norm = _row_norms(res)
-    for _ in range(max_iter):
-        scale = 1.0 + _row_norms(Zt)
-        active = norm > 1e-13 * opscale * scale
-        if not active.any():
-            break
-        J = Kdt - 0.25 * eval_jac_S(form, 0.25 * (Zt + s))
-        try:
-            delta = np.linalg.solve(J, res[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Newton matrix for {form.name!r}") from exc
-        step = np.where(active, 1.0, 0.0)
-        trial = Zt - step[:, None] * delta
-        for _halve in range(10):
-            tres = _residual(form, trial, KdtT, c, s)
-            tnorm = _row_norms(tres)
-            worse = active & (tnorm > norm) & (step > 1e-3)
-            if not worse.any():
-                break
-            step[worse] *= 0.5
-            trial[worse] = Zt[worse] - step[worse, None] * delta[worse]
-        small_step = np.max(_row_norms(trial - Zt) / scale) < step_tol
-        Zt, res, norm = trial, tres, tnorm
-        if small_step:
-            break
-    return Zt, res
 
 
 def solve_diamond_simple(form, z_b, z_l, z_r, dt: float, dx: float) -> np.ndarray:
@@ -387,9 +395,8 @@ def solve_diamond_simple(form, z_b, z_l, z_r, dt: float, dx: float) -> np.ndarra
     z_b, z_l, z_r = _as_rows(z_b), _as_rows(z_l), _as_rows(z_r)
     zt = solve_diamonds(form, z_b, z_l, z_r, dt, dx)
     res = _residual(form, zt, *_fold_corners(form, z_b, z_l, z_r, dt, dx))
-    opscale = np.abs(form.K).max() / dt + np.abs(form.L).max() / dx + 1.0
     scale = 1.0 + max(np.linalg.norm(v) for v in (zt, z_b, z_l, z_r))
-    if not np.linalg.norm(res) <= 1e-10 * opscale * scale:
+    if not np.linalg.norm(res) <= 1e-10 * _opscale(form, dt, dx) * scale:
         raise NewtonError("diamond residual above tolerance")
     return zt[0]
 
@@ -413,10 +420,12 @@ def solve_diamond_rk(
     collocation system; outputs contract the stages with beta = b^T A^{-1}.
     Step 3's edge map (spectral.build_blocks_rk) of the form linearized at
     zero, made once per form, tableau, dt and dx, holds the pivot test: it
-    raises SingularUpdateError where the stage matrix is singular.  Linear
-    forms apply that map; nonlinear forms run Newton on every diamond until
-    its own step is small.  Each output row equals a one-diamond call bit
-    for bit.
+    raises SingularUpdateError where the stage matrix Q is singular.  Linear
+    forms apply that map.  Nonlinear forms run the simple scheme's solver,
+    _solve_nonlinear, from stages equal to the bottom stack, with the
+    inverse of Q (the stage Jacobian at z = 0) as the chord.  Each diamond
+    is carried as a (1, r*r*d) row, so each output row equals a one-diamond
+    call bit for bit.
     """
     r, d = tableau.r, form.d
     single = np.ndim(zb_stack) <= 2
@@ -435,44 +444,28 @@ def solve_diamond_rk(
     F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
     Ktil = form.K / dt - form.L / dx
     Ltil = form.K / dt + form.L / dx
+    const = -np.kron(np.eye(r), np.kron(F, Ktil)) - np.kron(F, np.kron(np.eye(r), Ltil))
 
     def residual(Z, zb, zl):
-        # Z has shape (n, r, r, d): diamond, spatial stage i, temporal stage j
-        G = eval_grad_S(form, Z)
+        # Z[n, 0] holds the stages Z[n, i, j]: spatial stage i, temporal stage j
+        Z = Z.reshape(len(Z), r, r, d)
         tpart = F @ Z - mu[:, None] * zb[:, :, None, :]
         xpart = (F @ Z.reshape(len(Z), r, r * d)).reshape(Z.shape) - mu[:, None, None] * zl[:, None, :, :]
-        return (G - tpart @ Ktil.T - xpart @ Ltil.T).reshape(len(Z), m)
+        return (eval_grad_S(form, Z) - tpart @ Ktil.T - xpart @ Ltil.T).reshape(len(Z), 1, m)
 
-    Ieye = np.eye(r)
-    const = -np.kron(Ieye, np.kron(F, Ktil)) - np.kron(F, np.kron(Ieye, Ltil))
-    Z = np.repeat(zb[:, :, None, :], r, axis=2)
-    res = residual(Z, zb, zl)
-    rows = np.arange(n)  # diamonds whose Newton step is not yet small
-    for _ in range(max_iter):
-        if rows.size == 0:
-            break
-        Za = Z[rows]
-        Jblocks = eval_jac_S(form, Za).reshape(len(rows), r * r, d, d)
-        J = np.repeat(const[None], len(rows), axis=0)
+    def jacobian(Z, zb, zl):
+        J = np.repeat(const[None], len(Z), axis=0)
+        blocks = eval_jac_S(form, Z.reshape(len(Z), r * r, d))
         for s in range(r * r):
-            J[:, s * d : (s + 1) * d, s * d : (s + 1) * d] += Jblocks[:, s]
-        try:
-            delta = np.linalg.solve(J, res[rows, :, None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError("singular collocation Newton matrix") from exc
-        Za = Za - delta.reshape(Za.shape)
-        Z[rows] = Za
-        res[rows] = residual(Za, zb[rows], zl[rows])
-        small = np.linalg.norm(delta, axis=1) < step_tol * (
-            1.0 + np.linalg.norm(Za.reshape(len(rows), m), axis=1)
-        )
-        rows = rows[~small]
-    converged = np.linalg.norm(res, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(Z.reshape(n, m), axis=1))
-    if not converged.all():
-        raise NewtonError(
-            f"collocation Newton did not converge at rows {np.where(~converged)[0][:5].tolist()}"
-        )
+            J[:, s * d : (s + 1) * d, s * d : (s + 1) * d] += blocks[:, s]
+        return J
 
+    Z0 = np.repeat(zb[:, :, None, :], r, axis=2).reshape(n, 1, m)
+    Z, res = _solve_nonlinear(
+        residual, jacobian, Z0, (zb, zl), bl.pivot_inv.T, _opscale(form, dt, dx), max_iter, step_tol
+    )
+    _require_solved(np.flatnonzero(~(_row_norms(res) <= 1e-9 * (1.0 + _row_norms(Z)))))
+    Z = Z.reshape(n, r, r, d)
     zt = (1.0 - alpha) * zb + beta @ Z
     zr = (1.0 - alpha) * zl + (beta @ Z.reshape(n, r, r * d)).reshape(n, r, d)
     return (zt[0], zr[0]) if single else (zt, zr)
@@ -655,6 +648,10 @@ def integrate(
     if isinstance(scheme, str):
         scheme = parse_scheme(scheme)
     nt = mesh.nt
+    # the diamond on cell i has its left neighbour at i-1 in the first
+    # half-step and its right neighbour at i+1 in the second
+    cells = np.arange(mesh.N)
+    left, right = (cells - 1) % mesh.N, (cells + 1) % mesh.N
     if cadence is None:
         cadence = max(100, math.ceil(nt / 200))
     want_energy = "energy" in observers
@@ -690,10 +687,6 @@ def integrate(
             )
 
         record(0)
-        # the diamond on cell i has half point i-1 on its left in the first
-        # half-step and integer point i+1 on its right in the second
-        cells = np.arange(mesh.N)
-        left, right = (cells - 1) % mesh.N, (cells + 1) % mesh.N
         evens, odds = values[0::2], values[1::2]
         for step in range(1, nt + 1):
             evens[:] = solve_diamonds(form, evens, odds[left], odds, mesh.dt, mesh.dx)
@@ -712,13 +705,12 @@ def integrate(
     tableau = scheme
     edges = init_edges_rk(form, tableau, ic, mesh, exact=exact)
     _require_finite(edges, "initial state")
+    rising, falling = edges[0::2], edges[1::2]
     for step in range(1, nt + 1):
-        zt, zr = solve_diamond_rk(
-            form, tableau, edges[0::2], np.roll(edges[1::2], 1, axis=0), mesh.dt, mesh.dx
-        )
-        edges[0::2], edges[1::2] = zr, np.roll(zt, -1, axis=0)
-        zt, zr = solve_diamond_rk(form, tableau, edges[1::2], edges[0::2], mesh.dt, mesh.dx)
-        edges[0::2], edges[1::2] = zt, zr
+        zt, zr = solve_diamond_rk(form, tableau, rising, falling[left], mesh.dt, mesh.dx)
+        rising[:], falling[:] = zr, zt[right]
+        zt, zr = solve_diamond_rk(form, tableau, falling, rising, mesh.dt, mesh.dx)
+        rising[:], falling[:] = zt, zr
         t = step * mesh.dt
         if _blown_up(edges, blowup):
             return RunResult("diverged", None, np.array(times), None, snapshots,

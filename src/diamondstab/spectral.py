@@ -58,6 +58,7 @@ class SimpleBlocks:
     B: np.ndarray
     Am: np.ndarray  # multiplies the left corner
     Ap: np.ndarray  # multiplies the right corner
+    pivot_inv: np.ndarray  # (K/dt - P/4)^{-1}
     dt: float
     dx: float
 
@@ -71,6 +72,7 @@ class RKBlocks:
     Clr: np.ndarray
     Cbr: np.ndarray
     Q: np.ndarray
+    pivot_inv: np.ndarray  # Q^{-1}
     Db: np.ndarray
     Dl: np.ndarray
     alpha: float
@@ -120,6 +122,7 @@ def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBloc
         B=inv @ (K / dt + P / 4.0),
         Am=inv @ (L / dx + P / 4.0),
         Ap=inv @ (-L / dx + P / 4.0),
+        pivot_inv=inv,
         dt=dt,
         dx=dx,
     )
@@ -192,6 +195,7 @@ def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlo
         Clr=(1.0 - alpha) * Idr + Tr @ Qinv @ Dl,
         Cbr=Tr @ Qinv @ Db,
         Q=Q,
+        pivot_inv=Qinv,
         Db=Db,
         Dl=Dl,
         alpha=alpha,

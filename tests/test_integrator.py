@@ -13,6 +13,7 @@ from diamondstab.integrator import (
     init_edges_rk,
     init_half_step,
     integrate,
+    parse_scheme,
     random_tangent_pair,
     solve_diamond_rk,
     solve_diamond_simple,
@@ -78,8 +79,11 @@ def test_linear_diamond_equals_block_map(name):
     rng = np.random.default_rng(1)
     Zb, Zl, Zr = rng.standard_normal((3, 20, form.d))
     Zt = solve_diamonds(form, Zb, Zl, Zr, dt, dx)
-    assert np.array_equal(Zt, Zb @ bl.B.T + Zl @ bl.Am.T + Zr @ bl.Ap.T)
+    # the blocks applied to (n, 1, d) rows: each row alone, as in a one-row call
+    stacked = (Zb[:, None] @ bl.B.T + Zl[:, None] @ bl.Am.T + Zr[:, None] @ bl.Ap.T)[:, 0]
+    assert np.array_equal(Zt, stacked)
     for zb, zl, zr, zt in zip(Zb, Zl, Zr, Zt):
+        assert np.array_equal(solve_diamonds(form, zb, zl, zr, dt, dx)[0], zt)
         # the implicit diamond equation, apart from the block map
         lhs = (K / dt - P / 4) @ zt
         rhs = (K / dt + P / 4) @ zb + (L / dx + P / 4) @ zl + (-L / dx + P / 4) @ zr
@@ -239,6 +243,57 @@ def test_rk_diamond_against_dense_stage_solve():
     zt, zr = solve_diamond_rk(form, t1, zb[None, :], zl[None, :], dt, dx)
     np.testing.assert_allclose(zt.reshape(-1), zt_ref, atol=1e-12)
     np.testing.assert_allclose(zr.reshape(-1), zr_ref, atol=1e-12)
+
+
+def _grad_by_terms(form, z):
+    # grad S from P and the polynomial terms, apart from eval_grad_S
+    grad = z @ form.P.T
+    for term in form.terms:
+        grad[..., term.row - 1] += term.coeff * np.prod(z ** np.array(term.exponents), axis=-1)
+    return grad
+
+
+def _rk_diamond_by_lm(form, tab, zb, zl, dt, dx):
+    """The collocation diamond in slope form, solved by scipy's LM.
+
+    With x = x_b + (s - t) dx/2 and time t_b + (s + t) dt/2 over the unit
+    square, K z_time + L z_x = grad S reads Ltil z_s + Ktil z_t = grad S.
+    The stages Z[i, j] at (c_i, c_j) carry the slopes V = z_s and W = z_t:
+    Z[i, j] = zb[i] + sum_k A[j, k] W[i, k] = zl[j] + sum_k A[i, k] V[k, j];
+    the tops are zt[i] = zb[i] + sum_j b_j W[i, j] and
+    zr[j] = zl[j] + sum_i b_i V[i, j].  Returns them and the largest
+    equation residual.
+    """
+    r, A, b = tab.r, tab.A, tab.b
+    Ktil, Ltil = form.K / dt - form.L / dx, form.K / dt + form.L / dx
+
+    def equations(x):
+        Z, V, W = x.reshape(3, r, r, form.d)
+        return np.concatenate([
+            Z - zb[:, None] - np.einsum("jk,ikd->ijd", A, W),
+            Z - zl[None, :] - np.einsum("ik,kjd->ijd", A, V),
+            dt * (V @ Ltil.T + W @ Ktil.T - _grad_by_terms(form, Z)),
+        ]).ravel()
+
+    start = np.concatenate([np.repeat(zb[:, None], r, axis=1).ravel(), np.zeros(2 * r * r * form.d)])
+    x = root(equations, start, method="lm", options={"xtol": 1e-15, "ftol": 1e-15}).x
+    Z, V, W = x.reshape(3, r, r, form.d)
+    zt = zb + np.einsum("j,ijd->id", b, W)
+    zr = zl + np.einsum("i,ijd->jd", b, V)
+    return zt, zr, np.abs(equations(x)).max()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rk_nonlinear_diamond_against_scipy_root(r):
+    form, tab = registry_get("dirac"), gauss_tableau(r)
+    dt, dx = 0.2, 0.3
+    zb, zl = 0.5 * np.random.default_rng(50 + r).standard_normal((2, 10, r, form.d))
+    zt, zr = solve_diamond_rk(form, tab, zb, zl, dt, dx)
+    for i in range(10):
+        ref_t, ref_r, worst = _rk_diamond_by_lm(form, tab, zb[i], zl[i], dt, dx)
+        assert worst < 1e-13  # the oracle converged
+        got, ref = np.concatenate([zt[i], zr[i]]), np.concatenate([ref_t, ref_r])
+        assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 def test_rk_zero_inputs_zero_outputs():
@@ -473,7 +528,7 @@ def test_chord_solve_matches_newton_only(case):
     Zb, Zl, Zr = _half_step_corners(values)
     for half in range(2):
         chord = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
-        newton = integrator._newton_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+        newton = _newton_only(solve_diamonds, form, Zb, Zl, Zr, mesh.dt, mesh.dx)
         # Newton stops once the residual is below 1e-13 * opscale * (1 + |z|)
         # in every row; in the NLS constraint rows at dt = 4e-5 that leaves
         # v and w up to 1.7e-9 off on near-zero rows, which it returns unsolved
@@ -487,24 +542,51 @@ def test_chord_solve_matches_newton_only(case):
         Zb, Zl, Zr = values[1::2], chord, np.roll(chord, -1, axis=0)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def _newton_only(solve, *args):
+    # the same solve with the chord handing every row to Newton at once
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_chord_iterate", lambda residual, Z, *rest: np.arange(len(Z)))
+        return solve(*args)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     name=st.sampled_from(["nls", "dirac"]),
+    scheme=st.sampled_from(["simple", "rk:1", "rk:2"]),
     amplitude=st.floats(0.01, 2.0),
     dt_over_dx=st.floats(0.01, 1.0),
     rows=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chord_solve_properties(name, amplitude, dt_over_dx, rows, seed):
+def test_chord_solve_properties(name, scheme, amplitude, dt_over_dx, rows, seed):
     form = registry_get(name)
     dx = 0.2
     dt = dt_over_dx * dx
-    Zb, Zl, Zr = amplitude * np.random.default_rng(seed).standard_normal((3, rows, form.d))
-    batch = solve_diamonds(form, Zb, Zl, Zr, dt, dx)
-    assert _relative_gap(batch, integrator._newton_diamonds(form, Zb, Zl, Zr, dt, dx)) <= 1e-12
+    rng = np.random.default_rng(seed)
+    if scheme == "simple":
+        corners = amplitude * rng.standard_normal((3, rows, form.d))
+
+        def solve(*corners):
+            return solve_diamonds(form, *corners, dt, dx)
+    else:
+        tab = parse_scheme(scheme)
+        # random NLS edges put stage values up to 1e3 (v and w are slopes
+        # across inconsistent edges); above amplitude 0.5 Newton fails on
+        # some of these draws, with or without the chord
+        corners = 0.25 * amplitude * rng.standard_normal((2, rows, tab.r, form.d))
+
+        def solve(*corners):
+            # the top and right stacks of each diamond, one after the other
+            return np.concatenate(solve_diamond_rk(form, tab, *corners, dt, dx), axis=-2)
+
+    batch = solve(*corners)
+    assert _relative_gap(batch, _newton_only(solve, *corners)) <= 1e-12
     for i in range(rows):
-        one = solve_diamonds(form, Zb[i], Zl[i], Zr[i], dt, dx)
-        assert _relative_gap(one[0], batch[i]) <= 1e-14
+        one = solve(*(Z[i] for Z in corners))
+        if scheme == "simple":
+            assert _relative_gap(one[0], batch[i]) <= 1e-14
+        else:
+            assert np.array_equal(one, batch[i])
 
 
 def test_chord_skipped_where_the_update_matrix_is_singular():
@@ -513,11 +595,12 @@ def test_chord_skipped_where_the_update_matrix_is_singular():
         "pivot", ("a", "b"), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.diag([4.0, -4.0]),
         (PolynomialTerm(1, 1.0, (3, 0)),),
     )
-    assert integrator._chord_matrix(form, 1.0) is None
-    assert integrator._chord_matrix(form, 0.5) is not None
+    with pytest.raises(SingularUpdateError):
+        integrator._step3_blocks(form, "simple", 1.0, 0.1)
+    integrator._step3_blocks(form, "simple", 0.5, 0.1)
     Zb, Zl, Zr = 0.5 + 0.1 * np.random.default_rng(5).standard_normal((3, 6, 2))
     np.testing.assert_array_equal(
-        solve_diamonds(form, Zb, Zl, Zr, 1.0, 0.1), integrator._newton_diamonds(form, Zb, Zl, Zr, 1.0, 0.1)
+        solve_diamonds(form, Zb, Zl, Zr, 1.0, 0.1), _newton_only(solve_diamonds, form, Zb, Zl, Zr, 1.0, 0.1)
     )
 
 
@@ -525,7 +608,9 @@ def test_nonlinear_solve_of_an_empty_batch():
     form = registry_get("nls")
     Z = np.zeros((0, 4))
     assert solve_diamonds(form, Z, Z, Z, 0.1, 0.1).shape == (0, 4)
-    assert integrator._newton_diamonds(form, Z, Z, Z, 0.1, 0.1).shape == (0, 4)
+    assert _newton_only(solve_diamonds, form, Z, Z, Z, 0.1, 0.1).shape == (0, 4)
+    zt, zr = solve_diamond_rk(form, gauss_tableau(2), np.zeros((0, 2, 4)), np.zeros((0, 2, 4)), 0.1, 0.1)
+    assert zt.shape == zr.shape == (0, 2, 4)
 
 
 def _diamond_by_lm(form, zb, zl, zr, dt, dx):
@@ -550,18 +635,21 @@ def test_chord_batch_with_newton_rows_matches_scipy_root(monkeypatch):
     amp[::4] = 20.0  # there the chord contracts too slowly and hands over
     Zb, Zl, Zr = (amp[:, None] * Z for Z in (Zb, Zl, Zr))
     newton_rows = []
-    original = integrator._damped_newton
+    original = integrator._newton
 
-    def recorded(form, Zt, *args):
-        newton_rows.append(len(Zt))
-        return original(form, Zt, *args)
+    def recorded(residual, jacobian, Z, *args):
+        newton_rows.append(len(Z))
+        return original(residual, jacobian, Z, *args)
 
-    monkeypatch.setattr(integrator, "_damped_newton", recorded)
+    monkeypatch.setattr(integrator, "_newton", recorded)
     got = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
     assert len(newton_rows) == 1 and 0 < newton_rows[0] < len(Zb)
     for i in range(len(Zb)):
         ref = _diamond_by_lm(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)
         assert np.abs(got[i] - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
+        # each row leaves the chord and stops Newton on its own, so it is its
+        # one-row call up to the rounding of (n, d) @ (d, d) products
+        assert _relative_gap(solve_diamonds(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)[0], got[i]) <= 1e-14
 
 
 def _count_jacobians(monkeypatch):
@@ -586,29 +674,30 @@ def test_chord_needs_no_jacobian_on_the_bounded_nls_run(monkeypatch):
     assert calls == []
 
 
-def test_chord_needs_no_more_jacobians_than_newton_on_dirac(monkeypatch):
+def test_chord_needs_no_more_jacobians_than_newton_on_dirac():
     form, mesh, values = _dirac_start()
     ic, exact = dirac_breather(form.param("m"), form.param("lam"), 0.5)
-    inputs = []
-    original = integrator.solve_diamonds
-
-    def recorded(*args):
-        # integrate overwrites the corner arrays it passes in the next half-step
-        inputs.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
-        return original(*args)
-
-    monkeypatch.setattr(integrator, "solve_diamonds", recorded)
     run = MeshParams(mesh.a, mesh.b, mesh.N, mesh.dt, 10 * mesh.dt)
-    assert integrate(form, "simple", ic, run, observers=(), exact=exact).status == "completed"
-    assert len(inputs) == 20
-    calls = _count_jacobians(monkeypatch)
-    for args in inputs:
-        original(*args)
-    chord = len(calls)
-    calls.clear()
-    for args in inputs:
-        integrator._newton_diamonds(*args)
-    assert 0 < chord <= len(calls)
+    for scheme, name in (("simple", "solve_diamonds"), ("rk:2", "solve_diamond_rk")):
+        solve, inputs = getattr(integrator, name), []
+
+        def recorded(*args):
+            # integrate overwrites the arrays it passes in the next half-step
+            inputs.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
+            return solve(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, name, recorded)
+            assert integrate(form, scheme, ic, run, observers=(), exact=exact).status == "completed"
+            assert len(inputs) == 20
+            calls = _count_jacobians(mp)
+            for args in inputs:
+                solve(*args)
+            chord = len(calls)
+            calls.clear()
+            for args in inputs:
+                _newton_only(solve, *args)
+        assert 0 < chord <= len(calls)
 
 
 def test_nonfinite_values_fail_convergence_tests():
