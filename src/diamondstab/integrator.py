@@ -198,15 +198,18 @@ _PIVOT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _step3_blocks(form: MultiSymplecticForm, scheme, dt: float, dx: float):
     """Step 3's one-diamond map of the form linearized at zero; ``scheme`` is
     "simple" or an RKTableau.  Raises SingularUpdateError where its pivot is
-    singular."""
+    singular, an outcome that is cached too."""
     per_form = _PIVOT_CACHE.setdefault(form, {})
     key = (scheme, dt, dx)
     if key not in per_form:
         lin = linearize(form, np.zeros(form.d))
-        if scheme == "simple":
-            per_form[key] = spectral.build_blocks_simple(lin, dt, dx)
-        else:
-            per_form[key] = spectral.build_blocks_rk(lin, scheme, dt, dx)
+        try:
+            per_form[key] = (spectral.build_blocks_simple(lin, dt, dx) if scheme == "simple"
+                             else spectral.build_blocks_rk(lin, scheme, dt, dx))
+        except spectral.SingularUpdateError as exc:
+            per_form[key] = exc
+    if isinstance(per_form[key], Exception):
+        raise per_form[key].with_traceback(None)
     return per_form[key]
 
 
@@ -245,7 +248,7 @@ def _require_solved(bad: np.ndarray) -> None:
         raise NewtonError(f"diamond solve did not converge at rows {bad[:5].tolist()}")
 
 
-def _solve_nonlinear(residual, jacobian, Z0, data, chord, opscale, max_iter, step_tol):
+def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol, max_iter, step_tol):
     """The nonlinear diamond solve of both schemes.
 
     Rows (axis 0 of Z0 and of every array in ``data``) are independent
@@ -270,7 +273,7 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, opscale, max_iter, ste
             back = rows[~(_row_norms(res[rows]) < _row_norms(res0[rows]))]
             Z[back], res[back] = Z0[back], res0[back]
         Z[rows], res[rows] = _newton(
-            residual, jacobian, Z[rows], res[rows], _take(data, rows), opscale, max_iter, step_tol
+            residual, jacobian, Z[rows], res[rows], _take(data, rows), res_tol, max_iter, step_tol
         )
     return Z, res
 
@@ -320,18 +323,18 @@ def _chord_iterate(residual, Z, res, data, chord, max_iter, step_tol):
     return np.concatenate(newton)
 
 
-def _newton(residual, jacobian, Z, res, data, opscale, max_iter, step_tol):
+def _newton(residual, jacobian, Z, res, data, res_tol, max_iter, step_tol):
     """Newton on rows started at Z with residual res.
 
-    A row stops once its residual is at most 1e-13 opscale (1 + |Z|) or its
-    own step is below step_tol (1 + |Z|), so its result does not depend on
-    the rest of the batch.  Updates Z and res in place and returns them.
+    A row stops once its residual is at most res_tol (1 + |Z|) or its own
+    step is below step_tol (1 + |Z|), so its result does not depend on the
+    rest of the batch.  Updates Z and res in place and returns them.
     """
     rows = np.arange(len(Z))
     for _ in range(max_iter):
         Za, ra = Z[rows], res[rows]
         scale = 1.0 + _row_norms(Za)
-        live = _row_norms(ra) > 1e-13 * opscale * scale
+        live = _row_norms(ra) > res_tol * scale
         rows, Za, ra, scale = rows[live], Za[live], ra[live], scale[live]
         if rows.size == 0:
             break
@@ -363,12 +366,12 @@ def solve_diamonds(
     the pivot K/dt - P/4 is singular; a stacked product gives each row the
     bits of a one-row call.  Nonlinear forms run _solve_nonlinear from the
     bottom values with the inverse of that pivot as the chord, or Newton
-    alone where it is singular.
+    alone where it is singular, with res_tol 1e-13 opscale.
     """
     Zb, Zl, Zr = _as_rows(Zb), _as_rows(Zl), _as_rows(Zr)
     if form.is_linear:
         bl = _step3_blocks(form, "simple", dt, dx)
-        return (Zb[:, None] @ bl.B.T + Zl[:, None] @ bl.Am.T + Zr[:, None] @ bl.Ap.T)[:, 0]
+        return (np.concatenate([Zb, Zl, Zr], axis=1)[:, None] @ np.hstack([bl.B, bl.Am, bl.Ap]).T)[:, 0]
     try:
         chord = _step3_blocks(form, "simple", dt, dx).pivot_inv.T
     except spectral.SingularUpdateError:  # Newton alone
@@ -378,7 +381,7 @@ def solve_diamonds(
     Zt, res = _solve_nonlinear(
         lambda Z, c, s: _residual(form, Z, KdtT, c, s),
         lambda Z, c, s: KdtT.T - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
-        Zb, (c, s), chord, opscale, max_iter, step_tol,
+        Zb, (c, s), chord, 1e-13 * opscale, max_iter, step_tol,
     )
     norm = _row_norms(res)
     # norm <= tol * scale with scale >= 1: only rows above tol need the scale
@@ -423,9 +426,9 @@ def solve_diamond_rk(
     raises SingularUpdateError where the stage matrix Q is singular.  Linear
     forms apply that map.  Nonlinear forms run the simple scheme's solver,
     _solve_nonlinear, from stages equal to the bottom stack, with the
-    inverse of Q (the stage Jacobian at z = 0) as the chord.  Each diamond
-    is carried as a (1, r*r*d) row, so each output row equals a one-diamond
-    call bit for bit.
+    inverse of Q (the stage Jacobian at z = 0) as the chord and res_tol 0
+    (Newton stops a row on its step alone).  Each diamond is carried as a
+    (1, r*r*d) row, so each output row equals a one-diamond call bit for bit.
     """
     r, d = tableau.r, form.d
     single = np.ndim(zb_stack) <= 2
@@ -462,7 +465,7 @@ def solve_diamond_rk(
 
     Z0 = np.repeat(zb[:, :, None, :], r, axis=2).reshape(n, 1, m)
     Z, res = _solve_nonlinear(
-        residual, jacobian, Z0, (zb, zl), bl.pivot_inv.T, _opscale(form, dt, dx), max_iter, step_tol
+        residual, jacobian, Z0, (zb, zl), bl.pivot_inv.T, 0.0, max_iter, step_tol
     )
     _require_solved(np.flatnonzero(~(_row_norms(res) <= 1e-9 * (1.0 + _row_norms(Z)))))
     Z = Z.reshape(n, r, r, d)
