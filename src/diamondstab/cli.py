@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import msform, propagation, spectral, structure
 from .integrator import MeshParams, NewtonError, integrate, parse_scheme
-from .pipeline import PipelineReport, reference_linearization, run_pipeline
+from .pipeline import PipelineReport, run_pipeline
 from .solutions import builtin_initial_condition
 
 __all__ = ["main"]
@@ -260,13 +260,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scheme = parse_scheme(args.scheme)
+    criterion = spectral.Criterion.parse(args.criterion)
     params = _parse_params(args.params)
     rho = params.pop("rho", None)
-    lin = reference_linearization(msform.registry_get(args.pde, **params), rho)
     dx_list = [float(v) for v in args.dx_list.split(",")]
-    result = spectral.stability_boundary_sweep(
-        lin, scheme, args.domain_length, dx_list, spectral.Criterion.parse(args.criterion)
-    )
+    # Steps 1 and 2 decide first: an inconsistent or unconditionally unstable
+    # form has no stability boundary to trace
+    report = run_pipeline(msform.registry_get(args.pde, **params), rho=rho, stop_after=2)
+    if report.classification != "ConditionallyStable":
+        print(f"{args.pde}: {report.classification}, no stability boundary to sweep")
+        return 0
+    result = spectral.stability_boundary_sweep(report.lin, scheme, args.domain_length, dx_list, criterion)
     rows = [["dx", "N", "dt_max"]]
     rows += [[p.dx, p.N, p.dt_max if p.dt_max is not None else ""] for p in result.points]
     rows.append(["slope", "", result.slope if result.slope is not None else ""])

@@ -320,6 +320,19 @@ def _dominant_moduli(family: SymbolFamily) -> np.ndarray:
     return moduli[np.minimum(ks, N - ks)]
 
 
+def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
+    """The criterion's threshold on one dominant modulus: of all k, or of
+    k >= 1 under "nozero"."""
+    if criterion.kind in ("strict", "nozero"):
+        return dominant <= 1.0 + criterion.tol
+    if criterion.kind == "growth":
+        if dt is None:
+            raise ValueError("growth criterion needs dt")
+        # log-space comparison of lambda1**(1/dt) <= theta avoids overflow
+        return dominant <= 0.0 or math.log(dominant) / dt <= math.log(criterion.theta)
+    raise ValueError(f"unknown criterion kind {criterion.kind!r}")
+
+
 def spectral_verdict(
     family: SymbolFamily, criterion: Criterion, dt: float | None = None, keep_per_k: bool = False
 ) -> SpectralVerdict:
@@ -328,17 +341,7 @@ def spectral_verdict(
     k_nonzero = int(np.argmax(moduli[1:])) + 1 if family.N > 1 else k_all
     dominant_all = float(moduli[k_all])
     dominant_nonzero = float(moduli[k_nonzero])
-    if criterion.kind == "strict":
-        stable = dominant_all <= 1.0 + criterion.tol
-    elif criterion.kind == "nozero":
-        stable = dominant_nonzero <= 1.0 + criterion.tol
-    elif criterion.kind == "growth":
-        if dt is None:
-            raise ValueError("growth criterion needs dt")
-        # log-space comparison of lambda1**(1/dt) <= theta avoids overflow
-        stable = dominant_all <= 0.0 or math.log(dominant_all) / dt <= math.log(criterion.theta)
-    else:
-        raise ValueError(f"unknown criterion kind {criterion.kind!r}")
+    stable = _within(criterion, dominant_nonzero if criterion.kind == "nozero" else dominant_all, dt)
     return SpectralVerdict(
         dominant_all,
         dominant_nonzero,
@@ -350,12 +353,27 @@ def spectral_verdict(
     )
 
 
+def _witness_unstable(family: SymbolFamily, criterion: Criterion, dt: float | None, k: int) -> bool:
+    """True when the symbol at frequency k alone breaks the criterion.
+
+    The criterion is a threshold on a maximum over k, and ``eigvals`` on
+    this one symbol gives the bits that ``_dominant_moduli`` stores for it
+    (``spectral_verdict(...).per_k[k]``), so True here means the full
+    verdict is unstable too.  False decides nothing.  Only k <= N/2 are
+    taken, where ``per_k`` is evaluated rather than mirrored, and never
+    k = 0 under "nozero".
+    """
+    if k > family.N // 2 or (k == 0 and criterion.kind == "nozero"):
+        return False
+    return not _within(criterion, float(np.abs(family.eigenvalues(k)).max()), dt)
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     dx: float
     N: int
     dt_max: float | None
-    verdicts: int  # spectral_verdict calls made to find dt_max
+    verdicts: int  # dt values decided to find dt_max, by the witness or spectral_verdict
 
 
 @dataclass(frozen=True)
@@ -382,24 +400,39 @@ def stability_boundary_sweep(
     domain_length: float,
     dx_list,
     criterion: Criterion,
-    iterations: int = 40,
+    rtol: float = 1e-6,
 ) -> SweepResult:
     """Largest stable dt per dx by bisection on [1e-12, dx].
 
     ``scheme`` is "simple" or an RKTableau.  N is derived from the domain
     length, so domain-size dependence of the boundary shows up directly in
-    the fitted constant.
+    the fitted constant.  The geometric bisection stops once hi / lo <=
+    1 + rtol, so each dt_max lies within a factor 1 + rtol below the
+    boundary; rtol = 2.1e-12 takes 40 halvings of a decade.
+
+    Each unstable verdict names the frequency k that decided it; the next
+    dt, at this dx or the next, first tests that one symbol
+    (``_witness_unstable``) and computes the full spectrum only when it
+    does not decide.  No verdict changes.
     """
+    if not rtol >= 1e-14:
+        raise ValueError(f"rtol must be at least 1e-14 (double precision bisects no finer), got {rtol!r}")
     points: list[SweepPoint] = []
+    witness: int | None = None  # the k that decided the last unstable verdict
     for dx in dx_list:
         N = max(2, round(domain_length / dx))
         calls = 0
 
         def stable(dt: float) -> bool:
-            nonlocal calls
+            nonlocal calls, witness
             calls += 1
             fam = symbol_family(lin, scheme, dt, dx, N)
-            return spectral_verdict(fam, criterion, dt=dt).stable
+            if witness is not None and _witness_unstable(fam, criterion, dt, witness):
+                return False
+            verdict = spectral_verdict(fam, criterion, dt=dt)
+            if not verdict.stable:
+                witness = verdict.k_dominant_nonzero if criterion.kind == "nozero" else verdict.k_dominant
+            return verdict.stable
 
         # locate a stable bracket end by geometric descent from dx: the first
         # stable dt from above marks the practical boundary and keeps the
@@ -418,7 +451,7 @@ def stability_boundary_sweep(
             points.append(SweepPoint(float(dx), N, None, calls))
             continue
         hi = lo * 10.0
-        for _ in range(iterations):
+        while hi / lo > 1.0 + rtol:
             mid = math.sqrt(lo * hi)
             if stable(mid):
                 lo = mid

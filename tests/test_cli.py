@@ -126,14 +126,38 @@ def test_cli_run_solver_failure_is_one_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("pde", ["kdv", "camassa_holm"])
-def test_cli_sweep_inconsistent_form_is_one_line_error(pde, capsys):
-    # the update pivot K/dt - P/4 of a structurally inconsistent form is singular
-    rc = main(["sweep", "--pde", pde, "--dx-list", "0.4", "--domain-length", "4"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "singular" in err
-    assert len(err.strip().splitlines()) == 1
+DECIDED_BEFORE_STEP3 = {
+    "kdv": "StructurallyInconsistent",
+    "camassa_holm": "StructurallyInconsistent",
+    "mixed_kg": "UnconditionallyUnstable",
+}
+
+
+@pytest.mark.parametrize("pde", sorted(DECIDED_BEFORE_STEP3))
+def test_cli_sweep_decided_form_is_one_line_verdict(pde, tmp_path, capsys):
+    # Steps 1 and 2 decide these forms before any pivot is built: the
+    # classification is a successful answer, not an error
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--pde", pde, "--dx-list", "0.4", "--domain-length", "4", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.strip().splitlines() == [
+        f"{pde}: {DECIDED_BEFORE_STEP3[pde]}, no stability boundary to sweep"
+    ]
+    assert not out.exists()
+
+
+def test_python_m_diamondstab_runs_the_cli():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "diamondstab", "sweep", "--pde", "kdv", "--dx-list", "0.4", "--domain-length", "4"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("kdv: StructurallyInconsistent")
 
 
 def test_cli_sweep_emits_slope(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from diamondstab import spectral
 from diamondstab.integrator import gauss_tableau, solve_diamond_rk, solve_diamonds
@@ -253,9 +254,7 @@ def test_criterion_parse():
 
 def test_lkg_boundary_tracks_dx():
     lin = lin_for("linear_kg")
-    res = stability_boundary_sweep(
-        lin, "simple", 4.0, [0.4, 0.2, 0.1], Criterion("nozero"), iterations=30
-    )
+    res = stability_boundary_sweep(lin, "simple", 4.0, [0.4, 0.2, 0.1], Criterion("nozero"))
     for p in res.points:
         assert p.dt_max is not None
         assert 0.8 <= p.dt_max / p.dx <= 1.0 + 1e-6
@@ -285,7 +284,7 @@ def test_sweep_slope_dominates_step2_exponent():
     for name, crit, dxs in cases:
         report = run_pipeline(registry_get(name), stop_after=2)
         s_lo = report.verdict.s_lo
-        res = stability_boundary_sweep(report.lin, "simple", 4.0, dxs, crit, iterations=30)
+        res = stability_boundary_sweep(report.lin, "simple", 4.0, dxs, crit)
         assert res.slope is not None
         assert res.slope >= float(s_lo) - 0.15, (name, res.slope, s_lo)
 
@@ -390,14 +389,272 @@ def test_linear_kg_strict_verdict_decided_at_k0(dx):
 
 
 def test_sweep_point_counts_its_verdicts(monkeypatch):
-    calls: dict[int, int] = {}
-    original = spectral.spectral_verdict
+    # SweepPoint.verdicts counts the dt values decided, by the one-symbol
+    # witness or by a full spectral_verdict
+    full: dict[int, int] = {}
+    witnessed: dict[int, int] = {}
+    verdict, witness = spectral.spectral_verdict, spectral._witness_unstable
 
-    def counted(family, *args, **kwargs):
-        calls[family.N] = calls.get(family.N, 0) + 1
-        return original(family, *args, **kwargs)
+    def counted_verdict(family, *args, **kwargs):
+        full[family.N] = full.get(family.N, 0) + 1
+        return verdict(family, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "spectral_verdict", counted)
+    def counted_witness(family, *args):
+        decided = witness(family, *args)
+        witnessed[family.N] = witnessed.get(family.N, 0) + decided
+        return decided
+
+    monkeypatch.setattr(spectral, "spectral_verdict", counted_verdict)
+    monkeypatch.setattr(spectral, "_witness_unstable", counted_witness)
     res = stability_boundary_sweep(lin_for("wave"), "simple", 4.0, [0.4, 0.2, 0.1], Criterion("strict"))
-    assert [p.verdicts for p in res.points] == [calls[p.N] for p in res.points]
+    assert [p.verdicts for p in res.points] == [full.get(p.N, 0) + witnessed.get(p.N, 0) for p in res.points]
     assert all(p.verdicts > 1 for p in res.points)
+    assert sum(witnessed.values()) >= 1
+
+
+# -- the witness step and the stated resolution --------------------------------
+
+WITNESS_FORMS = ["wave", "linear_kg", "dirac", "good_boussinesq"]
+WITNESS_SCHEMES = ["simple", 1, 2]
+CRITERIA = [Criterion("strict"), Criterion("nozero"), Criterion("growth", theta=1.1)]
+
+
+def _scheme(scheme):
+    return "simple" if scheme == "simple" else gauss_tableau(scheme)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(WITNESS_FORMS),
+    scheme=st.sampled_from(WITNESS_SCHEMES),
+    dx=st.floats(0.02, 0.5),
+    dt_over_dx=st.floats(1e-3, 3.0),
+    N=st.integers(2, 80),
+    k_share=st.floats(0.0, 1.0),
+)
+def test_one_symbol_moduli_are_the_verdict_bits(name, scheme, dx, dt_over_dx, N, k_share):
+    # the witness step's premise: for k <= N/2, eigvals on Lambda_k alone
+    # gives the bits that the stacked verdict stores in per_k[k]
+    fam = symbol_family(lin_for(name), _scheme(scheme), dt_over_dx * dx, dx, N)
+    k = round(k_share * (N // 2))
+    one = float(np.abs(fam.eigenvalues(k)).max())
+    assert one == spectral_verdict(fam, Criterion("strict"), keep_per_k=True).per_k[k]
+
+
+def _complex_family(seed, N):
+    rng = np.random.default_rng(seed)
+    m = 4
+    C0 = 0.6 * rng.standard_normal((m, m)) + 0.3j * rng.standard_normal((m, m))
+    Cp, Cm = 0.3 * rng.standard_normal((2, m, m))
+    return SymbolFamily(C0, Cp, Cm, N)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    source=st.sampled_from(WITNESS_FORMS + ["complex"]),
+    scheme=st.sampled_from(WITNESS_SCHEMES),
+    dx=st.floats(0.02, 0.5),
+    dt_over_dx=st.floats(1e-3, 3.0),
+    N=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_witness_never_overrules_the_full_verdict(source, scheme, dx, dt_over_dx, N, seed):
+    dt = dt_over_dx * dx
+    if source == "complex":
+        fam = _complex_family(seed, N)
+    else:
+        fam = symbol_family(lin_for(source), _scheme(scheme), dt, dx, N)
+    for crit in CRITERIA:
+        v = spectral_verdict(fam, crit, dt=dt)
+        decided = [k for k in range(N) if spectral._witness_unstable(fam, crit, dt, k)]
+        # unstable wherever the witness says so ...
+        assert v.stable is False or decided == []
+        # ... and never from k = 0 under "nozero" or from a mirrored k > N/2
+        assert all(k <= N // 2 and (k > 0 or crit.kind != "nozero") for k in decided)
+        # the deciding frequency of an unstable verdict decides alone
+        deciding = v.k_dominant_nonzero if crit.kind == "nozero" else v.k_dominant
+        if not v.stable and deciding <= N // 2:
+            assert deciding in decided
+
+
+def test_witness_on_complex_blocks_reads_k_above_half():
+    # complex blocks evaluate every k, but the witness takes k <= N/2 only,
+    # so a deciding k above N/2 falls back to the full verdict
+    fam = _complex_family(5, 12)
+    v = spectral_verdict(fam, Criterion("strict"), keep_per_k=True)
+    assert not v.stable
+    for k in range(7, 12):
+        assert not spectral._witness_unstable(fam, Criterion("strict"), None, k)
+    for k in range(7):
+        broken = v.per_k[k] > 1.0 + 1e-9
+        assert spectral._witness_unstable(fam, Criterion("strict"), None, k) == broken
+
+
+def _fortyfold_sweep(lin, scheme, length, dxs, crit):
+    """The former bisection: 40 halvings of the decade, a full verdict per dt."""
+    out = []
+    for dx in dxs:
+        N = max(2, round(length / dx))
+
+        def stable(dt):
+            return spectral_verdict(symbol_family(lin, scheme, dt, dx, N), crit, dt=dt).stable
+
+        hi = float(dx)
+        if stable(hi):
+            out.append(hi)
+            continue
+        lo = hi
+        while lo > 1e-12:
+            lo /= 10.0
+            if stable(lo):
+                break
+        else:
+            out.append(None)
+            continue
+        hi = lo * 10.0
+        for _ in range(40):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+        out.append(lo)
+    return out
+
+
+# sweeps of the tests above and of acceptance 06
+SWEEPS = {
+    "acceptance06_L4": ("good_boussinesq", "strict", 4.0, [0.4, 0.2, 0.1, 0.05]),
+    "acceptance06_L8": ("good_boussinesq", "strict", 8.0, [0.4, 0.2, 0.1, 0.05]),
+    "wave_strict": ("wave", "strict", 4.0, [0.4, 0.2, 0.1]),
+    "wave_nozero": ("wave", "nozero", 4.0, [0.4, 0.2, 0.1]),
+    "linear_kg_nozero": ("linear_kg", "nozero", 4.0, [0.4, 0.2, 0.1]),
+    "dirac_nozero": ("dirac", "nozero", 4.0, [0.4, 0.2, 0.1]),
+    "nls_growth": ("nls", "growth:1.1", 4.0, [0.4, 0.2, 0.1]),
+}
+
+
+def _sweep_inputs(name):
+    from diamondstab.pipeline import reference_linearization
+
+    form, crit, length, dxs = SWEEPS[name]
+    return reference_linearization(registry_get(form)), "simple", length, dxs, Criterion.parse(crit)
+
+
+@pytest.mark.parametrize("name", ["wave_strict", "linear_kg_nozero", "nls_growth"])
+def test_fine_resolution_reproduces_forty_halvings(name):
+    # rtol = 2.1e-12 follows the former 40 halvings midpoint for midpoint;
+    # equal bits also show that the witness step changed no verdict
+    lin, scheme, length, dxs, crit = _sweep_inputs(name)
+    res = stability_boundary_sweep(lin, scheme, length, dxs, crit, rtol=2.1e-12)
+    assert [p.dt_max for p in res.points] == _fortyfold_sweep(lin, scheme, length, dxs, crit)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_default_resolution_brackets_the_fine_boundary(name):
+    lin, scheme, length, dxs, crit = _sweep_inputs(name)
+    coarse = stability_boundary_sweep(lin, scheme, length, dxs, crit)
+    fine = stability_boundary_sweep(lin, scheme, length, dxs, crit, rtol=2.1e-12)
+    for c, f in zip(coarse.points, fine.points):
+        assert f.dt_max / (1.0 + 1e-6) <= c.dt_max <= f.dt_max
+        assert c.verdicts <= f.verdicts
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-15, -1.0, float("nan")])
+def test_sweep_rejects_unresolvable_resolution(rtol):
+    with pytest.raises(ValueError, match="rtol"):
+        stability_boundary_sweep(lin_for("wave"), "simple", 4.0, [0.4], Criterion("strict"), rtol=rtol)
+
+
+# -- reciprocal spectra and the simple / rk:1 equivalence ------------------------
+
+
+def _self_inversive_defect(ev):
+    """How far the characteristic polynomial of these eigenvalues is from
+    self-inversive, i.e. from a root set closed under lambda -> 1/conj(lambda).
+
+    With p(z) = sum a_j z^(m-j), a_0 = 1, closure means a_(m-j) =
+    a_m conj(a_j) for every j.  Each difference is divided by the
+    elementary symmetric function of the moduli that bounds both sides,
+    so clusters split by rounding (the repeated lambda = 1) do not count.
+    """
+    a = np.poly(ev)
+    E = np.poly(-np.abs(ev)).real
+    m = len(ev)
+    return max(abs(a[m - j] - a[m] * np.conj(a[j])) / (E[m - j] + abs(a[m]) * E[j]) for j in range(m + 1))
+
+
+def _random_linear_form(seed, d):
+    # a skew K with a bounded condition number: with a singular K the
+    # symbols become so far from normal that eigvals misplaces eigenvalues
+    # by up to 5e-3 even at max |lambda| < 1e3
+    rng = np.random.default_rng(seed)
+    while True:
+        K = rng.standard_normal((d, d))
+        K = K - K.T
+        if np.linalg.cond(K) < 1e2:
+            break
+    L = rng.standard_normal((d, d))
+    P = rng.standard_normal((d, d))
+    return LinearizedForm("random", tuple(f"z{i}" for i in range(d)), K, L - L.T, P + P.T, np.zeros(d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    source=st.sampled_from(["wave", "linear_kg", "dirac", "good_boussinesq", "nls_rho9", "random"]),
+    scheme=st.sampled_from(["simple", 1, 2, 3, 4]),
+    d_half=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    dx=st.floats(0.03, 0.5),
+    dt_over_dx=st.floats(0.01, 1.0),
+    N=st.integers(2, 64),
+    k_share=st.floats(0.0, 1.0),
+)
+def test_symbol_spectra_are_reciprocal(source, scheme, d_half, seed, dx, dt_over_dx, N, k_share):
+    # the nonzero eigenvalues of every symbol pair up as (lambda, 1/conj(lambda)),
+    # stable or not; an independent check of build_blocks_* and
+    # assemble_symbol_family_*.  Checked where max |lambda| <= 110, the range
+    # measured when the structure was found: beyond it eigvals resolves the
+    # small eigenvalues only to about eps (max |lambda|)^2 relative
+    if source == "random":
+        lin = _random_linear_form(seed, 2 * d_half)
+    elif source == "nls_rho9":
+        lin = nls_constant_amplitude_linearization(9.0, 2.0)
+    else:
+        lin = lin_for(source)
+    fam = symbol_family(lin, _scheme(scheme), dt_over_dx * dx, dx, N)
+    ev = np.linalg.eigvals(fam.symbol(round(k_share * (N // 2))))
+    assume(np.abs(ev).max() <= 110.0)
+    assert _self_inversive_defect(ev) <= 1e-9
+
+
+def _power_trace_gap(S, R):
+    """max over j = 1..m of |tr S^j - tr R^j|, relative to the entrywise
+    1-norm of the powers (the scale of the rounding in a computed trace)."""
+    gap, Sj, Rj = 0.0, np.eye(len(S)), np.eye(len(R))
+    for _ in range(len(S)):
+        Sj, Rj = Sj @ S, Rj @ R
+        scale = max(np.abs(Sj).sum(), np.abs(Rj).sum())
+        gap = max(gap, abs(np.trace(Sj) - np.trace(Rj)) / scale)
+    return gap
+
+
+# mixed_kg has an ill-conditioned pivot; its powers lose about 4 more digits
+TRACE_GAP = {"mixed_kg": 1e-10}
+
+
+@pytest.mark.parametrize(
+    "name", ["wave", "linear_kg", "dirac", "good_boussinesq", "nls", "mixed_kg", "ostrovsky", "improved_boussinesq"]
+)
+def test_simple_and_rk1_symbols_have_equal_power_traces(name):
+    # the simple scheme is the one-stage Gauss collocation scheme on other
+    # edge variables: the symbols are similar, so tr Lambda^j agree for j = 1..m
+    from diamondstab.pipeline import reference_linearization
+
+    lin = reference_linearization(registry_get(name))
+    tab = gauss_tableau(1)
+    worst = 0.0
+    for dt in (0.002, 0.02, 0.2):
+        for dx in (0.05, 0.2):
+            simple = symbol_family(lin, "simple", dt, dx, 32)
+            rk1 = symbol_family(lin, tab, dt, dx, 32)
+            for k in range(16):
+                worst = max(worst, _power_trace_gap(simple.symbol(k), rk1.symbol(k)))
+    assert worst <= TRACE_GAP.get(name, 5e-14), worst
