@@ -4,7 +4,9 @@ The simple scheme advances an interleaved zig-zag state (integer-point and
 half-point values per spatial cell) by solving one implicit d-dimensional
 system per diamond; all diamonds of a half-step are independent, so the
 solves are vectorized across the mesh.  The collocation variant carries r
-values per mesh edge and solves an r*r-stage system per diamond.
+values per mesh edge and solves an r*r-stage system per diamond.  Runs of
+both schemes record ``norms`` and ``snapshots``; only the simple scheme
+records ``energy``, since the collocation edge stacks hold no vertex values.
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ class RKTableau:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        if abs(np.linalg.det(A)) < 1e-14:
+        F = structure._pivot_inverse(A)
+        if F is None:
             raise ValueError("collocation matrix A must be invertible")
-        F = np.linalg.inv(A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
@@ -158,10 +160,6 @@ class MeshState:
     values: np.ndarray  # (2N, d)
     step: int = 0
 
-    @property
-    def vector(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
     def integer_points(self) -> np.ndarray:
         return self.values[0::2]
 
@@ -189,6 +187,10 @@ class RunResult:
 # and the steps predicted from that rate reach the tolerance within the budget
 _CHORD_CONTRACTION = 100.0
 _CHORD_BUDGET = 2
+# iterations per chord or Newton run (the box start's too), and the diamond
+# solves' step tolerance relative to 1 + |Z|
+_MAX_ITER = 50
+_STEP_TOL = 1e-13
 
 # per form: (scheme, dt, dx) -> Step 3's one-diamond map; the form does not
 # change during a run, so each map and its pivot inverse are made once
@@ -248,7 +250,7 @@ def _require_solved(bad: np.ndarray) -> None:
         raise NewtonError(f"diamond solve did not converge at rows {bad[:5].tolist()}")
 
 
-def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol, max_iter, step_tol):
+def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
     """The nonlinear diamond solve of both schemes.
 
     Rows (axis 0 of Z0 and of every array in ``data``) are independent
@@ -266,38 +268,38 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol, max_iter, ste
         rows = np.arange(len(Z))
     else:
         res0 = res.copy()
-        rows = _chord_iterate(residual, Z, res, data, chord, max_iter, step_tol)
+        rows = _chord_iterate(residual, Z, res, data, chord)
     if rows.size:
         if chord is not None:
             # Newton starts afresh where the chord raised the residual or overflowed
             back = rows[~(_row_norms(res[rows]) < _row_norms(res0[rows]))]
             Z[back], res[back] = Z0[back], res0[back]
         Z[rows], res[rows] = _newton(
-            residual, jacobian, Z[rows], res[rows], _take(data, rows), res_tol, max_iter, step_tol
+            residual, jacobian, Z[rows], res[rows], _take(data, rows), res_tol
         )
     return Z, res
 
 
-def _chord_iterate(residual, Z, res, data, chord, max_iter, step_tol):
+def _chord_iterate(residual, Z, res, data, chord):
     """Chord (simplified Newton) steps Z -= r(Z) chord.
 
-    A row is solved once the step it took is below tol = step_tol (1 + |Z|),
+    A row is solved once the step it took is below tol = _STEP_TOL (1 + |Z|),
     or once its next step would be below tol / _CHORD_CONTRACTION, the error
     a taken step below tol leaves at that contraction; that step is not
     taken.  A row goes to Newton when its step is not finite, when the
     step shrinks less than _CHORD_CONTRACTION-fold from the one before,
     when the steps predicted from that rate would not reach tol within
-    _CHORD_BUDGET more steps, or when max_iter steps have run.
+    _CHORD_BUDGET more steps, or when _MAX_ITER steps have run.
     Each row decides for itself, so whether it goes to Newton does not
     depend on the rest of the batch.  Updates Z and res in place and
     returns the rows left for Newton.
     """
     rows = np.arange(len(Z))
     Za, ra, da = Z, res, data
-    tol = step_tol * (1.0 + _row_norms(Za))
+    tol = _STEP_TOL * (1.0 + _row_norms(Za))
     prev = np.inf
     newton = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if rows.size == 0:
             break
         delta = ra @ chord
@@ -314,24 +316,24 @@ def _chord_iterate(residual, Z, res, data, chord, max_iter, step_tol):
         Za = Za - delta
         ra = residual(Za, *da)
         Z[rows], res[rows] = Za, ra
-        tol = step_tol * (1.0 + _row_norms(Za))
+        tol = _STEP_TOL * (1.0 + _row_norms(Za))
         left = ~(step < tol)
         if not left.all():
             rows, Za, ra, step, tol, *da = (a[left] for a in (rows, Za, ra, step, tol, *da))
         prev = step
-    newton.append(rows)  # empty unless max_iter steps ran
+    newton.append(rows)  # empty unless _MAX_ITER steps ran
     return np.concatenate(newton)
 
 
-def _newton(residual, jacobian, Z, res, data, res_tol, max_iter, step_tol):
+def _newton(residual, jacobian, Z, res, data, res_tol):
     """Newton on rows started at Z with residual res.
 
     A row stops once its residual is at most res_tol (1 + |Z|) or its own
-    step is below step_tol (1 + |Z|), so its result does not depend on the
+    step is below _STEP_TOL (1 + |Z|), so its result does not depend on the
     rest of the batch.  Updates Z and res in place and returns them.
     """
     rows = np.arange(len(Z))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         Za, ra = Z[rows], res[rows]
         scale = 1.0 + _row_norms(Za)
         live = _row_norms(ra) > res_tol * scale
@@ -345,7 +347,7 @@ def _newton(residual, jacobian, Z, res, data, res_tol, max_iter, step_tol):
             raise NewtonError("singular Newton matrix in the diamond solve") from exc
         Z[rows] = Za = Za - delta
         res[rows] = residual(Za, *da)
-        rows = rows[~(_row_norms(delta) / scale < step_tol)]
+        rows = rows[~(_row_norms(delta) / scale < _STEP_TOL)]
     return Z, res
 
 
@@ -356,8 +358,6 @@ def solve_diamonds(
     Zr: np.ndarray,
     dt: float,
     dx: float,
-    max_iter: int = 50,
-    step_tol: float = 1e-13,
 ) -> np.ndarray:
     """Solve a batch of diamond updates; rows are independent diamonds.
 
@@ -381,7 +381,7 @@ def solve_diamonds(
     Zt, res = _solve_nonlinear(
         lambda Z, c, s: _residual(form, Z, KdtT, c, s),
         lambda Z, c, s: KdtT.T - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
-        Zb, (c, s), chord, 1e-13 * opscale, max_iter, step_tol,
+        Zb, (c, s), chord, 1e-13 * opscale,
     )
     norm = _row_norms(res)
     # norm <= tol * scale with scale >= 1: only rows above tol need the scale
@@ -411,8 +411,6 @@ def solve_diamond_rk(
     zl_stack: np.ndarray,
     dt: float,
     dx: float,
-    max_iter: int = 50,
-    step_tol: float = 1e-13,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collocation update of a batch of independent diamonds.
 
@@ -464,9 +462,7 @@ def solve_diamond_rk(
         return J
 
     Z0 = np.repeat(zb[:, :, None, :], r, axis=2).reshape(n, 1, m)
-    Z, res = _solve_nonlinear(
-        residual, jacobian, Z0, (zb, zl), bl.pivot_inv.T, 0.0, max_iter, step_tol
-    )
+    Z, res = _solve_nonlinear(residual, jacobian, Z0, (zb, zl), bl.pivot_inv.T, 0.0)
     _require_solved(np.flatnonzero(~(_row_norms(res) <= 1e-9 * (1.0 + _row_norms(Z)))))
     Z = Z.reshape(n, r, r, d)
     zt = (1.0 - alpha) * zb + beta @ Z
@@ -517,7 +513,7 @@ def _eval_pointwise(fn, xs: np.ndarray, d: int) -> np.ndarray:
     return np.stack([np.asarray(fn(float(x)), dtype=float) for x in xs])
 
 
-def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams, max_iter: int = 50) -> np.ndarray:
+def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams) -> np.ndarray:
     """One Preissmann-type box step of length dt/2 onto the half-point grid.
 
     Cell i spans [x_{i-1/2}, x_{i+1/2}]; the unknown top values sit at the
@@ -543,8 +539,7 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams, max_iter: in
 
     U = bot.copy()
     res = residual(U)
-    # residual entries scale with the K/dt operator, so tolerance must too
-    opscale = (np.abs(K).max() / dt2 + np.abs(L).max() / dx + 1.0)
+    opscale = _opscale(form, dt2, dx)
 
     def converged():
         return np.linalg.norm(res) < 1e-11 * opscale * (1.0 + np.linalg.norm(U))
@@ -562,7 +557,7 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams, max_iter: in
     # cyclic block-bidiagonal Jacobian: block row i couples cells i and i-1
     cells = np.arange(N)
     block_cols = np.stack([cells, (cells - 1) % N], axis=1).reshape(-1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if converged():
             break
         ctr = 0.25 * (U + np.roll(U, 1, axis=0) + bot + np.roll(bot, 1, axis=0))
@@ -637,7 +632,6 @@ def integrate(
     exact=None,
     init_method: str = "auto",
     blowup: float = 1e8,
-    cadence: int | None = None,
 ) -> RunResult:
     """Advance the diamond scheme to the time horizon.
 
@@ -645,19 +639,22 @@ def integrate(
     is an independent map over the N diamonds, solved as one batch.  A value
     exceeding ``blowup``, or any non-finite value, ends the run with status
     "diverged" (an outcome, not an error).  A non-finite initial state is
-    rejected with ValueError.  Observers are sampled every ``cadence`` full
-    steps.
+    rejected with ValueError.  Observers are sampled at t = 0, every
+    max(100, nt / 200) full steps and at the horizon.  "norms" and
+    "snapshots" work for both schemes; "energy" is a simple-scheme observer
+    (the collocation edge stacks hold no vertex values), so collocation runs
+    return ``energies`` None.
     """
     if isinstance(scheme, str):
         scheme = parse_scheme(scheme)
+    simple = scheme == "simple"
     nt = mesh.nt
     # the diamond on cell i has its left neighbour at i-1 in the first
     # half-step and its right neighbour at i+1 in the second
     cells = np.arange(mesh.N)
     left, right = (cells - 1) % mesh.N, (cells + 1) % mesh.N
-    if cadence is None:
-        cadence = max(100, math.ceil(nt / 200))
-    want_energy = "energy" in observers
+    cadence = max(100, math.ceil(nt / 200))
+    want_energy = simple and "energy" in observers
     want_snapshots = "snapshots" in observers
     want_norms = "norms" in observers
 
@@ -666,63 +663,54 @@ def integrate(
     snapshots: list[tuple[float, np.ndarray]] = []
     norms: list[float] = []
 
-    if scheme == "simple":
-        state = init_half_step(form, ic, mesh, method=init_method, exact=exact)
-        values = state.values.copy()
-        _require_finite(values, "initial state")
+    # simple: the zig-zag state (2N, d); collocation: 2N edge stacks (2N, r, d)
+    if simple:
+        values = init_half_step(form, ic, mesh, method=init_method, exact=exact).values
+    else:
+        values = init_edges_rk(form, scheme, ic, mesh, exact=exact)
+    _require_finite(values, "initial state")
 
-        def record(step):
-            t = step * mesh.dt
-            times.append(t)
-            if want_energy:
-                energies.append(total_energy(form, values[0::2], mesh))
-            if want_snapshots:
-                snapshots.append((t, values[0::2].copy()))
-            if want_norms:
-                norms.append(float(np.abs(values).max()))
+    def record(step):
+        t = step * mesh.dt
+        times.append(t)
+        if want_energy:
+            energies.append(total_energy(form, values[0::2], mesh))
+        if want_snapshots:
+            snapshots.append((t, (values[0::2] if simple else values).copy()))
+        if want_norms:
+            norms.append(float(np.abs(values).max()))
 
-        def result(status, step, diverged_at=None):
-            return RunResult(
-                status, MeshState(values, step), np.array(times),
-                np.array(energies) if want_energy else None, snapshots,
-                diverged_at=diverged_at,
-                norms=np.array(norms) if want_norms else None,
-            )
+    def result(status, step, diverged_at=None):
+        return RunResult(
+            status, MeshState(values, step) if simple else None, np.array(times),
+            np.array(energies) if want_energy else None, snapshots,
+            diverged_at=diverged_at, edge_state=None if simple else values,
+            norms=np.array(norms) if want_norms else None,
+        )
 
-        record(0)
-        evens, odds = values[0::2], values[1::2]
-        for step in range(1, nt + 1):
+    record(0)
+    evens, odds = values[0::2], values[1::2]
+    for step in range(1, nt + 1):
+        if simple:
             evens[:] = solve_diamonds(form, evens, odds[left], odds, mesh.dt, mesh.dx)
             if _blown_up(evens, blowup):
                 return result("diverged", step, diverged_at=(step - 0.5) * mesh.dt)
             odds[:] = solve_diamonds(form, odds, evens, evens[right], mesh.dt, mesh.dx)
             if _blown_up(odds, blowup):
                 return result("diverged", step, diverged_at=step * mesh.dt)
-            if step % cadence == 0 or step == nt:
-                record(step)
-        return result("completed", nt)
-
-    # collocation scheme: state holds 2N edge stacks; the diamond on cell i
-    # takes slot 2i from below and its left neighbour slot 2i-1 in the first
-    # half-step, and slots 2i+1 (below) and 2i (left) in the second
-    tableau = scheme
-    edges = init_edges_rk(form, tableau, ic, mesh, exact=exact)
-    _require_finite(edges, "initial state")
-    rising, falling = edges[0::2], edges[1::2]
-    for step in range(1, nt + 1):
-        zt, zr = solve_diamond_rk(form, tableau, rising, falling[left], mesh.dt, mesh.dx)
-        rising[:], falling[:] = zr, zt[right]
-        zt, zr = solve_diamond_rk(form, tableau, falling, rising, mesh.dt, mesh.dx)
-        rising[:], falling[:] = zt, zr
-        t = step * mesh.dt
-        if _blown_up(edges, blowup):
-            return RunResult("diverged", None, np.array(times), None, snapshots,
-                             diverged_at=t, edge_state=edges)
+        else:
+            # the diamond on cell i takes slot 2i from below and its left
+            # neighbour slot 2i-1 in the first half-step, and slots 2i+1
+            # (below) and 2i (left) in the second
+            zt, zr = solve_diamond_rk(form, scheme, evens, odds[left], mesh.dt, mesh.dx)
+            evens[:], odds[:] = zr, zt[right]
+            zt, zr = solve_diamond_rk(form, scheme, odds, evens, mesh.dt, mesh.dx)
+            evens[:], odds[:] = zt, zr
+            if _blown_up(values, blowup):
+                return result("diverged", step, diverged_at=step * mesh.dt)
         if step % cadence == 0 or step == nt:
-            times.append(t)
-            if want_snapshots:
-                snapshots.append((t, edges.copy()))
-    return RunResult("completed", None, np.array(times), None, snapshots, edge_state=edges)
+            record(step)
+    return result("completed", nt)
 
 
 def _blown_up(values: np.ndarray, blowup: float) -> bool:
@@ -756,8 +744,6 @@ def energy_density(form: MultiSymplecticForm, z: np.ndarray, dx: float) -> np.nd
     fn = _ENERGY_OVERRIDES.get(form.name)
     if fn is not None:
         return fn(form, z, dx)
-    if form.s_terms is None:
-        raise ValueError(f"no energy density registered for form {form.name!r}")
     return _generic_density(form, z, dx)
 
 

@@ -3,7 +3,9 @@
 A form is a first-order system ``K z_t + L z_x = grad S(z)`` with
 skew-symmetric ``K`` and ``L``.  The gradient is split into a linear part
 ``P z`` and a list of polynomial terms of total degree >= 2, which keeps
-every form exactly serializable and makes Jacobians exact.
+every form exactly serializable and makes Jacobians exact.  The potential S
+itself is derived from that gradient (``eval_S``), so every validated form,
+registered or loaded from JSON, has an energy.
 
 The registry at the bottom ships the standard catalogue of equations used
 throughout the stability pipeline (wave, Klein-Gordon variants, advection,
@@ -69,10 +71,6 @@ class MultiSymplecticForm:
 
     Instances compare by identity (arrays make field-wise equality and
     hashing unhelpful), which also lets evaluation caches key off them.
-
-    ``s_terms`` optionally carries the scalar potential S itself as a list
-    of ``(coeff, exponents)`` monomials; it is redundant with ``P``/``terms``
-    but lets observers evaluate S pointwise (e.g. for energy densities).
     ``params`` records the named constants the form was built with.
     """
 
@@ -82,7 +80,6 @@ class MultiSymplecticForm:
     L: np.ndarray
     P: np.ndarray
     terms: tuple[PolynomialTerm, ...] = ()
-    s_terms: tuple[tuple[float, tuple[int, ...]], ...] | None = None
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
@@ -219,13 +216,18 @@ def eval_jac_S(form: MultiSymplecticForm, z) -> np.ndarray:
 
 
 def eval_S(form: MultiSymplecticForm, z) -> np.ndarray:
-    """Evaluate the scalar S(z) itself; requires ``s_terms``."""
-    if form.s_terms is None:
-        raise ValueError(f"form {form.name!r} has no registered scalar potential")
+    """Evaluate the scalar S(z) from its gradient, with S(0) = 0.
+
+    S(z) = integral over tau in [0, 1] of z . grad S(tau z)
+         = z.Pz / 2 + sum_t c_t z_{row_t} z^{e_t} / (|e_t| + 1),
+    which is exact for the exact polynomial gradients validate_form admits.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape[:-1])
-    for coeff, exps in form.s_terms:
-        out += coeff * np.prod(z ** np.asarray(exps), axis=-1)
+    out = 0.5 * np.einsum("...i,...i->...", z, z @ form.P.T)
+    if form.terms:
+        E, C, R, _, max_exp, cols_g, _ = _compiled_terms(form)
+        monos = _power_table(z, max_exp)[..., cols_g, E].prod(axis=-1)
+        out += (monos * (z @ R.T)) @ (C / (E.sum(axis=1) + 1))
     return out
 
 
@@ -399,8 +401,7 @@ def _wave() -> MultiSymplecticForm:
     K = _skew(3, {(0, 1): -1.0})
     L = _skew(3, {(0, 2): 1.0})
     P = np.diag([0.0, 1.0, -1.0])
-    s = ((0.5, (0, 2, 0)), (-0.5, (0, 0, 2)))
-    return MultiSymplecticForm("wave", ("u", "v", "w"), K, L, P, s_terms=s)
+    return MultiSymplecticForm("wave", ("u", "v", "w"), K, L, P)
 
 
 def _linear_kg() -> MultiSymplecticForm:
@@ -411,8 +412,7 @@ def _linear_kg() -> MultiSymplecticForm:
     K = _skew(3, {(0, 1): -1.0})
     L = _skew(3, {(0, 2): 1.0})
     P = np.diag([1.0, 1.0, -1.0])
-    s = ((0.5, (2, 0, 0)), (0.5, (0, 2, 0)), (-0.5, (0, 0, 2)))
-    return MultiSymplecticForm("linear_kg", ("u", "v", "w"), K, L, P, s_terms=s)
+    return MultiSymplecticForm("linear_kg", ("u", "v", "w"), K, L, P)
 
 
 def _mixed_kg(a: float = -math.pi**2) -> MultiSymplecticForm:
@@ -420,9 +420,8 @@ def _mixed_kg(a: float = -math.pi**2) -> MultiSymplecticForm:
     K = _skew(3, {(0, 1): 0.5})
     L = _skew(3, {(0, 2): 1.0})
     P = _sym(3, {(0, 0): -a, (1, 2): 1.0})
-    s = ((-0.5 * a, (2, 0, 0)), (1.0, (0, 1, 1)))
     return MultiSymplecticForm(
-        "mixed_kg", ("u", "v", "w"), K, L, P, s_terms=s, params=(("a", a),)
+        "mixed_kg", ("u", "v", "w"), K, L, P, params=(("a", a),)
     )
 
 
@@ -431,8 +430,7 @@ def _advection() -> MultiSymplecticForm:
     K = _skew(3, {(0, 1): 1.0})
     L = _skew(3, {(0, 2): 1.0})
     P = _sym(3, {(1, 1): 2.0, (1, 2): -1.0})
-    s = ((1.0, (0, 2, 0)), (-1.0, (0, 1, 1)))
-    return MultiSymplecticForm("advection", ("phi", "u", "w"), K, L, P, s_terms=s)
+    return MultiSymplecticForm("advection", ("phi", "u", "w"), K, L, P)
 
 
 def _kdv() -> MultiSymplecticForm:
@@ -443,8 +441,7 @@ def _kdv() -> MultiSymplecticForm:
     L[1, 2], L[2, 1] = -2.0, 2.0
     P = _sym(4, {(1, 3): -1.0, (2, 2): 2.0})
     terms = (PolynomialTerm(2, 1.0, (0, 2, 0, 0)),)
-    s = ((-1.0, (0, 1, 0, 1)), (1.0 / 3.0, (0, 3, 0, 0)), (1.0, (0, 0, 2, 0)))
-    return MultiSymplecticForm("kdv", ("psi", "u", "w", "p"), K, L, P, terms, s)
+    return MultiSymplecticForm("kdv", ("psi", "u", "w", "p"), K, L, P, terms)
 
 
 def _camassa_holm() -> MultiSymplecticForm:
@@ -459,8 +456,7 @@ def _camassa_holm() -> MultiSymplecticForm:
         PolynomialTerm(1, -0.5, (0, 0, 0, 0, 2)),
         PolynomialTerm(5, -1.0, (1, 0, 0, 0, 1)),
     )
-    s = ((0.5, (1, 0, 1, 0, 0)), (-0.5, (1, 0, 0, 0, 2)), (1.0, (0, 0, 0, 1, 1)))
-    return MultiSymplecticForm("camassa_holm", ("u", "phi", "w", "psi", "v"), K, L, P, terms, s)
+    return MultiSymplecticForm("camassa_holm", ("u", "phi", "w", "psi", "v"), K, L, P, terms)
 
 
 def _bbm(sigma: float = 1.0) -> MultiSymplecticForm:
@@ -469,13 +465,8 @@ def _bbm(sigma: float = 1.0) -> MultiSymplecticForm:
     L = _skew(5, {(0, 4): -1.0, (1, 3): -0.5 * sigma})
     P = _sym(5, {(1, 4): 1.0, (2, 3): 0.5 * sigma})
     terms = (PolynomialTerm(2, -0.5, (0, 2, 0, 0, 0)),)
-    s = (
-        (1.0, (0, 1, 0, 0, 1)),
-        (-1.0 / 6.0, (0, 3, 0, 0, 0)),
-        (0.5 * sigma, (0, 0, 1, 1, 0)),
-    )
     return MultiSymplecticForm(
-        "bbm", ("phi", "u", "v", "w", "p"), K, L, P, terms, s, params=(("sigma", sigma),)
+        "bbm", ("phi", "u", "v", "w", "p"), K, L, P, terms, params=(("sigma", sigma),)
     )
 
 
@@ -491,8 +482,7 @@ def _hunter_saxton_1() -> MultiSymplecticForm:
         PolynomialTerm(1, -0.5, (0, 0, 0, 0, 2)),
         PolynomialTerm(5, -1.0, (1, 0, 0, 0, 1)),
     )
-    s = ((-1.0, (1, 0, 1, 0, 0)), (-0.5, (1, 0, 0, 0, 2)), (1.0, (0, 0, 0, 1, 1)))
-    return MultiSymplecticForm("hunter_saxton_1", ("u", "phi", "w", "v", "eta"), K, L, P, terms, s)
+    return MultiSymplecticForm("hunter_saxton_1", ("u", "phi", "w", "v", "eta"), K, L, P, terms)
 
 
 def _hunter_saxton_2() -> MultiSymplecticForm:
@@ -507,14 +497,8 @@ def _hunter_saxton_2() -> MultiSymplecticForm:
         PolynomialTerm(1, -1.0, (1, 0, 0, 1, 0, 0, 0, 0)),
         PolynomialTerm(4, -0.5, (2, 0, 0, 0, 0, 0, 0, 0)),
     )
-    s = (
-        (-1.0, (1, 0, 0, 0, 0, 1, 0, 0)),
-        (-0.5, (2, 0, 0, 1, 0, 0, 0, 0)),
-        (-1.0, (0, 0, 1, 1, 0, 0, 0, 0)),
-        (1.0, (0, 0, 0, 0, 0, 0, 0, 2)),
-    )
     return MultiSymplecticForm(
-        "hunter_saxton_2", ("u", "beta", "w", "alpha", "phi", "gamma", "P", "r"), K, L, P, terms, s
+        "hunter_saxton_2", ("u", "beta", "w", "alpha", "phi", "gamma", "P", "r"), K, L, P, terms
     )
 
 
@@ -526,14 +510,7 @@ def _improved_boussinesq() -> MultiSymplecticForm:
     P[0, 0], P[1, 1], P[2, 2] = 1.0, -1.0, -1.0
     P[4, 5] = P[5, 4] = 1.0
     terms = (PolynomialTerm(1, 1.0, (2, 0, 0, 0, 0, 0)),)
-    s = (
-        (0.5, (2, 0, 0, 0, 0, 0)),
-        (1.0 / 3.0, (3, 0, 0, 0, 0, 0)),
-        (-0.5, (0, 2, 0, 0, 0, 0)),
-        (-0.5, (0, 0, 2, 0, 0, 0)),
-        (1.0, (0, 0, 0, 0, 1, 1)),
-    )
-    return MultiSymplecticForm("improved_boussinesq", ("u", "v", "n", "w", "p", "q"), K, L, P, terms, s)
+    return MultiSymplecticForm("improved_boussinesq", ("u", "v", "n", "w", "p", "q"), K, L, P, terms)
 
 
 def _ostrovsky(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> MultiSymplecticForm:
@@ -542,14 +519,8 @@ def _ostrovsky(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> Mul
     L = _skew(4, {(0, 3): -1.0, (1, 2): -1.0})
     P = _sym(4, {(0, 0): -gamma, (1, 3): 1.0, (2, 2): 1.0 / beta})
     terms = (PolynomialTerm(2, -0.5 * alpha, (0, 2, 0, 0)),)
-    s = (
-        (-0.5 * gamma, (2, 0, 0, 0)),
-        (1.0, (0, 1, 0, 1)),
-        (-alpha / 6.0, (0, 3, 0, 0)),
-        (0.5 / beta, (0, 0, 2, 0)),
-    )
     return MultiSymplecticForm(
-        "ostrovsky", ("phi", "u", "v", "w"), K, L, P, terms, s,
+        "ostrovsky", ("phi", "u", "v", "w"), K, L, P, terms,
         params=(("alpha", alpha), ("beta", beta), ("gamma", gamma)),
     )
 
@@ -560,13 +531,7 @@ def _good_boussinesq() -> MultiSymplecticForm:
     L = _skew(4, {(0, 2): -1.0, (1, 3): -1.0})
     P = np.diag([-1.0, 0.0, 1.0, 1.0])
     terms = (PolynomialTerm(1, -2.0, (2, 0, 0, 0)),)
-    s = (
-        (-0.5, (2, 0, 0, 0)),
-        (-2.0 / 3.0, (3, 0, 0, 0)),
-        (0.5, (0, 0, 2, 0)),
-        (0.5, (0, 0, 0, 2)),
-    )
-    return MultiSymplecticForm("good_boussinesq", ("u", "v", "p", "q"), K, L, P, terms, s)
+    return MultiSymplecticForm("good_boussinesq", ("u", "v", "p", "q"), K, L, P, terms)
 
 
 def _dirac(m: float = 1.0, lam: float = 1.0) -> MultiSymplecticForm:
@@ -591,17 +556,8 @@ def _dirac(m: float = 1.0, lam: float = 1.0) -> MultiSymplecticForm:
         PolynomialTerm(4, c, (2, 0, 0, 1)), PolynomialTerm(4, c, (0, 2, 0, 1)),
         PolynomialTerm(4, -c, (0, 0, 2, 1)), PolynomialTerm(4, -c, (0, 0, 0, 3)),
     )
-    h = -0.5 * lam
-    s = (
-        (0.5 * m, (2, 0, 0, 0)), (0.5 * m, (0, 2, 0, 0)),
-        (-0.5 * m, (0, 0, 2, 0)), (-0.5 * m, (0, 0, 0, 2)),
-        (h, (4, 0, 0, 0)), (h, (0, 4, 0, 0)), (h, (0, 0, 4, 0)), (h, (0, 0, 0, 4)),
-        (2 * h, (2, 2, 0, 0)), (2 * h, (0, 0, 2, 2)),
-        (-2 * h, (2, 0, 2, 0)), (-2 * h, (2, 0, 0, 2)),
-        (-2 * h, (0, 2, 2, 0)), (-2 * h, (0, 2, 0, 2)),
-    )
     return MultiSymplecticForm(
-        "dirac", ("p1", "q1", "p2", "q2"), K, L, P, terms, s,
+        "dirac", ("p1", "q1", "p2", "q2"), K, L, P, terms,
         params=(("m", m), ("lam", lam)),
     )
 
@@ -615,11 +571,7 @@ def _nls(a: float = 2.0) -> MultiSymplecticForm:
         PolynomialTerm(1, a, (3, 0, 0, 0)), PolynomialTerm(1, a, (1, 2, 0, 0)),
         PolynomialTerm(2, a, (2, 1, 0, 0)), PolynomialTerm(2, a, (0, 3, 0, 0)),
     )
-    s = (
-        (0.25 * a, (4, 0, 0, 0)), (0.25 * a, (0, 4, 0, 0)), (0.5 * a, (2, 2, 0, 0)),
-        (0.5, (0, 0, 2, 0)), (0.5, (0, 0, 0, 2)),
-    )
-    return MultiSymplecticForm("nls", ("p", "q", "v", "w"), K, L, P, terms, s, params=(("a", a),))
+    return MultiSymplecticForm("nls", ("p", "q", "v", "w"), K, L, P, terms, params=(("a", a),))
 
 
 _REGISTRY = {

@@ -383,9 +383,6 @@ class SweepResult:
     log_c: float | None  # intercept of the free log-log fit
     c_cubic: float | None  # constant fitted with the slope pinned to 3
 
-    def fitted_c(self) -> float | None:
-        return None if self.log_c is None else float(np.exp(self.log_c))
-
 
 def symbol_family(lin: LinearizedForm, scheme, dt: float, dx: float, N: int) -> SymbolFamily:
     """Frequency symbols of one full step; ``scheme`` is "simple" or an RKTableau."""

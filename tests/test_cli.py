@@ -114,6 +114,21 @@ def test_cli_run_writes_outputs(tmp_path):
     assert header == ["x", "p1", "q1", "p2", "q2"]
 
 
+def test_cli_run_collocation_writes_norms_from_t0(tmp_path):
+    outdir = tmp_path / "run"
+    rc = main([
+        "run", "--pde", "dirac", "--scheme", "rk:2", "--dx", "0.3", "--dt", "0.2",
+        "--domain=-24,24", "--T", "0.4", "--ic", "breather",
+        "--observe", "norms", "--out", str(outdir),
+    ])
+    assert rc == 0
+    with open(outdir / "norms.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["t"]) for r in rows] == pytest.approx([0.0, 0.4])
+    assert all(float(r["max_abs"]) > 0.0 for r in rows)
+    assert not (outdir / "energy.csv").exists()
+
+
 def test_cli_run_solver_failure_is_one_line_error(tmp_path, capsys):
     # kdv is structurally inconsistent: the collocation stage solve fails
     rc = main([

@@ -185,12 +185,15 @@ def test_wave_energy_constant_field():
     assert total_energy(form, MeshState(values), mesh) == pytest.approx(0.5)
 
 
-def test_energy_unregistered_form_raises():
-    from diamondstab.msform import MultiSymplecticForm
-    form = MultiSymplecticForm("anon", ("a", "b"), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+def test_energy_of_anonymous_form_comes_from_its_gradient():
+    # no stored potential: S is derived from P, and L = 0 leaves E = S = z.Pz / 2
+    P = np.array([[2.0, 0.5], [0.5, -1.0]])
+    form = MultiSymplecticForm("anon", ("a", "b"), np.zeros((2, 2)), np.zeros((2, 2)), P)
     mesh = MeshParams(a=0.0, b=1.0, N=4, dt=0.1, T=0.1)
-    with pytest.raises(ValueError, match="energy"):
-        total_energy(form, MeshState(np.zeros((8, 2))), mesh)
+    values = np.random.default_rng(5).standard_normal((8, 2))
+    z = values[0::2]
+    expected = 0.5 * np.einsum("ij,jk,ik->", z, P, z) * mesh.dx
+    assert total_energy(form, MeshState(values), mesh) == pytest.approx(expected, rel=1e-14)
 
 
 def test_convergence_order_simple_and_rk1():
@@ -309,9 +312,11 @@ def test_rk_integrate_box_fallback_zero_ic():
     # no exact solution supplied: edges come from the box half-step fallback
     form = registry_get("nls")
     mesh = MeshParams(a=0.0, b=2.0, N=8, dt=0.01, T=0.05)
-    res = integrate(form, "rk:1", lambda x: np.zeros(4), mesh, observers=())
+    res = integrate(form, "rk:1", lambda x: np.zeros(4), mesh, observers=("norms",))
     assert res.status == "completed"
     assert np.abs(res.edge_state).max() == 0.0
+    assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(mesh.T)
+    assert len(res.norms) == len(res.times) and not res.norms.any()
 
 
 def test_rk_singular_stage_matrix_raises():
@@ -742,11 +747,14 @@ def test_integrate_overflow_is_divergence(scheme):
     mesh = MeshParams(a=-1.0, b=1.0, N=40, dt=1e-3, T=1.0)
     with np.errstate(all="ignore"):
         res = integrate(
-            form, scheme, lambda x: 1e300 * ic(x), mesh, observers=(),
+            form, scheme, lambda x: 1e300 * ic(x), mesh, observers=("norms",),
             exact=lambda x, t: 1e300 * exact(x, t), blowup=np.inf,
         )
     assert res.status == "diverged"
     assert res.diverged_at < mesh.T
+    # both schemes sample t = 0, so a diverged run still reports its start
+    assert res.times[0] == 0.0 and len(res.norms) == len(res.times)
+    assert np.isfinite(res.norms[0])
 
 
 def test_discrete_conservation_random_pairs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diamondstab import msform
+from diamondstab.integrator import MeshParams, MeshState, total_energy
 from diamondstab.msform import (
     FormValidationError,
     MultiSymplecticForm,
@@ -162,6 +163,60 @@ def test_scalar_potential_matches_gradient(name):
             e[j] = h
             g_fd[j] = (eval_S(f, z + e) - eval_S(f, z - e)) / (2 * h)
         np.testing.assert_allclose(eval_grad_S(f, z), g_fd, rtol=1e-5, atol=1e-6)
+
+
+def _random_potential_form(rng, d):
+    """A form whose gradient is that of a random polynomial S of degree 2..4,
+    written into P and terms by exponent arithmetic; returns it and S."""
+    monomials = []
+    for _ in range(rng.integers(3, 9)):
+        alpha = np.zeros(d, dtype=int)
+        for j in rng.integers(0, d, size=rng.integers(2, 5)):
+            alpha[j] += 1
+        monomials.append((float(rng.uniform(-2.0, 2.0)), alpha))
+    P = np.zeros((d, d))
+    terms = []
+    for a, alpha in monomials:
+        for j in np.flatnonzero(alpha):
+            rest = alpha.copy()
+            rest[j] -= 1  # d/dz_j of z^alpha is alpha_j z^(alpha - e_j)
+            if rest.sum() == 1:
+                P[j, np.flatnonzero(rest)[0]] += a * alpha[j]
+            else:
+                terms.append(PolynomialTerm(int(j) + 1, a * alpha[j], tuple(int(e) for e in rest)))
+    K = np.triu(rng.standard_normal((d, d)), 1)
+    L = np.triu(rng.standard_normal((d, d)), 1)
+    form = MultiSymplecticForm("random", tuple(f"z{i}" for i in range(d)), K - K.T, L - L.T, P, tuple(terms))
+
+    def S(z):
+        parts = np.stack([a * np.prod(z**alpha, axis=-1) for a, alpha in monomials])
+        return parts.sum(axis=0), np.abs(parts).sum(axis=0)
+
+    return form, S
+
+
+def test_derived_potential_matches_random_polynomials():
+    rng = np.random.default_rng(2015)
+    for _ in range(60):
+        d = int(rng.integers(2, 7))
+        form, S = _random_potential_form(rng, d)
+        assert validate_form(form).ok
+        z = rng.standard_normal((50, d))
+        expected, scale = S(z)
+        assert np.all(np.abs(eval_S(form, z) - expected) <= 1e-12 * scale)
+        # one point of shape (d,) alone
+        assert eval_S(form, z[0]) == pytest.approx(expected[0], rel=1e-12, abs=1e-12 * scale[0])
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_json_roundtrip_keeps_total_energy(name, tmp_path):
+    f = registry_get(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(msform.form_to_dict(f)))
+    g = load_form_json(path)
+    mesh = MeshParams(a=0.0, b=1.0, N=16, dt=0.1, T=0.1)
+    values = 0.5 * np.random.default_rng(13).standard_normal((2 * mesh.N, f.d))
+    assert total_energy(g, MeshState(values), mesh) == total_energy(f, MeshState(values), mesh)
 
 
 def test_json_roundtrip_wave(tmp_path):
