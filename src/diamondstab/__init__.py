@@ -44,7 +44,6 @@ from .integrator import (
     integrate,
     parse_scheme,
     solve_diamond_rk,
-    solve_diamond_simple,
     total_energy,
     verify_discrete_conservation,
 )

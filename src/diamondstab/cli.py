@@ -209,7 +209,8 @@ def _cmd_run(args) -> int:
     N = round((b - a) / args.dx)
     mesh = MeshParams(a=a, b=b, N=N, dt=args.dt, T=args.T)
     ic, exact = builtin_initial_condition(args.ic, form)
-    observers = tuple(args.observe.split(",")) if args.observe else ()
+    observe = args.observe if args.observe is not None else "energy" if scheme == "simple" else "norms"
+    observers = tuple(observe.split(",")) if observe else ()
     result = integrate(form, scheme, ic, mesh, observers=observers, exact=exact)
 
     outdir = Path(args.out)
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--domain", default="0,1", help="a,b")
     pr.add_argument("--T", type=float, required=True)
     pr.add_argument("--ic", required=True)
-    pr.add_argument("--observe", default="energy")
+    pr.add_argument("--observe", help="comma-separated observers; default energy (simple) or norms (rk:R)")
     pr.add_argument("--out", required=True)
     pr.add_argument("--params", nargs="*", metavar="key=val")
     pr.set_defaults(func=_cmd_run)

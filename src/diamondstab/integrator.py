@@ -30,7 +30,6 @@ __all__ = [
     "MeshState",
     "RunResult",
     "NewtonError",
-    "solve_diamond_simple",
     "solve_diamonds",
     "solve_diamond_rk",
     "init_half_step",
@@ -220,16 +219,6 @@ def _opscale(form: MultiSymplecticForm, dt: float, dx: float) -> float:
     return np.abs(form.K).max() / dt + np.abs(form.L).max() / dx + 1.0
 
 
-def _fold_corners(form, Zb, Zl, Zr, dt, dx):
-    """The known corners of each diamond folded into two constants per row."""
-    KdtT = (form.K / dt).T
-    return KdtT, (Zr - Zl) @ (form.L / dx).T - Zb @ KdtT, Zb + Zl + Zr
-
-
-def _residual(form, Zt, KdtT, c, s):
-    return Zt @ KdtT + c - eval_grad_S(form, 0.25 * (Zt + s))
-
-
 def _row_norms(Z: np.ndarray) -> np.ndarray:
     if Z.ndim > 2:
         Z = Z.reshape(len(Z), math.prod(Z.shape[1:]))
@@ -238,11 +227,6 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
 
 def _take(arrays: tuple, rows) -> tuple:
     return tuple(a[rows] for a in arrays)
-
-
-def _as_rows(Z) -> np.ndarray:
-    # a contiguous copy: the zig-zag halves arrive as strided views
-    return np.array(Z, dtype=float, ndmin=2)
 
 
 def _require_solved(bad: np.ndarray) -> None:
@@ -368,7 +352,8 @@ def solve_diamonds(
     bottom values with the inverse of that pivot as the chord, or Newton
     alone where it is singular, with res_tol 1e-13 opscale.
     """
-    Zb, Zl, Zr = _as_rows(Zb), _as_rows(Zl), _as_rows(Zr)
+    # contiguous copies: the zig-zag halves arrive as strided views
+    Zb, Zl, Zr = (np.array(Z, dtype=float, ndmin=2) for Z in (Zb, Zl, Zr))
     if form.is_linear:
         bl = _step3_blocks(form, "simple", dt, dx)
         return (np.concatenate([Zb, Zl, Zr], axis=1)[:, None] @ np.hstack([bl.B, bl.Am, bl.Ap]).T)[:, 0]
@@ -376,10 +361,12 @@ def solve_diamonds(
         chord = _step3_blocks(form, "simple", dt, dx).pivot_inv.T
     except spectral.SingularUpdateError:  # Newton alone
         chord = None
-    KdtT, c, s = _fold_corners(form, Zb, Zl, Zr, dt, dx)
+    # the known corners of each diamond folded into two constants per row
+    KdtT = (form.K / dt).T
+    c, s = (Zr - Zl) @ (form.L / dx).T - Zb @ KdtT, Zb + Zl + Zr
     opscale = _opscale(form, dt, dx)
     Zt, res = _solve_nonlinear(
-        lambda Z, c, s: _residual(form, Z, KdtT, c, s),
+        lambda Z, c, s: Z @ KdtT + c - eval_grad_S(form, 0.25 * (Z + s)),
         lambda Z, c, s: KdtT.T - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
         Zb, (c, s), chord, 1e-13 * opscale,
     )
@@ -391,17 +378,6 @@ def solve_diamonds(
         bad = bad[~(norm[bad] <= 1e-9 * opscale * scale)]
     _require_solved(bad)
     return Zt
-
-
-def solve_diamond_simple(form, z_b, z_l, z_r, dt: float, dx: float) -> np.ndarray:
-    """One diamond: top value from bottom/left/right corner values."""
-    z_b, z_l, z_r = _as_rows(z_b), _as_rows(z_l), _as_rows(z_r)
-    zt = solve_diamonds(form, z_b, z_l, z_r, dt, dx)
-    res = _residual(form, zt, *_fold_corners(form, z_b, z_l, z_r, dt, dx))
-    scale = 1.0 + max(np.linalg.norm(v) for v in (zt, z_b, z_l, z_r))
-    if not np.linalg.norm(res) <= 1e-10 * _opscale(form, dt, dx) * scale:
-        raise NewtonError("diamond residual above tolerance")
-    return zt[0]
 
 
 def solve_diamond_rk(
@@ -422,11 +398,13 @@ def solve_diamond_rk(
     Step 3's edge map (spectral.build_blocks_rk) of the form linearized at
     zero, made once per form, tableau, dt and dx, holds the pivot test: it
     raises SingularUpdateError where the stage matrix Q is singular.  Linear
-    forms apply that map.  Nonlinear forms run the simple scheme's solver,
-    _solve_nonlinear, from stages equal to the bottom stack, with the
-    inverse of Q (the stage Jacobian at z = 0) as the chord and res_tol 0
-    (Newton stops a row on its step alone).  Each diamond is carried as a
-    (1, r*r*d) row, so each output row equals a one-diamond call bit for bit.
+    forms apply that map.  Nonlinear forms solve the map's stage system
+    Q Z = Db zb + Dl zl with grad S(Z) in place of (I (x) P) Z, by the simple
+    scheme's solver, _solve_nonlinear, from stages equal to the bottom stack,
+    with the inverse of Q (the stage Jacobian at z = 0) as the chord and
+    res_tol 0 (Newton stops a row on its step alone).  Each diamond is
+    carried as a (1, r*r*d) row, so each output row equals a one-diamond call
+    bit for bit.
     """
     r, d = tableau.r, form.d
     single = np.ndim(zb_stack) <= 2
@@ -441,30 +419,27 @@ def solve_diamond_rk(
         zr = (bl.Clr @ zl + bl.Cbr @ zb).reshape(n, r, d)
         return (zt[0], zr[0]) if single else (zt, zr)
 
+    # residual grad S(Z) + (Q - I (x) P) Z - Db zb - Dl zl; P is Peff of the
+    # zero linearization, since every polynomial term has degree >= 2
     m = r * r * d
-    F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
-    Ktil = form.K / dt - form.L / dx
-    Ltil = form.K / dt + form.L / dx
-    const = -np.kron(np.eye(r), np.kron(F, Ktil)) - np.kron(F, np.kron(np.eye(r), Ltil))
+    A = bl.Q - np.kron(np.eye(r * r), form.P)
+    rhs = zb.reshape(n, 1, r * d) @ bl.Db.T + zl.reshape(n, 1, r * d) @ bl.Dl.T
 
-    def residual(Z, zb, zl):
-        # Z[n, 0] holds the stages Z[n, i, j]: spatial stage i, temporal stage j
-        Z = Z.reshape(len(Z), r, r, d)
-        tpart = F @ Z - mu[:, None] * zb[:, :, None, :]
-        xpart = (F @ Z.reshape(len(Z), r, r * d)).reshape(Z.shape) - mu[:, None, None] * zl[:, None, :, :]
-        return (eval_grad_S(form, Z) - tpart @ Ktil.T - xpart @ Ltil.T).reshape(len(Z), 1, m)
+    def residual(Z, rhs):
+        return eval_grad_S(form, Z.reshape(len(Z), r * r, d)).reshape(Z.shape) + Z @ A.T - rhs
 
-    def jacobian(Z, zb, zl):
-        J = np.repeat(const[None], len(Z), axis=0)
+    def jacobian(Z, rhs):
+        J = np.repeat(A[None], len(Z), axis=0)
         blocks = eval_jac_S(form, Z.reshape(len(Z), r * r, d))
         for s in range(r * r):
             J[:, s * d : (s + 1) * d, s * d : (s + 1) * d] += blocks[:, s]
         return J
 
     Z0 = np.repeat(zb[:, :, None, :], r, axis=2).reshape(n, 1, m)
-    Z, res = _solve_nonlinear(residual, jacobian, Z0, (zb, zl), bl.pivot_inv.T, 0.0)
+    Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), bl.pivot_inv.T, 0.0)
     _require_solved(np.flatnonzero(~(_row_norms(res) <= 1e-9 * (1.0 + _row_norms(Z)))))
     Z = Z.reshape(n, r, r, d)
+    beta, alpha = tableau.beta, tableau.alpha
     zt = (1.0 - alpha) * zb + beta @ Z
     zr = (1.0 - alpha) * zl + (beta @ Z.reshape(n, r, r * d)).reshape(n, r, d)
     return (zt[0], zr[0]) if single else (zt, zr)
@@ -486,21 +461,26 @@ def init_half_step(
     half points either sampled from a supplied exact solution at t = dt/2
     or computed with one implicit box half-step.
     """
-    if method not in ("auto", "exact", "box"):
-        raise ValueError(f"unknown init method {method!r}")
-    if method == "exact" and exact is None:
-        raise ValueError("exact init requested but no exact solution supplied")
-    use_exact = exact is not None if method == "auto" else method == "exact"
-
+    exact = _exact_start(method, exact)
     xi, xh = mesh.x_int(), mesh.x_half()
     d = form.d
     state = np.empty((2 * mesh.N, d))
     state[0::2] = _eval_pointwise(ic, xi, d)
-    if use_exact:
+    if exact is not None:
         state[1::2] = _eval_pointwise(lambda x: exact(x, mesh.dt / 2.0), xh, d)
     else:
         state[1::2] = _box_half_step(form, ic, mesh)
     return MeshState(values=state, step=0)
+
+
+def _exact_start(method: str, exact):
+    """The exact solution a run starts from, or None for the box start:
+    "auto" takes ``exact`` when supplied, "exact" requires it, "box" ignores it."""
+    if method not in ("auto", "exact", "box"):
+        raise ValueError(f"unknown init method {method!r}")
+    if method == "exact" and exact is None:
+        raise ValueError("exact init requested but no exact solution supplied")
+    return None if method == "box" else exact
 
 
 def _eval_pointwise(fn, xs: np.ndarray, d: int) -> np.ndarray:
@@ -639,22 +619,31 @@ def integrate(
     is an independent map over the N diamonds, solved as one batch.  A value
     exceeding ``blowup``, or any non-finite value, ends the run with status
     "diverged" (an outcome, not an error).  A non-finite initial state is
-    rejected with ValueError.  Observers are sampled at t = 0, every
-    max(100, nt / 200) full steps and at the horizon.  "norms" and
+    rejected with ValueError.  ``init_method`` ("auto", "exact" or "box")
+    picks the start of both schemes alike.  Observers are sampled at t = 0,
+    every max(100, nt / 200) full steps and at the horizon.  "norms" and
     "snapshots" work for both schemes; "energy" is a simple-scheme observer
-    (the collocation edge stacks hold no vertex values), so collocation runs
-    return ``energies`` None.
+    (the collocation edge stacks hold no vertex values).  Any other observer,
+    or "energy" under collocation, raises ValueError before any work.
     """
     if isinstance(scheme, str):
         scheme = parse_scheme(scheme)
     simple = scheme == "simple"
+    accepted = ("energy", "norms", "snapshots") if simple else ("norms", "snapshots")
+    for name in observers:
+        if name not in accepted:
+            raise ValueError(
+                f"observer {name!r} is not recorded by the {'simple' if simple else 'collocation'} "
+                f"scheme; expected one of: {', '.join(accepted)}"
+            )
+    start = _exact_start(init_method, exact)
     nt = mesh.nt
     # the diamond on cell i has its left neighbour at i-1 in the first
     # half-step and its right neighbour at i+1 in the second
     cells = np.arange(mesh.N)
     left, right = (cells - 1) % mesh.N, (cells + 1) % mesh.N
     cadence = max(100, math.ceil(nt / 200))
-    want_energy = simple and "energy" in observers
+    want_energy = "energy" in observers
     want_snapshots = "snapshots" in observers
     want_norms = "norms" in observers
 
@@ -665,9 +654,9 @@ def integrate(
 
     # simple: the zig-zag state (2N, d); collocation: 2N edge stacks (2N, r, d)
     if simple:
-        values = init_half_step(form, ic, mesh, method=init_method, exact=exact).values
+        values = init_half_step(form, ic, mesh, exact=start).values
     else:
-        values = init_edges_rk(form, scheme, ic, mesh, exact=exact)
+        values = init_edges_rk(form, scheme, ic, mesh, exact=start)
     _require_finite(values, "initial state")
 
     def record(step):
@@ -728,23 +717,10 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _generic_density(form: MultiSymplecticForm, z: np.ndarray, dx: float) -> np.ndarray:
+def energy_density(form: MultiSymplecticForm, z: np.ndarray, dx: float) -> np.ndarray:
     # E = S(z) - z . L z_x / 2 satisfies a local conservation law for any form
     zx = (np.roll(z, -1, axis=0) - np.roll(z, 1, axis=0)) / (2.0 * dx)
     return eval_S(form, z) - 0.5 * np.einsum("ij,ij->i", z, zx @ form.L.T)
-
-
-_ENERGY_OVERRIDES = {
-    "wave": lambda form, z, dx: 0.5 * (z[:, 1] ** 2 + z[:, 2] ** 2),
-    "linear_kg": lambda form, z, dx: 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2 + z[:, 2] ** 2),
-}
-
-
-def energy_density(form: MultiSymplecticForm, z: np.ndarray, dx: float) -> np.ndarray:
-    fn = _ENERGY_OVERRIDES.get(form.name)
-    if fn is not None:
-        return fn(form, z, dx)
-    return _generic_density(form, z, dx)
 
 
 def total_energy(form: MultiSymplecticForm, state, mesh: MeshParams) -> float:

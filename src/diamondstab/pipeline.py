@@ -36,9 +36,10 @@ class PipelineReport:
 
 
 def reference_linearization(form, rho: float | None = None) -> msform.LinearizedForm:
-    """The linear form Steps 2 and 3 analyse: NLS about the plane wave of
+    """The linear form Steps 2 and 3 analyse: the registered NLS (the form
+    named "nls" that carries its constant ``a``) about the plane wave of
     constant amplitude ``rho`` (default 9), every other form about z = 0."""
-    if form.name == "nls":
+    if form.name == "nls" and "a" in dict(form.params):
         return msform.nls_constant_amplitude_linearization(
             rho if rho is not None else 9.0, form.param("a")
         )

@@ -59,13 +59,15 @@ class SimpleBlocks:
     Am: np.ndarray  # multiplies the left corner
     Ap: np.ndarray  # multiplies the right corner
     pivot_inv: np.ndarray  # (K/dt - P/4)^{-1}
-    dt: float
-    dx: float
 
 
 @dataclass(frozen=True)
 class RKBlocks:
-    """One-diamond edge map (zt, zr) = [[Clt, Cbt], [Clr, Cbr]] (zl, zb)."""
+    """One-diamond edge map (zt, zr) = [[Clt, Cbt], [Clr, Cbr]] (zl, zb).
+
+    The stages Z (spatial stage i, temporal stage j, then the d components)
+    solve Q Z = Db zb + Dl zl.
+    """
 
     Clt: np.ndarray
     Cbt: np.ndarray
@@ -75,9 +77,6 @@ class RKBlocks:
     pivot_inv: np.ndarray  # Q^{-1}
     Db: np.ndarray
     Dl: np.ndarray
-    alpha: float
-    dt: float
-    dx: float
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,6 @@ def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBloc
         Am=inv @ (L / dx + P / 4.0),
         Ap=inv @ (-L / dx + P / 4.0),
         pivot_inv=inv,
-        dt=dt,
-        dx=dx,
     )
 
 
@@ -184,8 +181,8 @@ def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlo
             f"collocation stage matrix Q is singular for {lin.name!r}; "
             "structural inconsistency carries over to the high-order scheme"
         )
-    Db = -np.kron(np.eye(r), np.kron(mu[:, None], np.eye(d))) @ np.kron(np.eye(r), Ktil)
-    Dl = -np.kron(mu[:, None], np.kron(np.eye(r), np.eye(d))) @ np.kron(np.eye(r), Ltil)
+    Db = -np.kron(np.eye(r), np.kron(mu[:, None], Ktil))  # -mu_j Ktil zb[i]
+    Dl = -np.kron(mu[:, None], np.kron(np.eye(r), Ltil))  # -mu_i Ltil zl[j]
     Tt = np.kron(np.eye(r), np.kron(beta[None, :], np.eye(d)))  # contracts temporal stages
     Tr = np.kron(beta[None, :], np.eye(r * d))  # contracts spatial stages
     Idr = np.eye(d * r)
@@ -198,9 +195,6 @@ def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlo
         pivot_inv=Qinv,
         Db=Db,
         Dl=Dl,
-        alpha=alpha,
-        dt=dt,
-        dx=dx,
     )
 
 

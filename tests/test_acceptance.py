@@ -18,7 +18,7 @@ from diamondstab.integrator import (
     gauss_tableau,
     integrate,
     random_tangent_pair,
-    solve_diamond_simple,
+    solve_diamonds,
     verify_discrete_conservation,
 )
 from diamondstab.msform import (
@@ -515,7 +515,7 @@ def test_criterion_13_diamond_oracle():
         dt = dx = 0.1
         for _ in range(50):
             zb, zl, zr = 0.3 * rng.standard_normal((3, form.d))
-            zt = solve_diamond_simple(form, zb, zl, zr, dt, dx)
+            zt = solve_diamonds(form, zb, zl, zr, dt, dx)[0]
 
             def residual(z):
                 avg = 0.25 * (z + zb + zl + zr)

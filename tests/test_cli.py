@@ -129,6 +129,21 @@ def test_cli_run_collocation_writes_norms_from_t0(tmp_path):
     assert not (outdir / "energy.csv").exists()
 
 
+def test_cli_run_default_observer_follows_the_scheme(tmp_path, capsys):
+    args = ["run", "--pde", "dirac", "--dx", "0.3", "--dt", "0.2", "--domain=-24,24", "--T", "0.4",
+            "--ic", "breather"]
+    assert main(args + ["--scheme", "rk:2", "--out", str(tmp_path / "rk")]) == 0
+    assert (tmp_path / "rk" / "norms.csv").exists() and not (tmp_path / "rk" / "energy.csv").exists()
+    assert main(args + ["--scheme", "simple", "--out", str(tmp_path / "simple")]) == 0
+    assert (tmp_path / "simple" / "energy.csv").exists()
+    capsys.readouterr()
+    # a collocation run cannot record the energy: asking for it is an error
+    assert main(args + ["--scheme", "rk:2", "--observe", "energy", "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'energy'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_run_solver_failure_is_one_line_error(tmp_path, capsys):
     # kdv is structurally inconsistent: the collocation stage solve fails
     rc = main([
@@ -226,6 +241,17 @@ def test_form_consistent_only_through_nonlinear_terms(tmp_path, capsys):
     assert "step 1 on the linearization: structurally inconsistent" in text
     assert main(["analyze", str(path), "--params", "a=1"]) == 1
     assert "JSON" in capsys.readouterr().err
+
+
+def test_cli_analyze_json_nls_linearizes_at_zero(tmp_path, capsys):
+    # a JSON form carries no constants: the plane-wave linearization belongs
+    # to the registered NLS, and the JSON copy is linearized at zero
+    path = tmp_path / "nls.json"
+    path.write_text(json.dumps(form_to_dict(registry_get("nls"))))
+    assert main(["analyze", str(path), "--step2", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] == "ConditionallyStable"
+    assert report["step2"]["verdict"]["s_lo"] == "2"
 
 
 def test_cli_step1_only_report(capsys):

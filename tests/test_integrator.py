@@ -16,7 +16,6 @@ from diamondstab.integrator import (
     parse_scheme,
     random_tangent_pair,
     solve_diamond_rk,
-    solve_diamond_simple,
     solve_diamonds,
     total_energy,
     verify_discrete_conservation,
@@ -36,7 +35,7 @@ from diamondstab.solutions import (
     mixed_kg_cosine,
     nls_two_soliton_ic,
 )
-from diamondstab.spectral import SingularUpdateError, build_blocks_simple
+from diamondstab.spectral import SingularUpdateError, build_blocks_rk, build_blocks_simple
 
 
 def test_gauss_tableau_r1_exact():
@@ -95,7 +94,7 @@ def test_zero_inputs_zero_output():
     for name in ("wave", "dirac", "nls", "good_boussinesq"):
         form = registry_get(name)
         z = np.zeros(form.d)
-        np.testing.assert_array_equal(solve_diamond_simple(form, z, z, z, 0.1, 0.1), z)
+        np.testing.assert_array_equal(solve_diamonds(form, z, z, z, 0.1, 0.1)[0], z)
 
 
 @pytest.mark.parametrize("name", ["dirac", "good_boussinesq"])
@@ -106,7 +105,7 @@ def test_nonlinear_diamond_against_dense_root_finder(name):
     rng = np.random.default_rng(9)
     for _ in range(25):
         zb, zl, zr = 0.3 * rng.standard_normal((3, form.d))
-        zt = solve_diamond_simple(form, zb, zl, zr, dt, dx)
+        zt = solve_diamonds(form, zb, zl, zr, dt, dx)[0]
 
         def residual(z):
             avg = 0.25 * (z + zb + zl + zr)
@@ -125,7 +124,7 @@ def test_batch_solve_matches_per_diamond_loop():
     batch = solve_diamonds(form, Zb, Zl, Zr, 0.1, 0.2)
     for order in (range(7), reversed(range(7))):
         for i in order:
-            one = solve_diamond_simple(form, Zb[i], Zl[i], Zr[i], 0.1, 0.2)
+            one = solve_diamonds(form, Zb[i], Zl[i], Zr[i], 0.1, 0.2)[0]
             assert np.abs(one - batch[i]).max() <= 1e-14
 
 
@@ -194,6 +193,78 @@ def test_energy_of_anonymous_form_comes_from_its_gradient():
     z = values[0::2]
     expected = 0.5 * np.einsum("ij,jk,ik->", z, P, z) * mesh.dx
     assert total_energy(form, MeshState(values), mesh) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["wave", "linear_kg"])
+def test_energy_depends_on_the_matrices_not_the_name(name):
+    # every form uses S(z) - z.L z_x / 2, whatever it is called
+    form = registry_get(name)
+    copy = MultiSymplecticForm(f"{name}_copy", form.names, form.K, form.L, form.P, form.terms)
+    mesh = MeshParams(a=0.0, b=1.0, N=8, dt=0.1, T=0.1)
+    values = np.random.default_rng(6).standard_normal((16, form.d))
+    assert total_energy(form, MeshState(values), mesh) == total_energy(copy, MeshState(values), mesh)
+
+
+@pytest.mark.parametrize("name", ["dirac", "nls"])
+def test_nonlinear_diamonds_solve_step3_equations(name):
+    # at amplitude 1e-6 the cubic terms are about 1e-12 of the linear ones,
+    # so both integrator paths must reproduce Step 3's one-diamond maps of
+    # the zero linearization
+    form = registry_get(name)
+    lin = linearize(form, np.zeros(form.d))
+    rng = np.random.default_rng(41)
+    n = 8
+
+    def gap(got, want):
+        got, want = got.reshape(n, -1), want.reshape(n, -1)
+        return (np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)).max()
+
+    for dt, dx in ((0.1, 0.2), (0.2, 0.1)):
+        bl = build_blocks_simple(lin, dt, dx)
+        Zb, Zl, Zr = 1e-6 * rng.standard_normal((3, n, form.d))
+        want = Zb @ bl.B.T + Zl @ bl.Am.T + Zr @ bl.Ap.T
+        assert gap(solve_diamonds(form, Zb, Zl, Zr, dt, dx), want) <= 1e-9
+        for r in (1, 2, 3):
+            tab = gauss_tableau(r)
+            bl = build_blocks_rk(lin, tab, dt, dx)
+            zb, zl = 1e-6 * rng.standard_normal((2, n, r, form.d))
+            zt, zr = solve_diamond_rk(form, tab, zb, zl, dt, dx)
+            b, l = zb.reshape(n, -1), zl.reshape(n, -1)
+            assert gap(zt, l @ bl.Clt.T + b @ bl.Cbt.T) <= 1e-9, (dt, dx, r)
+            assert gap(zr, l @ bl.Clr.T + b @ bl.Cbr.T) <= 1e-9, (dt, dx, r)
+
+
+@pytest.mark.parametrize(
+    "scheme,observers", [("simple", ("energy", "bogus")), ("rk:2", ("norms", "bogus")), ("rk:2", ("energy",))]
+)
+def test_integrate_rejects_observers_the_scheme_cannot_record(scheme, observers):
+    def ic(x):
+        raise AssertionError("the run started before the observers were checked")
+
+    mesh = MeshParams(a=0.0, b=1.0, N=8, dt=0.1, T=0.1)
+    with pytest.raises(ValueError, match=f"'{observers[-1]}'"):
+        integrate(registry_get("dirac"), scheme, ic, mesh, observers=observers)
+
+
+@pytest.mark.parametrize("scheme", ["simple", "rk:2"])
+def test_init_method_picks_the_start_of_either_scheme(scheme):
+    form = registry_get("dirac")
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"))
+    mesh = MeshParams(a=-24.0, b=24.0, N=81, dt=0.2, T=0.2)
+
+    def final(res):
+        return res.state.values if res.edge_state is None else res.edge_state
+
+    runs = {
+        method: final(integrate(form, scheme, ic, mesh, observers=(), exact=exact, init_method=method))
+        for method in ("auto", "exact", "box")
+    }
+    assert np.array_equal(runs["auto"], runs["exact"])
+    # the box start runs and lands near, but not on, the exact start
+    assert not np.array_equal(runs["box"], runs["exact"])
+    assert np.abs(runs["box"] - runs["exact"]).max() < 0.1
+    with pytest.raises(ValueError, match="no exact solution"):
+        integrate(form, scheme, ic, mesh, observers=(), init_method="exact")
 
 
 def test_convergence_order_simple_and_rk1():
