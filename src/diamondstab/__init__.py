@@ -16,8 +16,6 @@ from .msform import (
 )
 from .structure import (
     build_equation_unknown_graph,
-    check_singularity_rk,
-    check_singularity_simple,
     classify_consistency,
     dm_decompose,
 )

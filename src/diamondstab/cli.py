@@ -202,10 +202,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_run(args) -> int:
     scheme = parse_scheme(args.scheme)
-    params = _parse_params(args.params)
-    params.pop("rho", None)
-    form = msform.registry_get(args.pde, **params)
+    form = msform.registry_get(args.pde, **_parse_params(args.params))
     a, b = (float(v) for v in args.domain.split(","))
+    if not args.dx > 0:
+        raise ValueError(f"dx must be positive, got {args.dx!r}")
     N = round((b - a) / args.dx)
     mesh = MeshParams(a=a, b=b, N=N, dt=args.dt, T=args.T)
     ic, exact = builtin_initial_condition(args.ic, form)

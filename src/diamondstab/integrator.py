@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import splu
 
-from . import spectral, structure
+from . import spectral
 from .msform import LinearizedForm, MultiSymplecticForm, eval_S, eval_grad_S, eval_jac_S, linearize
 
 __all__ = [
@@ -71,7 +71,7 @@ class RKTableau:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        F = structure._pivot_inverse(A)
+        F = spectral._pivot_inverse(A)
         if F is None:
             raise ValueError("collocation matrix A must be invertible")
         object.__setattr__(self, "A", A)
@@ -527,7 +527,7 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams) -> np.ndarra
     if N % 2 == 0 and not converged():
         # on the sawtooth U_i = (-1)^i w block row i is (-1)^i (L/dx) w: the
         # eval_jac_S part cancels, so L w = 0 makes every iterate singular
-        if structure._pivot_inverse(L) is None:
+        if spectral._pivot_inverse(L) is None:
             raise NewtonError(
                 "box initialization failed: singular Jacobian, because L is singular and "
                 f"N = {N} is even; use the exact start or an odd N"

@@ -15,6 +15,7 @@ Dirac, Schroedinger).
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -251,17 +252,21 @@ def linearize(form: MultiSymplecticForm, z_ref) -> LinearizedForm:
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobian(form: MultiSymplecticForm, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
+_CHECK_POINTS, _CHECK_SEED = 10, 0  # validate_form's seeded random points
+_FD_STEP = 1e-6  # central-difference step of _fd_jacobian
+
+
+def _fd_jacobian(form: MultiSymplecticForm, z: np.ndarray) -> np.ndarray:
     d = form.d
     jac = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
-        e[j] = h
-        jac[:, j] = (eval_grad_S(form, z + e) - eval_grad_S(form, z - e)) / (2 * h)
+        e[j] = _FD_STEP
+        jac[:, j] = (eval_grad_S(form, z + e) - eval_grad_S(form, z - e)) / (2 * _FD_STEP)
     return jac
 
 
-def validate_form(form: MultiSymplecticForm, *, n_points: int = 10, seed: int = 0) -> ValidationReport:
+def validate_form(form: MultiSymplecticForm) -> ValidationReport:
     """Check the structural invariants of a form.
 
     Skew-symmetry of K and L is required exactly; gradient exactness
@@ -297,8 +302,8 @@ def validate_form(form: MultiSymplecticForm, *, n_points: int = 10, seed: int = 
     if issues:
         return ValidationReport(False, tuple(issues))
 
-    rng = np.random.default_rng(seed)
-    for _ in range(n_points):
+    rng = np.random.default_rng(_CHECK_SEED)
+    for _ in range(_CHECK_POINTS):
         z = 0.5 * rng.standard_normal(d)
         jac = eval_jac_S(form, z)
         scale = max(1.0, float(np.abs(jac).max()))
@@ -387,13 +392,6 @@ def _sym(d: int, entries: dict[tuple[int, int], float]) -> np.ndarray:
         M[i, j] = v
         M[j, i] = v
     return M
-
-
-def _exp(d: int, **powers: int) -> tuple[int, ...]:
-    e = [0] * d
-    for key, p in powers.items():
-        e[int(key[1:])] = p
-    return tuple(e)
 
 
 def _wave() -> MultiSymplecticForm:
@@ -604,7 +602,12 @@ def registry_get(name: str, **params: float) -> MultiSymplecticForm:
         raise UnknownFormError(
             f"unknown form {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         ) from None
-    return builder(**params) if params else builder()
+    constants = tuple(inspect.signature(builder).parameters) if params else ()
+    unknown = sorted(set(params) - set(constants))
+    if unknown:
+        have = ", ".join(constants) or "none"
+        raise ValueError(f"form {name!r} has no constant {', '.join(unknown)}; its constants: {have}")
+    return builder(**params)
 
 
 def nls_constant_amplitude_linearization(rho: float, a: float = 2.0) -> LinearizedForm:

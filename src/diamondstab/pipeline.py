@@ -65,6 +65,8 @@ def run_pipeline(
     """
     if stop_after not in (1, 2, 3):
         raise ValueError(f"stop_after must be 1, 2 or 3, got {stop_after!r}")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N!r}")
     bip = structure.build_equation_unknown_graph(form)
     dm = structure.dm_decompose(bip)
     if not dm.consistent or stop_after == 1:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import structure
 from .msform import LinearizedForm
 
 __all__ = [
@@ -45,12 +44,32 @@ class SingularUpdateError(RuntimeError):
     """Raised when the pivot of the local update is singular.
 
     For the simple scheme the pivot is K/dt - Peff/4, for the collocation
-    scheme the stage matrix Q; ``structure._pivot_inverse`` is the one test,
-    and the block builders here and the integrators raise this alike.
-    Structural inconsistency makes the pivot singular at every step size,
-    but so can cancelling entries of a consistent form
-    (det(x K - Peff/4) = 0 for all x).
+    scheme the stage matrix Q.  ``_pivot_inverse`` below is the one test;
+    ``build_blocks_simple`` and ``build_blocks_rk`` apply it and raise this,
+    and the integrators ask them.  Structural inconsistency makes the pivot
+    singular at every step size, but so can cancelling entries of a
+    consistent form (det(x K - Peff/4) = 0 for all x).
     """
+
+
+def _pivot_inverse(M: np.ndarray) -> np.ndarray | None:
+    """M^{-1}, or None where M is singular.
+
+    M is singular when, after scaling its rows and then its columns to unit
+    max-norm, its smallest singular value over its largest (floored at 1)
+    is below 1e-12.  Pivot entries scale like 1/dt against O(1), so a raw
+    relative test would misread extreme but invertible scalings as singular.
+    The inverse is that of the unscaled M.
+    """
+    r = np.abs(M).max(axis=1)
+    r[r == 0.0] = 1.0
+    B = M / r[:, None]
+    c = np.abs(B).max(axis=0)
+    c[c == 0.0] = 1.0
+    sv = np.linalg.svd(B / c[None, :], compute_uv=False)
+    if sv[-1] < 1e-12 * max(sv[0], 1.0):
+        return None
+    return np.linalg.inv(M)
 
 
 @dataclass(frozen=True)
@@ -110,8 +129,10 @@ class SymbolFamily:
 
 def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBlocks:
     """Closed-form one-diamond map z_t = B z_b + Am z_l + Ap z_r."""
+    if not (dt > 0 and dx > 0):
+        raise ValueError(f"dt and dx must be positive, got dt={dt!r}, dx={dx!r}")
     K, L, P = lin.K, lin.L, lin.Peff
-    inv = structure._pivot_inverse(K / dt - P / 4.0)
+    inv = _pivot_inverse(K / dt - P / 4.0)
     if inv is None:
         raise SingularUpdateError(
             f"update pivot K/dt - P/4 is singular for {lin.name!r} at dt={dt:g}; "
@@ -169,13 +190,19 @@ def assemble_full_update_matrix(lin: LinearizedForm, dt: float, dx: float, N: in
 
 
 def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlocks:
-    """Assemble the stage system and contract it to the edge map blocks."""
+    """Assemble the stage system and contract it to the edge map blocks.
+
+    Q = I_{r^2} (x) Peff - I_r (x) F (x) Ktil - F (x) I_r (x) Ltil.
+    """
+    if not (dt > 0 and dx > 0):
+        raise ValueError(f"dt and dx must be positive, got dt={dt!r}, dx={dx!r}")
     r, d = tableau.r, lin.d
     F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
     Ktil = lin.K / dt - lin.L / dx
     Ltil = lin.K / dt + lin.L / dx
-    Q = structure.rk_stage_matrix(lin, F, dt, dx)
-    Qinv = structure._pivot_inverse(Q)
+    Ir = np.eye(r)
+    Q = np.kron(np.eye(r * r), lin.Peff) - np.kron(Ir, np.kron(F, Ktil)) - np.kron(F, np.kron(Ir, Ltil))
+    Qinv = _pivot_inverse(Q)
     if Qinv is None:
         raise SingularUpdateError(
             f"collocation stage matrix Q is singular for {lin.name!r}; "
@@ -243,11 +270,14 @@ def assemble_full_update_matrix_rk(blocks: RKBlocks, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_TOL = 1e-9  # slack of the "strict" and "nozero" thresholds on the dominant modulus
+
+
 @dataclass(frozen=True)
 class Criterion:
     """Named stability criterion for the dominant symbol eigenvalues.
 
-    kind "strict": max over all k of |lambda| <= 1 + tol.
+    kind "strict": max over all k of |lambda| <= 1 + _TOL.
     kind "nozero": same but excluding the k = 0 symbol (all diamonds
     sharing one error is not a propagating mode).
     kind "growth": lambda_1 ** (1/dt) <= theta, the practical bound for
@@ -255,7 +285,6 @@ class Criterion:
     """
 
     kind: str = "strict"
-    tol: float = 1e-9
     theta: float = 1.1
 
     @staticmethod
@@ -283,9 +312,8 @@ class SpectralVerdict:
     dominant_nonzero: float
     stable: bool
     criterion: Criterion
-    per_k: tuple[float, ...] | None = None
-    k_dominant: int = 0
-    k_dominant_nonzero: int = 0
+    k_dominant: int
+    k_dominant_nonzero: int
 
 
 # Frequencies per stacked eigvals call.  One call on the whole (N, m, m) stack
@@ -318,7 +346,7 @@ def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
     """The criterion's threshold on one dominant modulus: of all k, or of
     k >= 1 under "nozero"."""
     if criterion.kind in ("strict", "nozero"):
-        return dominant <= 1.0 + criterion.tol
+        return dominant <= 1.0 + _TOL
     if criterion.kind == "growth":
         if dt is None:
             raise ValueError("growth criterion needs dt")
@@ -327,9 +355,7 @@ def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
     raise ValueError(f"unknown criterion kind {criterion.kind!r}")
 
 
-def spectral_verdict(
-    family: SymbolFamily, criterion: Criterion, dt: float | None = None, keep_per_k: bool = False
-) -> SpectralVerdict:
+def spectral_verdict(family: SymbolFamily, criterion: Criterion, dt: float | None = None) -> SpectralVerdict:
     moduli = _dominant_moduli(family)
     k_all = int(np.argmax(moduli))
     k_nonzero = int(np.argmax(moduli[1:])) + 1 if family.N > 1 else k_all
@@ -341,7 +367,6 @@ def spectral_verdict(
         dominant_nonzero,
         bool(stable),
         criterion,
-        tuple(moduli) if keep_per_k else None,
         k_all,
         k_nonzero,
     )
@@ -351,11 +376,10 @@ def _witness_unstable(family: SymbolFamily, criterion: Criterion, dt: float | No
     """True when the symbol at frequency k alone breaks the criterion.
 
     The criterion is a threshold on a maximum over k, and ``eigvals`` on
-    this one symbol gives the bits that ``_dominant_moduli`` stores for it
-    (``spectral_verdict(...).per_k[k]``), so True here means the full
-    verdict is unstable too.  False decides nothing.  Only k <= N/2 are
-    taken, where ``per_k`` is evaluated rather than mirrored, and never
-    k = 0 under "nozero".
+    this one symbol gives the bits that ``_dominant_moduli`` stores for it,
+    so True here means the full verdict is unstable too.  False decides
+    nothing.  Only k <= N/2 are taken, where ``_dominant_moduli`` evaluates
+    rather than mirrors, and never k = 0 under "nozero".
     """
     if k > family.N // 2 or (k == 0 and criterion.kind == "nozero"):
         return False
@@ -408,6 +432,8 @@ def stability_boundary_sweep(
     """
     if not rtol >= 1e-14:
         raise ValueError(f"rtol must be at least 1e-14 (double precision bisects no finer), got {rtol!r}")
+    if not (domain_length > 0 and all(dx > 0 for dx in dx_list)):
+        raise ValueError(f"domain length and every dx must be positive, got {domain_length!r} and {dx_list!r}")
     points: list[SweepPoint] = []
     witness: int | None = None  # the k that decided the last unstable verdict
     for dx in dx_list:

@@ -25,12 +25,9 @@ __all__ = [
     "BipartiteSystem",
     "DMBlock",
     "DMReport",
-    "SingularityReport",
     "build_equation_unknown_graph",
     "dm_decompose",
     "classify_consistency",
-    "check_singularity_simple",
-    "check_singularity_rk",
 ]
 
 
@@ -94,37 +91,23 @@ class DMReport:
 def _structural_entries(form) -> tuple[np.ndarray, np.ndarray]:
     """(K-pattern, S-pattern) boolean d x d masks of unknown appearances."""
     if isinstance(form, LinearizedForm):
-        kpat = form.K != 0.0
-        spat = form.Peff != 0.0
-        return kpat, spat
-    kpat = form.K != 0.0
+        return form.K != 0.0, form.Peff != 0.0
     spat = form.P != 0.0
-    spat = spat.copy()
     for t in form.terms:
         for j, e in enumerate(t.exponents):
             if e >= 1:
                 spat[t.row - 1, j] = True
-    return kpat, spat
+    return form.K != 0.0, spat
 
 
 def build_equation_unknown_graph(form: MultiSymplecticForm | LinearizedForm) -> BipartiteSystem:
     """Edge (i, j) iff unknown z_j appears in equation i (K, P or a term)."""
     kpat, spat = _structural_entries(form)
-    edges = set()
-    prov = {}
-    d = kpat.shape[0]
-    for i in range(d):
-        for j in range(d):
-            if kpat[i, j]:
-                edges.add((i, j))
-                prov[(i, j)] = "K"
-            elif spat[i, j]:
-                edges.add((i, j))
-                prov[(i, j)] = "S"
+    prov = {(int(i), int(j)): "K" if kpat[i, j] else "S" for i, j in np.argwhere(kpat | spat)}
     return BipartiteSystem(
-        n=d,
+        n=kpat.shape[0],
         names=tuple(form.names),
-        edges=frozenset(edges),
+        edges=frozenset(prov),
         provenance=tuple(sorted(prov.items())),
     )
 
@@ -163,33 +146,12 @@ def dm_decompose(bip: BipartiteSystem) -> DMReport:
     for i, j in bip.edges:
         adj_un[j].add(i)
 
-    # overdetermined: alternate free-edge from equations, matched edge back
-    over_eqs, over_uns = set(), set()
-    stack = [i for i in range(bip.n) if i not in matching]
-    while stack:
-        eq = stack.pop()
-        if eq in over_eqs:
-            continue
-        over_eqs.add(eq)
-        for un in adj_eq[eq]:
-            if un not in over_uns:
-                over_uns.add(un)
-                if un in match_of_un:
-                    stack.append(match_of_un[un])
-
-    # underdetermined: start from unmatched unknowns
-    under_eqs, under_uns = set(), set()
-    stack = [j for j in range(bip.n) if j not in match_of_un]
-    while stack:
-        un = stack.pop()
-        if un in under_uns:
-            continue
-        under_uns.add(un)
-        for eq in adj_un[un]:
-            if eq not in under_eqs:
-                under_eqs.add(eq)
-                if eq in matching:
-                    stack.append(matching[eq])
+    over_eqs, over_uns = _alternating_reach(
+        (i for i in range(bip.n) if i not in matching), adj_eq, match_of_un
+    )
+    under_uns, under_eqs = _alternating_reach(
+        (j for j in range(bip.n) if j not in match_of_un), adj_un, matching
+    )
 
     core_eqs = [i for i in range(bip.n) if i not in over_eqs and i not in under_eqs]
     core_uns = [j for j in range(bip.n) if j not in over_uns and j not in under_uns]
@@ -227,6 +189,30 @@ def dm_decompose(bip: BipartiteSystem) -> DMReport:
         order=tuple(order),
         consistent=consistent,
     )
+
+
+def _alternating_reach(starts, adj, partner) -> tuple[set[int], set[int]]:
+    """Vertices reached by alternating paths from the unmatched ``starts``.
+
+    A path leaves a near vertex by any edge (``adj``) and returns from the
+    far vertex by its matched edge (``partner``).  From unmatched equations
+    this is the overdetermined block (near = equations); from unmatched
+    unknowns, with the roles swapped, the underdetermined one.
+    """
+    near: set[int] = set()
+    far: set[int] = set()
+    stack = list(starts)
+    while stack:
+        v = stack.pop()
+        if v in near:
+            continue
+        near.add(v)
+        for w in adj[v]:
+            if w not in far:
+                far.add(w)
+                if w in partner:
+                    stack.append(partner[w])
+    return near, far
 
 
 def _topological_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -280,84 +266,3 @@ def bipartite_dot(bip: BipartiteSystem, dm: DMReport | None = None) -> str:
         lines.append(f"  eq{i} -- un{j} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# numerical singularity confirmation: _pivot_inverse is the one test of every
-# update pivot (K/dt - Peff/4, the stage matrix Q, the chord matrix, box L)
-# ---------------------------------------------------------------------------
-
-
-def _pivot_inverse(M: np.ndarray) -> np.ndarray | None:
-    """M^{-1}, or None where M is singular.
-
-    M is singular when, after scaling its rows and then its columns to unit
-    max-norm, its smallest singular value over its largest (floored at 1)
-    is below 1e-12.  Pivot entries scale like 1/dt against O(1), so a raw
-    relative test would misread extreme but invertible scalings as singular.
-    The inverse is that of the unscaled M.
-    """
-    r = np.abs(M).max(axis=1)
-    r[r == 0.0] = 1.0
-    B = M / r[:, None]
-    c = np.abs(B).max(axis=0)
-    c[c == 0.0] = 1.0
-    sv = np.linalg.svd(B / c[None, :], compute_uv=False)
-    if sv[-1] < 1e-12 * max(sv[0], 1.0):
-        return None
-    return np.linalg.inv(M)
-
-
-@dataclass(frozen=True)
-class SingularityReport:
-    singular: bool
-    witness_residual: float | None = None
-
-
-def check_singularity_simple(lin: LinearizedForm, dt: float) -> SingularityReport:
-    """Pivot test of the local update matrix K/dt - Peff/4."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return SingularityReport(_pivot_inverse(lin.K / dt - lin.Peff / 4.0) is None)
-
-
-def rk_stage_matrix(lin: LinearizedForm, F: np.ndarray, dt: float, dx: float) -> np.ndarray:
-    """Stage system matrix Q = I_{r^2} (x) Peff - I_r (x) F (x) Ktil - F (x) I_r (x) Ltil."""
-    r = F.shape[0]
-    d = lin.d
-    Ktil = lin.K / dt - lin.L / dx
-    Ltil = lin.K / dt + lin.L / dx
-    Ir = np.eye(r)
-    Q = (
-        np.kron(np.eye(r * r), lin.Peff)
-        - np.kron(Ir, np.kron(F, Ktil))
-        - np.kron(F, np.kron(Ir, Ltil))
-    )
-    return Q
-
-
-def check_singularity_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> SingularityReport:
-    """Pivot test of the stage system; builds a kernel witness when the
-    simple scheme is structurally inconsistent.
-
-    The witness is z = x (x) x (x) v with (lam, x) an eigenpair of F and v a
-    null vector of (Peff - (2 lam / dt) K); for structurally inconsistent
-    forms that pencil is singular for every multiplier.
-    """
-    if dt <= 0 or dx <= 0:
-        raise ValueError("dt and dx must be positive")
-    F = tableau.F
-    Q = rk_stage_matrix(lin, F, dt, dx)
-    singular = _pivot_inverse(Q) is None
-
-    witness_residual = None
-    if not classify_consistency(lin).consistent:
-        lam_all, vec_all = np.linalg.eig(F)
-        idx = int(np.argmax(np.abs(lam_all)))
-        lam, x = lam_all[idx], vec_all[:, idx]
-        pencil = lin.Peff.astype(complex) - (2.0 * lam / dt) * lin.K
-        _, _, vh = np.linalg.svd(pencil)
-        v = vh[-1].conj()
-        z = np.kron(x, np.kron(x, v))
-        witness_residual = float(np.linalg.norm(Q @ z) / np.linalg.norm(z))
-    return SingularityReport(singular, witness_residual)

@@ -349,3 +349,41 @@ def test_cli_bad_scheme_is_one_line_error(command, scheme, tmp_path, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and repr(scheme) in err[0]
     assert captured.out == ""
+
+
+BAD_INPUT_COMMANDS = {
+    "analyze_unknown_constant": ["analyze", "wave", "--params", "a=1"],
+    "sweep_unknown_constant": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4", "--params", "a=1"],
+    "run_unknown_constant": ["run", "--pde", "nls", "--params", "rho=3", "--dx", "0.1", "--dt", "0.01",
+                             "--domain=-10,10", "--T", "0.02", "--ic", "two_soliton"],
+    "analyze_negative_dt": ["analyze", "wave", "--dt", "-0.1"],
+    "analyze_zero_dt": ["analyze", "wave", "--dt", "0"],
+    "analyze_zero_dx": ["analyze", "wave", "--dx", "0"],
+    "analyze_rk_negative_dt": ["analyze", "wave", "--scheme", "rk:2", "--dt", "-0.1"],
+    "analyze_zero_N": ["analyze", "wave", "--N", "0"],
+    "sweep_zero_dx": ["sweep", "--pde", "wave", "--dx-list", "0", "--domain-length", "4"],
+    "sweep_zero_domain_length": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "0"],
+    "run_zero_dx": ["run", "--pde", "wave", "--dx", "0", "--dt", "0.1", "--T", "0.2", "--ic", "zero"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_COMMANDS))
+def test_cli_bad_input_is_one_line_error(case, tmp_path, capsys):
+    # an unknown form constant or a non-positive mesh input is refused up
+    # front: exit 1, one error line, no verdict and no warning
+    argv = BAD_INPUT_COMMANDS[case]
+    if argv[0] == "run":
+        argv = argv + ["--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+def test_unknown_constant_error_names_the_form_constants(capsys):
+    assert main(["analyze", "dirac", "--params", "mass=2"]) == 1
+    assert capsys.readouterr().err.strip() == "error: form 'dirac' has no constant mass; its constants: m, lam"
+    assert main(["analyze", "wave", "--params", "a=1"]) == 1
+    assert capsys.readouterr().err.strip() == "error: form 'wave' has no constant a; its constants: none"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import root
 
-from diamondstab import integrator
+from diamondstab import integrator, spectral
 from diamondstab.integrator import (
     MeshParams,
     MeshState,
@@ -20,7 +20,6 @@ from diamondstab.integrator import (
     total_energy,
     verify_discrete_conservation,
 )
-from diamondstab import structure
 from diamondstab.msform import (
     MultiSymplecticForm,
     PolynomialTerm,
@@ -442,13 +441,13 @@ def test_rk_run_matches_per_diamond_loop():
 def test_rk_run_checks_consistency_once_per_half_step(monkeypatch):
     form, ic, exact, mesh = _dirac_rk_setup()
     calls = []
-    original = structure._pivot_inverse
+    original = spectral._pivot_inverse
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "_pivot_inverse", counted)
+    monkeypatch.setattr(spectral, "_pivot_inverse", counted)
     res = integrate(form, "rk:2", ic, mesh, observers=(), exact=exact)
     assert res.status == "completed"
     assert 0 < len(calls) <= 2 * mesh.nt

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diamondstab import spectral
 from diamondstab.integrator import gauss_tableau, solve_diamond_rk, solve_diamonds
-from diamondstab.structure import rk_stage_matrix
 from diamondstab.msform import (
     LinearizedForm,
     linearize,
@@ -141,7 +140,7 @@ def test_rk_blocks_alpha_values():
         assert abs(gauss_tableau(r).alpha - expected) < 1e-12
 
 
-def _stage_solve_oracle(form, tab, zb, zl, dt, dx):
+def _stage_solve_oracle(stage_matrix, form, tab, zb, zl, dt, dx):
     """One collocation diamond by a dense stage solve.  Stage Z[i, j] (spatial
     node i, temporal node j) solves Peff Z[i, j] = Ktil (F Z[i, :] - mu zb[i])_j
     + Ltil (F Z[:, j] - mu zl[j])_i, i.e. Q Z = -(mu_j Ktil zb[i] + mu_i Ltil zl[j])."""
@@ -150,14 +149,14 @@ def _stage_solve_oracle(form, tab, zb, zl, dt, dx):
     rhs = np.array([
         [-(tab.mu[j] * Ktil @ zb[i] + tab.mu[i] * Ltil @ zl[j]) for j in range(r)] for i in range(r)
     ])
-    Q = rk_stage_matrix(linearize(form, np.zeros(d)), tab.F, dt, dx)
+    Q = stage_matrix(linearize(form, np.zeros(d)), tab.F, dt, dx)
     Z = np.linalg.solve(Q, rhs.reshape(-1)).reshape(r, r, d)
     zt = (1.0 - tab.alpha) * zb + np.einsum("j,ijc->ic", tab.beta, Z)
     zr = (1.0 - tab.alpha) * zl + np.einsum("i,ijc->jc", tab.beta, Z)
     return zt, zr
 
 
-def test_rk_blocks_match_diamond_solver():
+def test_rk_blocks_match_diamond_solver(stage_matrix):
     dt, dx = 0.2, 0.1
     rng = np.random.default_rng(4)
     for name in ("wave", "linear_kg"):
@@ -172,7 +171,7 @@ def test_rk_blocks_match_diamond_solver():
                 br = bl.Clr @ zl[n].reshape(-1) + bl.Cbr @ zb[n].reshape(-1)
                 np.testing.assert_allclose(zt[n].reshape(-1), bt, atol=1e-12)
                 np.testing.assert_allclose(zr[n].reshape(-1), br, atol=1e-12)
-                ref_t, ref_r = _stage_solve_oracle(form, tab, zb[n], zl[n], dt, dx)
+                ref_t, ref_r = _stage_solve_oracle(stage_matrix, form, tab, zb[n], zl[n], dt, dx)
                 scale = np.abs(np.concatenate([ref_t, ref_r])).max()
                 np.testing.assert_allclose(zt[n], ref_t, rtol=0, atol=1e-12 * scale, err_msg=f"{name} r={r}")
                 np.testing.assert_allclose(zr[n], ref_r, rtol=0, atol=1e-12 * scale, err_msg=f"{name} r={r}")
@@ -325,8 +324,8 @@ def loop_moduli(fam):
 @pytest.mark.parametrize("name", list(BATCH_FAMILIES))
 def test_batched_verdict_matches_per_k_loop(name, N):
     fam = batch_family(name, N)
-    v = spectral_verdict(fam, Criterion("strict"), keep_per_k=True)
-    per_k, loop = np.array(v.per_k), loop_moduli(fam)
+    v = spectral_verdict(fam, Criterion("strict"))
+    per_k, loop = spectral._dominant_moduli(fam), loop_moduli(fam)
     half = N // 2 + 1
     assert len(per_k) == N
     # k <= N/2 are evaluated: the same bits as one eigvals call per k
@@ -349,9 +348,7 @@ def test_symbols_depend_on_k_over_n_only(name):
     # own N = 8 modes (k = 100 j), which needs these to be the same bits
     small, large = batch_family(name, 8), batch_family(name, 800)
     np.testing.assert_array_equal(small.symbols(range(8)), large.symbols(range(0, 800, 100)))
-    ps = spectral_verdict(small, Criterion("nozero"), keep_per_k=True).per_k
-    pl = spectral_verdict(large, Criterion("nozero"), keep_per_k=True).per_k
-    assert ps == pl[::100]
+    np.testing.assert_array_equal(spectral._dominant_moduli(small), spectral._dominant_moduli(large)[::100])
 
 
 def test_complex_blocks_evaluate_every_frequency():
@@ -361,9 +358,8 @@ def test_complex_blocks_evaluate_every_frequency():
     m, N = 4, 70
     C0 = rng.standard_normal((m, m)) + 0.3j * np.eye(m)
     fam = SymbolFamily(C0, rng.standard_normal((m, m)), rng.standard_normal((m, m)), N)
-    per_k = np.array(spectral_verdict(fam, Criterion("strict"), keep_per_k=True).per_k)
     loop = loop_moduli(fam)
-    np.testing.assert_array_equal(per_k, loop)
+    np.testing.assert_array_equal(spectral._dominant_moduli(fam), loop)
     assert np.abs(loop[1:] - loop[1:][::-1]).max() > 1e-3
 
 
@@ -434,11 +430,11 @@ def _scheme(scheme):
 )
 def test_one_symbol_moduli_are_the_verdict_bits(name, scheme, dx, dt_over_dx, N, k_share):
     # the witness step's premise: for k <= N/2, eigvals on Lambda_k alone
-    # gives the bits that the stacked verdict stores in per_k[k]
+    # gives the bits that the stacked verdict computes for k
     fam = symbol_family(lin_for(name), _scheme(scheme), dt_over_dx * dx, dx, N)
     k = round(k_share * (N // 2))
     one = float(np.abs(fam.eigenvalues(k)).max())
-    assert one == spectral_verdict(fam, Criterion("strict"), keep_per_k=True).per_k[k]
+    assert one == spectral._dominant_moduli(fam)[k]
 
 
 def _complex_family(seed, N):
@@ -481,12 +477,12 @@ def test_witness_on_complex_blocks_reads_k_above_half():
     # complex blocks evaluate every k, but the witness takes k <= N/2 only,
     # so a deciding k above N/2 falls back to the full verdict
     fam = _complex_family(5, 12)
-    v = spectral_verdict(fam, Criterion("strict"), keep_per_k=True)
+    v = spectral_verdict(fam, Criterion("strict"))
     assert not v.stable
     for k in range(7, 12):
         assert not spectral._witness_unstable(fam, Criterion("strict"), None, k)
     for k in range(7):
-        broken = v.per_k[k] > 1.0 + 1e-9
+        broken = spectral._dominant_moduli(fam)[k] > 1.0 + 1e-9
         assert spectral._witness_unstable(fam, Criterion("strict"), None, k) == broken
 
 
