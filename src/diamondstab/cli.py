@@ -102,9 +102,9 @@ def _report_dict(name: str, report: PipelineReport, args) -> dict:
 def _parse_params(items) -> dict:
     out = {}
     for item in items or []:
-        key, _, val = item.partition("=")
-        if not _:
-            raise SystemExit(f"--params expects key=val, got {item!r}")
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ValueError(f"--params expects key=val, got {item!r}")
         out[key] = float(val)
     return out
 

@@ -20,7 +20,15 @@ from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import splu
 
 from . import spectral
-from .msform import LinearizedForm, MultiSymplecticForm, eval_S, eval_grad_S, eval_jac_S, linearize
+from .msform import (
+    LinearizedForm,
+    MultiSymplecticForm,
+    _generate_grad_kernel,
+    eval_S,
+    eval_grad_S,
+    eval_jac_S,
+    linearize,
+)
 
 __all__ = [
     "RKTableau",
@@ -191,27 +199,70 @@ _CHORD_BUDGET = 2
 _MAX_ITER = 50
 _STEP_TOL = 1e-13
 
-# per form: (scheme, dt, dx) -> Step 3's one-diamond map; the form does not
-# change during a run, so each map and its pivot inverse are made once
-_PIVOT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# per form: Step 3's one-diamond map per (scheme, dt, dx), the simple
+# scheme's column products per ("products", dt, dx) and the generated
+# gradient kernel ("grad S"); the form does not change during a run, so each
+# is made once, at its first use, and a singular pivot is cached as its error
+_FORM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _cached(form: MultiSymplecticForm, key, make):
+    per_form = _FORM_CACHE.setdefault(form, {})
+    if key not in per_form:
+        try:
+            per_form[key] = make()
+        except spectral.SingularUpdateError as exc:
+            per_form[key] = exc
+    if isinstance(per_form[key], Exception):
+        raise per_form[key].with_traceback(None)
+    return per_form[key]
 
 
 def _step3_blocks(form: MultiSymplecticForm, scheme, dt: float, dx: float):
     """Step 3's one-diamond map of the form linearized at zero; ``scheme`` is
     "simple" or an RKTableau.  Raises SingularUpdateError where its pivot is
     singular, an outcome that is cached too."""
-    per_form = _PIVOT_CACHE.setdefault(form, {})
-    key = (scheme, dt, dx)
-    if key not in per_form:
+
+    def build():
         lin = linearize(form, np.zeros(form.d))
-        try:
-            per_form[key] = (spectral.build_blocks_simple(lin, dt, dx) if scheme == "simple"
-                             else spectral.build_blocks_rk(lin, scheme, dt, dx))
-        except spectral.SingularUpdateError as exc:
-            per_form[key] = exc
-    if isinstance(per_form[key], Exception):
-        raise per_form[key].with_traceback(None)
-    return per_form[key]
+        if scheme == "simple":
+            return spectral.build_blocks_simple(lin, dt, dx)
+        return spectral.build_blocks_rk(lin, scheme, dt, dx)
+
+    return _cached(form, (scheme, dt, dx), build)
+
+
+def _grad_kernel(form: MultiSymplecticForm):
+    """The form's generated grad S kernel (msform._generate_grad_kernel),
+    which takes and returns points components first; eval_grad_S checks it."""
+    return _cached(form, "grad S", lambda: _generate_grad_kernel(form))
+
+
+def _column_product(M: np.ndarray):
+    """Z -> Z M^T for (n, d) rows Z, built one column at a time: column i is
+    the sum of M[i, j] Z[:, j] over the nonzero M[i, j] in column order.  A
+    BLAS product's bits depend on the batch size; these do not, and rows
+    stored components first keep every column contiguous."""
+    # per output column: its first (j, M[i, j]) and the rest; 0-d arrays
+    # multiply arrays faster than Python floats do
+    plan = []
+    for i, row in enumerate(M):
+        entries = [(int(j), np.array(row[j])) for j in np.flatnonzero(row)]
+        plan.append((i, entries[0] if entries else None, tuple(entries[1:])))
+
+    def product(Z):
+        cols, out = Z.T, np.empty((len(plan), len(Z)))
+        for i, first, rest in plan:
+            if first is None:
+                out[i] = 0.0
+                continue
+            col = out[i]
+            np.multiply(first[1], cols[first[0]], out=col)
+            for j, m in rest:
+                col += m * cols[j]
+        return out.T
+
+    return product
 
 
 def _opscale(form: MultiSymplecticForm, dt: float, dx: float) -> float:
@@ -220,9 +271,19 @@ def _opscale(form: MultiSymplecticForm, dt: float, dx: float) -> float:
 
 
 def _row_norms(Z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, with bits that do not depend on the batch
+    size.  The collocation stacks (n, 1, r*r*d) keep each row contiguous and
+    are reduced row by row; the simple scheme's (n, d) rows, stored
+    components first, are summed one component at a time, since a reduction
+    along a strided axis takes another order for one row than for many."""
     if Z.ndim > 2:
         Z = Z.reshape(len(Z), math.prod(Z.shape[1:]))
-    return np.sqrt(np.einsum("ij,ij->i", Z, Z))
+        return np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    sq = (Z * Z).T
+    acc = sq[0] + sq[1]
+    for col in sq[2:]:
+        acc += col
+    return np.sqrt(acc, out=acc)
 
 
 def _take(arrays: tuple, rows) -> tuple:
@@ -240,18 +301,19 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
     Rows (axis 0 of Z0 and of every array in ``data``) are independent
     diamonds.  ``residual(Z, *data)`` and ``jacobian(Z, *data)`` take the
     iterates of some rows and the same rows of ``data``.  A chord iteration
-    from Z0 with ``chord``, the transposed inverse of the Jacobian at z = 0,
-    runs first (see _chord_iterate for the rule).  The rows it leaves go
-    on to Newton from their last chord iterate, or from Z0 where that
-    iterate's residual is not below the one at Z0.  ``chord`` None runs
-    Newton alone.  Returns the final iterate and its residual.
+    from Z0 with ``chord``, which maps a residual to its step through the
+    inverse of the Jacobian at z = 0, runs first (see _chord_iterate for the
+    rule).  The rows it leaves go on to Newton from their last chord
+    iterate, or from Z0 where that iterate's residual is not below the one
+    at Z0.  ``chord`` None runs Newton alone.  The iterates keep Z0's memory
+    layout.  Returns the final iterate and its residual.
     """
-    Z = Z0.copy()
+    Z = np.copy(Z0)
     res = residual(Z, *data)
     if chord is None:
         rows = np.arange(len(Z))
     else:
-        res0 = res.copy()
+        res0 = np.copy(res)
         rows = _chord_iterate(residual, Z, res, data, chord)
     if rows.size:
         if chord is not None:
@@ -265,7 +327,7 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
 
 
 def _chord_iterate(residual, Z, res, data, chord):
-    """Chord (simplified Newton) steps Z -= r(Z) chord.
+    """Chord (simplified Newton) steps Z -= chord(r(Z)) on the whole batch.
 
     A row is solved once the step it took is below tol = _STEP_TOL (1 + |Z|),
     or once its next step would be below tol / _CHORD_CONTRACTION, the error
@@ -275,38 +337,38 @@ def _chord_iterate(residual, Z, res, data, chord):
     when the steps predicted from that rate would not reach tol within
     _CHORD_BUDGET more steps, or when _MAX_ITER steps have run.
     Each row decides for itself, so whether it goes to Newton does not
-    depend on the rest of the batch.  Updates Z and res in place and
-    returns the rows left for Newton.
+    depend on the rest of the batch.  Every step evaluates the whole batch
+    and moves only the rows still active (a mask, not a compacted copy), so
+    a finished row's iterate, and with it its residual, stays as it was and
+    the arrays keep the layout the scheme chose (the simple scheme stores
+    its rows components first).  Updates Z and res in place and returns the
+    rows left for Newton.
     """
-    rows = np.arange(len(Z))
-    Za, ra, da = Z, res, data
-    tol = _STEP_TOL * (1.0 + _row_norms(Za))
-    prev = np.inf
-    newton = []
+    n = len(Z)
+    active = np.ones(n, dtype=bool)
+    newton = np.zeros(n, dtype=bool)
+    tol = _STEP_TOL * (1.0 + _row_norms(Z))
+    prev, rate = np.full(n, np.inf), np.zeros(n)
+    r = res
     for _ in range(_MAX_ITER):
-        if rows.size == 0:
-            break
-        delta = ra @ chord
+        delta = chord(r)
         step = _row_norms(delta)
-        rate = step / prev
-        solved = step < tol / _CHORD_CONTRACTION
-        slow = ~(solved | ((rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)))
-        newton.append(rows[slow])
-        go_on = ~(solved | slow)
-        if not go_on.all():
-            rows, Za, delta, step, *da = (a[go_on] for a in (rows, Za, delta, step, *da))
-            if rows.size == 0:
-                break
-        Za = Za - delta
-        ra = residual(Za, *da)
-        Z[rows], res[rows] = Za, ra
-        tol = _STEP_TOL * (1.0 + _row_norms(Za))
-        left = ~(step < tol)
-        if not left.all():
-            rows, Za, ra, step, tol, *da = (a[left] for a in (rows, Za, ra, step, tol, *da))
+        # a finished row keeps its last rate: no 0/0 from its zero step
+        np.divide(step, prev, out=rate, where=active)
+        fast = (rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)
+        active &= ~(step < tol / _CHORD_CONTRACTION)  # solved: the step is not taken
+        newton |= active & ~fast
+        active &= fast
+        if not np.count_nonzero(active):
+            break
+        np.subtract(Z, delta, out=Z, where=active.reshape((n,) + (1,) * (Z.ndim - 1)))
+        r = residual(Z, *data)
+        tol = _STEP_TOL * (1.0 + _row_norms(Z))
+        active &= ~(step < tol)
         prev = step
-    newton.append(rows)  # empty unless _MAX_ITER steps ran
-    return np.concatenate(newton)
+    newton |= active  # rows still going after _MAX_ITER steps
+    res[...] = r
+    return np.flatnonzero(newton)
 
 
 def _newton(residual, jacobian, Z, res, data, res_tol):
@@ -335,6 +397,20 @@ def _newton(residual, jacobian, Z, res, data, res_tol):
     return Z, res
 
 
+def _simple_products(form: MultiSymplecticForm, dt: float, dx: float):
+    """The column products of K/dt, L/dx and the chord (the inverse pivot
+    K/dt - P/4, or None where it is singular), made once per dt and dx."""
+
+    def make():
+        try:
+            chord = _column_product(_step3_blocks(form, "simple", dt, dx).pivot_inv)
+        except spectral.SingularUpdateError:  # Newton alone
+            chord = None
+        return _column_product(form.K / dt), _column_product(form.L / dx), chord
+
+    return _cached(form, ("products", dt, dx), make)
+
+
 def solve_diamonds(
     form: MultiSymplecticForm,
     Zb: np.ndarray,
@@ -342,33 +418,41 @@ def solve_diamonds(
     Zr: np.ndarray,
     dt: float,
     dx: float,
+    _start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve a batch of diamond updates; rows are independent diamonds.
 
     Linear forms apply Step 3's one-diamond map z_t = B z_b + Am z_l + Ap z_r
     (spectral.build_blocks_simple), which raises SingularUpdateError where
     the pivot K/dt - P/4 is singular; a stacked product gives each row the
-    bits of a one-row call.  Nonlinear forms run _solve_nonlinear from the
-    bottom values with the inverse of that pivot as the chord, or Newton
-    alone where it is singular, with res_tol 1e-13 opscale.
+    bits of a one-row call.  Nonlinear forms solve the residual
+    K/dt Z + c - grad S((Z + s)/4), with the known corners folded into c and
+    s, by _solve_nonlinear with res_tol 1e-13 opscale: the chord is the
+    inverse of that pivot, or Newton runs alone where it is singular.  The
+    rows are stored components first (each component of the batch is one
+    contiguous vector), grad S comes from the form's generated kernel, and
+    every product and norm is formed column by column (_column_product,
+    _row_norms), so each row of a batch equals a one-row call bit for bit.
+    The iteration starts from the bottom values, or from ``_start``, which
+    integrate sets to its time predictor 2 z^n - z^(n-1).
     """
-    # contiguous copies: the zig-zag halves arrive as strided views
-    Zb, Zl, Zr = (np.array(Z, dtype=float, ndmin=2) for Z in (Zb, Zl, Zr))
     if form.is_linear:
+        # contiguous copies: the zig-zag halves arrive as strided views
+        Zb, Zl, Zr = (np.array(Z, dtype=float, ndmin=2) for Z in (Zb, Zl, Zr))
         bl = _step3_blocks(form, "simple", dt, dx)
         return (np.concatenate([Zb, Zl, Zr], axis=1)[:, None] @ np.hstack([bl.B, bl.Am, bl.Ap]).T)[:, 0]
-    try:
-        chord = _step3_blocks(form, "simple", dt, dx).pivot_inv.T
-    except spectral.SingularUpdateError:  # Newton alone
-        chord = None
+    # components first: each column of the (n, d) rows is one contiguous vector
+    Zb, Zl, Zr = (np.array(Z, dtype=float, ndmin=2, order="F") for Z in (Zb, Zl, Zr))
+    Kdt, Ldx, chord = _simple_products(form, dt, dx)
+    grad_S, Kdt_matrix = _grad_kernel(form), form.K / dt
     # the known corners of each diamond folded into two constants per row
-    KdtT = (form.K / dt).T
-    c, s = (Zr - Zl) @ (form.L / dx).T - Zb @ KdtT, Zb + Zl + Zr
+    c, s = Ldx(Zr - Zl) - Kdt(Zb), Zb + Zl + Zr
     opscale = _opscale(form, dt, dx)
     Zt, res = _solve_nonlinear(
-        lambda Z, c, s: Z @ KdtT + c - eval_grad_S(form, 0.25 * (Z + s)),
-        lambda Z, c, s: KdtT.T - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
-        Zb, (c, s), chord, 1e-13 * opscale,
+        lambda Z, c, s: Kdt(Z) + c - grad_S((0.25 * (Z + s)).T).T,
+        lambda Z, c, s: Kdt_matrix - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
+        Zb if _start is None else np.array(_start, dtype=float, ndmin=2, order="F"),
+        (c, s), chord, 1e-13 * opscale,
     )
     norm = _row_norms(res)
     # norm <= tol * scale with scale >= 1: only rows above tol need the scale
@@ -399,7 +483,8 @@ def solve_diamond_rk(
     zero, made once per form, tableau, dt and dx, holds the pivot test: it
     raises SingularUpdateError where the stage matrix Q is singular.  Linear
     forms apply that map.  Nonlinear forms solve the map's stage system
-    Q Z = Db zb + Dl zl with grad S(Z) in place of (I (x) P) Z, by the simple
+    Q Z = Db zb + Dl zl with grad S(Z), from the form's generated kernel, in
+    place of (I (x) P) Z, by the simple
     scheme's solver, _solve_nonlinear, from stages equal to the bottom stack,
     with the inverse of Q (the stage Jacobian at z = 0) as the chord and
     res_tol 0 (Newton stops a row on its step alone).  Each diamond is
@@ -425,8 +510,10 @@ def solve_diamond_rk(
     A = bl.Q - np.kron(np.eye(r * r), form.P)
     rhs = zb.reshape(n, 1, r * d) @ bl.Db.T + zl.reshape(n, 1, r * d) @ bl.Dl.T
 
+    grad_S = _grad_kernel(form)
+
     def residual(Z, rhs):
-        return eval_grad_S(form, Z.reshape(len(Z), r * r, d)).reshape(Z.shape) + Z @ A.T - rhs
+        return grad_S(Z.reshape(len(Z), r * r, d).T).T.reshape(Z.shape) + Z @ A.T - rhs
 
     def jacobian(Z, rhs):
         J = np.repeat(A[None], len(Z), axis=0)
@@ -436,7 +523,8 @@ def solve_diamond_rk(
         return J
 
     Z0 = np.repeat(zb[:, :, None, :], r, axis=2).reshape(n, 1, m)
-    Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), bl.pivot_inv.T, 0.0)
+    chord = bl.pivot_inv.T
+    Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), lambda res: res @ chord, 0.0)
     _require_solved(np.flatnonzero(~(_row_norms(res) <= 1e-9 * (1.0 + _row_norms(Z)))))
     Z = Z.reshape(n, r, r, d)
     beta, alpha = tableau.beta, tableau.alpha
@@ -616,8 +704,9 @@ def integrate(
     """Advance the diamond scheme to the time horizon.
 
     ``scheme`` is "simple" or an RKTableau / "rk:R" string.  Each half-step
-    is an independent map over the N diamonds, solved as one batch.  A value
-    exceeding ``blowup``, or any non-finite value, ends the run with status
+    is an independent map over the N diamonds, solved as one batch; after
+    the first step, the nonlinear simple-scheme solves start from the time
+    predictor 2 z^n - z^(n-1).  A value exceeding ``blowup``, or any non-finite value, ends the run with status
     "diverged" (an outcome, not an error).  A non-finite initial state is
     rejected with ValueError.  ``init_method`` ("auto", "exact" or "box")
     picks the start of both schemes alike.  Observers are sampled at t = 0,
@@ -679,12 +768,20 @@ def integrate(
 
     record(0)
     evens, odds = values[0::2], values[1::2]
+    # nonlinear simple-scheme solves start from the time predictor
+    # 2 z^n - z^(n-1), the first step from the bottom values
+    predict = simple and not form.is_linear
+    guess = (None, None)
     for step in range(1, nt + 1):
         if simple:
-            evens[:] = solve_diamonds(form, evens, odds[left], odds, mesh.dt, mesh.dx)
+            previous = values.copy() if predict else None
+            evens[:] = solve_diamonds(form, evens, odds[left], odds, mesh.dt, mesh.dx, guess[0])
             if _blown_up(evens, blowup):
                 return result("diverged", step, diverged_at=(step - 0.5) * mesh.dt)
-            odds[:] = solve_diamonds(form, odds, evens, evens[right], mesh.dt, mesh.dx)
+            odds[:] = solve_diamonds(form, odds, evens, evens[right], mesh.dt, mesh.dx, guess[1])
+            if predict:
+                ahead = 2.0 * values - previous
+                guess = (ahead[0::2], ahead[1::2])
             if _blown_up(odds, blowup):
                 return result("diverged", step, diverged_at=step * mesh.dt)
         else:

@@ -200,6 +200,96 @@ def eval_grad_S(form: MultiSymplecticForm, z) -> np.ndarray:
     return out
 
 
+def _generate_grad_kernel(form: MultiSymplecticForm):
+    """grad S as Python source generated from P and the term list.
+
+    The returned function takes its points components first: ``w[j]`` holds
+    the j-th component of every point (arrays of one common shape, or
+    scalars), and the result stacks the d components of grad S on a new
+    first axis.  Component i is the sum of the nonzero P[i, j] w[j] (column
+    order) and of its terms, factored: the factor common to all the row's
+    terms is taken out, and the rest is summed by coefficient (in order of
+    first appearance), each coefficient times its own common factor times
+    the sum of the remaining monomials.  So the NLS rows are p (a (p^2 + q^2))
+    and q (a (p^2 + q^2)), and every power (by repeated multiplication, as
+    in eval_grad_S), monomial, sum and factored row part is formed once.
+    Each component is a fixed chain of elementwise operations, so a point's
+    bits do not depend on how many points share the call; they differ from
+    eval_grad_S's by rounding.  The constants are bound by name as 0-d
+    arrays, which multiply arrays faster than Python floats do.
+    """
+    d = form.d
+    lines = [f"    {', '.join(f'w{j}' for j in range(d))}, = w"]
+    consts: dict[str, np.ndarray] = {}
+    temps: dict[tuple, str] = {}
+
+    def let(key: tuple, expr: str) -> str:
+        # one temporary per distinct subexpression, in order of first use
+        if key not in temps:
+            temps[key] = f"t{len(temps)}"
+            lines.append(f"    {temps[key]} = {expr}")
+        return temps[key]
+
+    def power(j: int, e: int) -> str:
+        return f"w{j}" if e == 1 else let(("pow", j, e), f"{power(j, e - 1)} * w{j}")
+
+    def monomial(exps: tuple) -> str | None:
+        factors = [power(j, e) for j, e in enumerate(exps) if e]
+        if len(factors) <= 1:
+            return factors[0] if factors else None
+        return let(("mono", exps), " * ".join(factors))
+
+    def times(factor: str | None, expr: str) -> str:
+        return expr if factor is None else f"{factor} * {expr}"
+
+    def scaled(value: float, expr: str | None) -> tuple[str, str]:
+        # sign and summand; a unit coefficient multiplies by nothing
+        if value in (1.0, -1.0):
+            return ("-" if value < 0 else "+"), expr or "1.0"
+        key = f"k{len(consts)}"
+        consts[key] = np.array(float(value))
+        return "+", times(key, expr) if expr else key
+
+    def split(exps_list: list[tuple]) -> tuple[tuple, tuple]:
+        common = tuple(min(col) for col in zip(*exps_list))
+        return common, tuple(tuple(e - c for e, c in zip(m, common)) for m in exps_list)
+
+    def summed(summands: list[tuple[str, str]]) -> str:
+        (sign, first), more = summands[0], summands[1:]
+        return ("-" if sign == "-" else "") + first + "".join(f" {s} {x}" for s, x in more)
+
+    def by_coefficient(members: tuple) -> list[tuple[str, str]]:
+        groups: dict[float, list[tuple]] = {}
+        for coeff, exps in members:
+            groups.setdefault(coeff, []).append(exps)
+        summands = []
+        for coeff, exps_list in groups.items():
+            if len(exps_list) == 1:
+                summands.append(scaled(coeff, monomial(exps_list[0])))
+                continue
+            common, rest = split(exps_list)
+            total = let(("sum", rest), " + ".join(monomial(m) or "1.0" for m in rest))
+            factor = monomial(common)
+            summands.append(scaled(coeff, total if factor is None else let(("prod", common, rest), times(factor, total))))
+        return summands
+
+    for i in range(d):
+        summands = [scaled(form.P[i, j], f"w{j}") for j in np.flatnonzero(form.P[i])]
+        members = [(t.coeff, tuple(t.exponents)) for t in form.terms if t.row == i + 1]
+        common, rest = split([exps for _, exps in members]) if members else ((), ())
+        if len(members) > 1 and any(common):
+            inner = tuple(zip((c for c, _ in members), rest))
+            part = temps.get(("inner", inner)) or let(("inner", inner), summed(by_coefficient(inner)))
+            summands.append(("+", let(("prod", common, inner), times(monomial(common), part))))
+        elif members:
+            summands += by_coefficient(tuple(members))
+        lines.append(f"    g{i} = {summed(summands) if summands else 'np.zeros_like(w0)'}")
+    lines.append(f"    return np.array([{', '.join(f'g{i}' for i in range(d))}])")
+    namespace = {"np": np, **consts}
+    exec("def grad_S(w):\n" + "\n".join(lines), namespace)
+    return namespace["grad_S"]
+
+
 def eval_jac_S(form: MultiSymplecticForm, z) -> np.ndarray:
     """Jacobian of grad S at z; shape (..., d, d)."""
     z = np.asarray(z, dtype=float)
@@ -607,6 +697,9 @@ def registry_get(name: str, **params: float) -> MultiSymplecticForm:
     if unknown:
         have = ", ".join(constants) or "none"
         raise ValueError(f"form {name!r} has no constant {', '.join(unknown)}; its constants: {have}")
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"form {name!r}: constant {key} = {value} is not finite")
     return builder(**params)
 
 

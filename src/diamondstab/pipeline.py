@@ -35,11 +35,25 @@ class PipelineReport:
     lin_dm: structure.DMReport | None = None
 
 
+def _is_registered_nls(form) -> bool:
+    # the form named "nls" that carries its constant a
+    return form.name == "nls" and "a" in dict(form.params)
+
+
+def _check_rho(form, rho: float | None) -> None:
+    # rho is the amplitude of the registered NLS's plane wave; no other form has one
+    if rho is not None and not _is_registered_nls(form):
+        raise ValueError(
+            f"rho is the plane-wave amplitude of the registered nls; form {form.name!r} is linearized at z = 0"
+        )
+
+
 def reference_linearization(form, rho: float | None = None) -> msform.LinearizedForm:
-    """The linear form Steps 2 and 3 analyse: the registered NLS (the form
-    named "nls" that carries its constant ``a``) about the plane wave of
-    constant amplitude ``rho`` (default 9), every other form about z = 0."""
-    if form.name == "nls" and "a" in dict(form.params):
+    """The linear form Steps 2 and 3 analyse: the registered NLS about the
+    plane wave of constant amplitude ``rho`` (default 9), every other form
+    about z = 0 (a ``rho`` for those raises ValueError)."""
+    _check_rho(form, rho)
+    if _is_registered_nls(form):
         return msform.nls_constant_amplitude_linearization(
             rho if rho is not None else 9.0, form.param("a")
         )
@@ -67,6 +81,7 @@ def run_pipeline(
         raise ValueError(f"stop_after must be 1, 2 or 3, got {stop_after!r}")
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N!r}")
+    _check_rho(form, rho)
     bip = structure.build_equation_unknown_graph(form)
     dm = structure.dm_decompose(bip)
     if not dm.consistent or stop_after == 1:

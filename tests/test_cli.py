@@ -364,6 +364,11 @@ BAD_INPUT_COMMANDS = {
     "sweep_zero_dx": ["sweep", "--pde", "wave", "--dx-list", "0", "--domain-length", "4"],
     "sweep_zero_domain_length": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "0"],
     "run_zero_dx": ["run", "--pde", "wave", "--dx", "0", "--dt", "0.1", "--T", "0.2", "--ic", "zero"],
+    "analyze_rho_on_other_form": ["analyze", "wave", "--params", "rho=3"],
+    "sweep_rho_on_other_form": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
+                                "--params", "rho=3"],
+    "analyze_param_without_value": ["analyze", "wave", "--params", "a"],
+    "analyze_nonfinite_constant": ["analyze", "dirac", "--params", "m=nan"],
 }
 
 
@@ -387,3 +392,14 @@ def test_unknown_constant_error_names_the_form_constants(capsys):
     assert capsys.readouterr().err.strip() == "error: form 'dirac' has no constant mass; its constants: m, lam"
     assert main(["analyze", "wave", "--params", "a=1"]) == 1
     assert capsys.readouterr().err.strip() == "error: form 'wave' has no constant a; its constants: none"
+
+
+def test_params_faults_name_their_cause(capsys):
+    assert main(["analyze", "dirac", "--params", "m=nan"]) == 1
+    assert capsys.readouterr().err.strip() == "error: form 'dirac': constant m = nan is not finite"
+    assert main(["analyze", "wave", "--params", "a"]) == 1
+    assert capsys.readouterr().err.strip() == "error: --params expects key=val, got 'a'"
+    assert main(["analyze", "wave", "--params", "rho=3", "--step1"]) == 1
+    assert "plane-wave amplitude of the registered nls" in capsys.readouterr().err
+    # the registered NLS takes rho as before
+    assert main(["analyze", "nls", "--params", "rho=4", "--step2", "--format", "json"]) == 0

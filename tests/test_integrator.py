@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -124,7 +126,7 @@ def test_batch_solve_matches_per_diamond_loop():
     for order in (range(7), reversed(range(7))):
         for i in order:
             one = solve_diamonds(form, Zb[i], Zl[i], Zr[i], 0.1, 0.2)[0]
-            assert np.abs(one - batch[i]).max() <= 1e-14
+            assert np.array_equal(one, batch[i])
 
 
 def test_init_half_step_exact_mixed_kg():
@@ -660,10 +662,8 @@ def test_chord_solve_properties(name, scheme, amplitude, dt_over_dx, rows, seed)
     assert _relative_gap(batch, newton) <= 1e-12
     for i in range(rows):
         one = solve(*(Z[i] for Z in corners))
-        if scheme == "simple":
-            assert _relative_gap(one[0], batch[i]) <= 1e-14
-        else:
-            assert np.array_equal(one, batch[i])
+        assert np.array_equal(one[0] if scheme == "simple" else one, batch[i])
+        if scheme != "simple":
             # Newton stops each row on its own step, whatever the other rows need
             assert np.array_equal(_newton_only(solve, *(Z[i] for Z in corners)), newton[i])
 
@@ -727,9 +727,9 @@ def test_chord_batch_with_newton_rows_matches_scipy_root(monkeypatch):
     for i in range(len(Zb)):
         ref = _diamond_by_lm(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)
         assert np.abs(got[i] - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
-        # each row leaves the chord and stops Newton on its own, so it is its
-        # one-row call up to the rounding of (n, d) @ (d, d) products
-        assert _relative_gap(solve_diamonds(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)[0], got[i]) <= 1e-14
+        # each row leaves the chord and stops Newton on its own, and every
+        # product is a column product, so it is its one-row call bit for bit
+        assert np.array_equal(solve_diamonds(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)[0], got[i])
 
 
 def _count_jacobians(monkeypatch):
@@ -778,6 +778,91 @@ def test_chord_needs_no_more_jacobians_than_newton_on_dirac():
             for args in inputs:
                 _newton_only(solve, *args)
         assert 0 < chord <= len(calls)
+
+
+@pytest.mark.parametrize("case", ["nls-2.5e-6", "nls-4e-5", "dirac"])
+def test_predicted_start_solves_to_the_bottom_start_solution(case):
+    if case == "dirac":
+        form, mesh, z0 = _dirac_start()
+        ic = dirac_breather(form.param("m"), form.param("lam"), 0.5)[0]
+    else:
+        form, mesh, z0 = _nls_start(float(case[4:]))
+        ic = nls_two_soliton_ic()
+    run = MeshParams(mesh.a, mesh.b, mesh.N, mesh.dt, mesh.dt)
+    z1 = integrate(form, "simple", ic, run, observers=(), exact=lambda x, t: z0[1::2], init_method="exact").state.values
+    # the start integrate takes for the second step
+    guess = 2.0 * z1 - z0
+    Zb, Zl, Zr = _half_step_corners(z1)
+    for half in range(2):
+        bottom = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+        predicted = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx, guess[half::2])
+        assert _relative_gap(predicted, bottom) <= 1e-12
+        Zb, Zl, Zr = z1[1::2], bottom, np.roll(bottom, -1, axis=0)
+
+
+# the bounded run of acceptance 10 (box start) after 400 steps, computed by
+# the solver without the time predictor, mask or generated kernel: energies
+# at t = 0, 1e-3/4, ..., 1e-3 and (row, state) pairs of the zig-zag state
+NLS_400_ENERGIES = [11.502058708287914, 11.554470240236887, 11.576030135192505, 11.577153753830792,
+                    11.577285761463163]
+NLS_400_ROWS = {
+    284: [1.2434543725754357, -2.211064787147553, -0.3407298720633771, 4.5046954428223],
+    285: [1.2143042729322766, -1.9812705783918572, -0.826339395133698, 4.68683967945106],
+    300: [0.26842900818641213, -0.13244835163714472, -0.7019839106231719, 0.5956032590518575],
+    450: [-1.603105235980918e-06, -2.1255935681472757e-06, 0.08503727661155602, -0.06528905731560627],
+    650: [0.12419464912730922, -0.01075423259689682, 0.29580046956386497, -0.11925792168025245],
+    700: [-0.1592624588023482, -0.38681439617542857, 0.09516673247203489, 1.0529382787087753],
+}
+
+
+def test_bounded_nls_run_keeps_its_400_step_values():
+    form = registry_get("nls")
+    mesh = MeshParams(a=-24.0, b=24.0, N=480, dt=2.5e-6, T=400 * 2.5e-6)
+    res = integrate(form, "simple", nls_two_soliton_ic(), mesh, observers=("energy",), init_method="box")
+    assert res.status == "completed" and res.state.step == 400
+    np.testing.assert_allclose(res.energies, NLS_400_ENERGIES, rtol=1e-9, atol=0)
+    rows = list(NLS_400_ROWS)
+    ref = np.array([NLS_400_ROWS[i] for i in rows])
+    assert np.abs(res.state.values[rows] - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_nonfinite_row_reaches_newton_and_leaves_the_others_alone(monkeypatch):
+    form, mesh, values = _nls_start(4e-5)
+    Zb, Zl, Zr = (Z[::40].copy() for Z in _half_step_corners(values))
+    Zl[3, 1] = np.nan
+    nonfinite, solved = [], []
+    newton, solve_nonlinear = integrator._newton, integrator._solve_nonlinear
+
+    def recorded_newton(residual, jacobian, Z, res, *args):
+        nonfinite.append(int((~np.isfinite(res).all(axis=1)).sum()))
+        return newton(residual, jacobian, Z, res, *args)
+
+    def recorded_solve(*args):
+        Z, res = solve_nonlinear(*args)
+        solved.append(Z.copy())
+        return Z, res
+
+    monkeypatch.setattr(integrator, "_newton", recorded_newton)
+    monkeypatch.setattr(integrator, "_solve_nonlinear", recorded_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonError, match=r"rows \[3\]"):
+            solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+    # the NaN row's residual is not finite: the chord hands it to Newton
+    assert nonfinite == [1]
+    for i in range(len(Zb)):
+        if i != 3:
+            assert np.array_equal(solve_diamonds(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)[0], solved[0][i])
+
+
+@pytest.mark.filterwarnings("error")
+def test_rows_that_finish_early_raise_no_warning():
+    # zero rows are solved at once with a zero step; the NLS rows go on, so
+    # the full-batch chord meets the finished rows' 0 / 0 rates
+    form, mesh, values = _nls_start(2.5e-6)
+    Zb, Zl, Zr = (np.concatenate([np.zeros((5, 4)), Z]) for Z in _half_step_corners(values))
+    Zt = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+    assert np.array_equal(Zt[:5], np.zeros((5, 4)))
 
 
 def test_nonfinite_values_fail_convergence_tests():

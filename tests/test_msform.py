@@ -276,3 +276,49 @@ def test_forms_are_immutable():
     f = registry_get("wave")
     with pytest.raises(ValueError):
         f.K[0, 0] = 5.0
+
+
+def _random_term_form(rng, d):
+    """A form with random P and polynomial terms: exponents 0..3 over a few
+    variables each (the rest zero), coefficients from a short list so that
+    terms of one row share them; grad S need not be exact here."""
+    terms = []
+    for _ in range(rng.integers(1, 16)):
+        exps = np.zeros(d, dtype=int)
+        for j in rng.choice(d, size=rng.integers(1, min(d, 3) + 1), replace=False):
+            exps[j] = rng.integers(1, 4)
+        if exps.sum() < 2:
+            exps[np.flatnonzero(exps)[0]] = 2
+        coeff = float(rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0]) if rng.random() < 0.7 else rng.uniform(-3, 3))
+        terms.append(PolynomialTerm(int(rng.integers(1, d + 1)), coeff, tuple(int(e) for e in exps)))
+    P = np.where(rng.random((d, d)) < 0.4, rng.choice([-1.0, 1.0, 0.25, 2.0], size=(d, d)), 0.0)
+    return MultiSymplecticForm("random", tuple(f"z{i}" for i in range(d)), np.zeros((d, d)),
+                               np.zeros((d, d)), P + P.T, tuple(terms))
+
+
+def _magnitude_form(form):
+    # every summand of grad S taken positive: bounds the rounding of any order
+    terms = tuple(PolynomialTerm(t.row, abs(t.coeff), t.exponents) for t in form.terms)
+    return MultiSymplecticForm("abs", form.names, form.K, form.L, np.abs(form.P), terms)
+
+
+def test_generated_grad_kernel_matches_eval_grad_S():
+    rng = np.random.default_rng(1616)
+    forms = [registry_get(name) for name in registry_names()]
+    forms += [_random_term_form(rng, d) for d in range(3, 9) for _ in range(8)]
+    assert any(0 in col for f in forms[14:] for col in zip(*(t.exponents for t in f.terms)))
+    for form in forms:
+        kernel = msform._generate_grad_kernel(form)
+        for shape in [(form.d,), (7, form.d), (5, 4, form.d)]:
+            z = rng.standard_normal(shape)
+            got = np.moveaxis(kernel(np.moveaxis(z, -1, 0)), 0, -1)
+            ref = eval_grad_S(form, z)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + eval_grad_S(_magnitude_form(form), np.abs(z))))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_registry_rejects_nonfinite_constants(value):
+    with pytest.raises(ValueError, match="constant lam = .* is not finite"):
+        registry_get("dirac", lam=value)
+    assert registry_get("dirac", lam=2.0).param("lam") == 2.0
