@@ -343,25 +343,18 @@ def linearize(form: MultiSymplecticForm, z_ref) -> LinearizedForm:
 
 
 _CHECK_POINTS, _CHECK_SEED = 10, 0  # validate_form's seeded random points
-_FD_STEP = 1e-6  # central-difference step of _fd_jacobian
-
-
-def _fd_jacobian(form: MultiSymplecticForm, z: np.ndarray) -> np.ndarray:
-    d = form.d
-    jac = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = _FD_STEP
-        jac[:, j] = (eval_grad_S(form, z + e) - eval_grad_S(form, z - e)) / (2 * _FD_STEP)
-    return jac
+_FD_STEP = 1e-6  # central-difference step of validate_form's check
 
 
 def validate_form(form: MultiSymplecticForm) -> ValidationReport:
     """Check the structural invariants of a form.
 
-    Skew-symmetry of K and L is required exactly; gradient exactness
+    Every entry of K, L, P and every term coefficient must be finite, and
+    skew-symmetry of K and L is required exactly.  Gradient exactness
     (symmetry of the Jacobian of grad S) is checked analytically and against
-    central finite differences at random points, 1e-6 relative.
+    central finite differences, 1e-6 relative, at 10 seeded random points
+    evaluated in one batch; the first failing point in draw order is the one
+    reported.  Every tolerance test fails on NaN.
     """
     issues: list[str] = []
     d = form.d
@@ -370,17 +363,15 @@ def validate_form(form: MultiSymplecticForm) -> ValidationReport:
     for label, M in (("K", form.K), ("L", form.L), ("P", form.P)):
         if M.shape != (d, d):
             issues.append(f"{label} has shape {M.shape}, expected {(d, d)}")
-    if form.K.shape == (d, d):
-        bad = np.argwhere(form.K != -form.K.T)
-        for i, j in bad[: len(bad) // 2 + 1]:
-            issues.append(f"K not skew-symmetric at ({i},{j})")
-            break
-    if form.L.shape == (d, d):
-        bad = np.argwhere(form.L != -form.L.T)
-        for i, j in bad:
-            issues.append(f"L not skew-symmetric at ({i},{j})")
-            break
-    for t in form.terms:
+        elif len(bad := np.argwhere(~np.isfinite(M))):
+            i, j = bad[0]
+            issues.append(f"{label}[{i}][{j}] = {M[i, j]} is not finite")
+        elif label != "P" and len(bad := np.argwhere(M != -M.T)):
+            i, j = bad[0]
+            issues.append(f"{label} not skew-symmetric at ({i},{j})")
+    for k, t in enumerate(form.terms):
+        if not math.isfinite(t.coeff):
+            issues.append(f"terms[{k}].coeff = {t.coeff} is not finite")
         if not (1 <= t.row <= d):
             issues.append(f"term row {t.row} out of range 1..{d}")
         if len(t.exponents) != d:
@@ -393,21 +384,27 @@ def validate_form(form: MultiSymplecticForm) -> ValidationReport:
         return ValidationReport(False, tuple(issues))
 
     rng = np.random.default_rng(_CHECK_SEED)
-    for _ in range(_CHECK_POINTS):
-        z = 0.5 * rng.standard_normal(d)
+    z = 0.5 * rng.standard_normal((_CHECK_POINTS, d))
+    # an overflow gives inf or NaN, which the tolerance tests below refuse
+    with np.errstate(over="ignore", invalid="ignore"):
         jac = eval_jac_S(form, z)
-        scale = max(1.0, float(np.abs(jac).max()))
-        fd = _fd_jacobian(form, z)
-        if np.abs(jac - fd).max() > 1e-6 * scale:
+        tol = 1e-6 * np.maximum(1.0, np.abs(jac).max(axis=(1, 2)))
+        # grad S at z +- h e_j for every point and j, shape (2, points, j, d)
+        steps = _FD_STEP * np.eye(d)
+        grads = eval_grad_S(form, np.stack([z[:, None] + steps, z[:, None] - steps]))
+        fd = np.swapaxes(grads[0] - grads[1], 1, 2) / (2 * _FD_STEP)
+        asym = np.abs(jac - np.swapaxes(jac, 1, 2))
+        fd_ok = np.abs(jac - fd).max(axis=(1, 2)) <= tol
+    failing = np.flatnonzero(~(fd_ok & (asym.max(axis=(1, 2)) <= tol)))
+    if failing.size:
+        p = failing[0]
+        if not fd_ok[p]:
             issues.append("analytic Jacobian disagrees with finite differences")
-            break
-        asym = np.abs(jac - jac.T)
-        if asym.max() > 1e-6 * scale:
-            i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        else:
+            i, j = np.unravel_index(np.argmax(asym[p]), (d, d))
             issues.append(
-                f"grad S is not exact: Jacobian asymmetric at ({i},{j}) for z={np.round(z, 3).tolist()}"
+                f"grad S is not exact: Jacobian asymmetric at ({i},{j}) for z={np.round(z[p], 3).tolist()}"
             )
-            break
     return ValidationReport(not issues, tuple(issues))
 
 
@@ -431,8 +428,22 @@ def form_to_dict(form: MultiSymplecticForm) -> dict:
     }
 
 
+def _json_integer(path, where: str, value) -> int:
+    """An integer entry of a JSON form; integral floats such as 2.0 pass."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{path}: {where} = {value!r} is not an integer")
+
+
 def load_form_json(path) -> MultiSymplecticForm:
-    """Load a form from the documented JSON schema and validate it."""
+    """Load a form from the documented JSON schema and validate it.
+
+    ``d``, each term's ``row`` and its ``exponents`` must be integers (an
+    integral float such as 2.0 is read as one); anything else is refused
+    rather than truncated.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -441,13 +452,17 @@ def load_form_json(path) -> MultiSymplecticForm:
     for key in ("d", "names", "K", "L", "P"):
         if key not in data:
             raise ValueError(f"{path}: missing required key {key!r}")
-    d = int(data["d"])
+    d = _json_integer(path, "d", data["d"])
     names = tuple(str(n) for n in data["names"])
     if len(names) != d:
         raise ValueError(f"{path}: names has length {len(names)}, expected d={d}")
     terms = tuple(
-        PolynomialTerm(int(t["row"]), float(t["coeff"]), tuple(int(e) for e in t["exponents"]))
-        for t in data.get("terms", [])
+        PolynomialTerm(
+            _json_integer(path, f"terms[{k}].row", t["row"]),
+            float(t["coeff"]),
+            tuple(_json_integer(path, f"terms[{k}].exponents[{i}]", e) for i, e in enumerate(t["exponents"])),
+        )
+        for k, t in enumerate(data.get("terms", []))
     )
     form = MultiSymplecticForm(
         name=str(data.get("name", "json_form")),

@@ -387,6 +387,36 @@ def test_cli_bad_input_is_one_line_error(case, tmp_path, capsys):
     assert captured.out == ""
 
 
+# an entry of the NLS JSON form set to a non-finite or non-integral value,
+# and the name the error gives it
+BAD_JSON_ENTRIES = {
+    "coeff_nan": (("terms", 0, "coeff"), float("nan"), "terms[0].coeff"),
+    "P_nan": (("P", 2, 2), float("nan"), "P[2][2]"),
+    "L_inf": (("L", 0, 2), float("inf"), "L[0][2]"),
+    "L_minus_inf": (("L", 0, 2), -float("inf"), "L[0][2]"),
+    "exponent_fraction": (("terms", 0, "exponents", 0), 3.5, "terms[0].exponents[0]"),
+    "row_fraction": (("terms", 0, "row"), 1.9, "terms[0].row"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_JSON_ENTRIES))
+def test_cli_bad_json_entry_is_one_line_error(case, tmp_path, capsys):
+    (*keys, last), value, name = BAD_JSON_ENTRIES[case]
+    data = form_to_dict(registry_get("nls"))
+    entry = data
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{name} = {value}" in err[0], captured.err
+    assert captured.out == ""
+
+
 def test_unknown_constant_error_names_the_form_constants(capsys):
     assert main(["analyze", "dirac", "--params", "mass=2"]) == 1
     assert capsys.readouterr().err.strip() == "error: form 'dirac' has no constant mass; its constants: m, lam"

@@ -208,6 +208,111 @@ def test_derived_potential_matches_random_polynomials():
         assert eval_S(form, z[0]) == pytest.approx(expected[0], rel=1e-12, abs=1e-12 * scale[0])
 
 
+def _per_point_exactness_check(form):
+    """The exactness check as a loop over the seeded points, one evaluation
+    per point and per finite difference; returns the issues and the index of
+    the first failing point (None when every point passes)."""
+    rng = np.random.default_rng(msform._CHECK_SEED)
+    for point in range(msform._CHECK_POINTS):
+        z = 0.5 * rng.standard_normal(form.d)
+        jac = eval_jac_S(form, z)
+        scale = max(1.0, float(np.abs(jac).max()))
+        if np.abs(jac - fd_jacobian(form, z, msform._FD_STEP)).max() > 1e-6 * scale:
+            return ["analytic Jacobian disagrees with finite differences"], point
+        asym = np.abs(jac - jac.T)
+        if asym.max() > 1e-6 * scale:
+            i, j = np.unravel_index(np.argmax(asym), asym.shape)
+            return [f"grad S is not exact: Jacobian asymmetric at ({i},{j}) for z={np.round(z, 3).tolist()}"], point
+    return [], None
+
+
+def _scaled_term(form, k, factor):
+    terms = list(form.terms)
+    terms[k] = PolynomialTerm(terms[k].row, terms[k].coeff * factor, terms[k].exponents)
+    return MultiSymplecticForm(form.name, form.names, form.K, form.L, form.P, tuple(terms))
+
+
+def test_batched_exactness_check_matches_the_per_point_loop():
+    rng = np.random.default_rng(1818)
+    registered = [registry_get(name) for name in registry_names()]
+    drawn = [_random_potential_form(rng, int(rng.integers(2, 7)))[0] for _ in range(40)]
+    # every term of a registered form, one term of a drawn form; at 1e-6 the
+    # asymmetry is near the tolerance, so some forms first fail at a later point
+    rels = (1e-3, 1e-6, 1e-7)
+    perturbed = [_scaled_term(form, k, 1.0 + rel) for form in registered for k in range(len(form.terms)) for rel in rels]
+    perturbed += [_scaled_term(form, int(rng.integers(len(form.terms))), 1.0 + rel)
+                  for form in drawn if form.terms for rel in rels]
+    first_failures = []
+    for form in registered + drawn + perturbed:
+        issues, point = _per_point_exactness_check(form)
+        assert validate_form(form) == msform.ValidationReport(not issues, tuple(issues))
+        first_failures.append(point)
+    assert all(point is None for point in first_failures[: len(registered) + len(drawn)])
+    later = [point for point in first_failures if point is not None and point > 0]
+    assert later and None in first_failures[len(registered) + len(drawn):] and 0 in first_failures
+
+
+@pytest.mark.filterwarnings("error")
+def test_exactness_check_refuses_an_overflowing_gradient():
+    # finite coefficients whose Jacobian overflows at the seeded points: the
+    # inf and NaN that result fail the tolerance tests, silently
+    report = validate_form(registry_get("nls", a=1.7e308))
+    assert report.issues == ("analytic Jacobian disagrees with finite differences",)
+
+
+def _nls_json_with(tmp_path, keys, value):
+    """The NLS form as a JSON file, with the entry at the key path ``keys``
+    set to ``value``."""
+    data = msform.form_to_dict(registry_get("nls"))
+    entry = data
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("keys, where", [
+    (("K", 0, 1), "K[0][1]"),
+    (("L", 0, 2), "L[0][2]"),
+    (("P", 2, 2), "P[2][2]"),
+    (("terms", 2, "coeff"), "terms[2].coeff"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_json_entry_is_named(keys, where, value, tmp_path):
+    path = _nls_json_with(tmp_path, keys, value)
+    with pytest.raises(FormValidationError) as info:
+        load_form_json(path)
+    assert str(info.value) == f"{where} = {value} is not finite"
+
+
+@pytest.mark.parametrize("keys, value, where", [
+    (("terms", 1, "exponents", 0), 3.5, "terms[1].exponents[0]"),
+    (("terms", 1, "row"), 1.9, "terms[1].row"),
+    (("terms", 1, "row"), True, "terms[1].row"),
+    (("terms", 1, "exponents", 1), "2", "terms[1].exponents[1]"),
+    (("d",), 4.5, "d"),
+])
+def test_non_integral_json_entry_is_refused(keys, value, where, tmp_path):
+    path = _nls_json_with(tmp_path, keys, value)
+    with pytest.raises(ValueError) as info:
+        load_form_json(path)
+    assert str(info.value) == f"{path}: {where} = {value!r} is not an integer"
+
+
+def test_integral_floats_are_read_as_integers(tmp_path):
+    f = registry_get("nls")
+    data = msform.form_to_dict(f)
+    data["d"] = 4.0
+    data["terms"] = [{**t, "row": float(t["row"]), "exponents": [float(e) for e in t["exponents"]]}
+                     for t in data["terms"]]
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(data))
+    g = load_form_json(path)
+    assert g.terms == f.terms and all(type(e) is int for t in g.terms for e in (t.row, *t.exponents))
+
+
 @pytest.mark.parametrize("name", registry_names())
 def test_json_roundtrip_keeps_total_energy(name, tmp_path):
     f = registry_get(name)
