@@ -437,33 +437,54 @@ def _json_integer(path, where: str, value) -> int:
     raise ValueError(f"{path}: {where} = {value!r} is not an integer")
 
 
+def _json_list(path, where: str, value) -> list:
+    """A list entry of a JSON form."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {where} = {value!r} is not a list")
+    return value
+
+
+def _json_term(path, k: int, term) -> PolynomialTerm:
+    """terms[k] of a JSON form: an object with "row", "coeff" and "exponents"."""
+    if not isinstance(term, dict):
+        raise ValueError(f"{path}: terms[{k}] = {term!r} is not an object")
+    for key in ("row", "coeff", "exponents"):
+        if key not in term:
+            raise ValueError(f"{path}: terms[{k}] has no {key!r}")
+    if isinstance(term["coeff"], bool) or not isinstance(term["coeff"], (int, float)):
+        raise ValueError(f"{path}: terms[{k}].coeff = {term['coeff']!r} is not a number")
+    exponents = _json_list(path, f"terms[{k}].exponents", term["exponents"])
+    return PolynomialTerm(
+        _json_integer(path, f"terms[{k}].row", term["row"]),
+        float(term["coeff"]),
+        tuple(_json_integer(path, f"terms[{k}].exponents[{i}]", e) for i, e in enumerate(exponents)),
+    )
+
+
 def load_form_json(path) -> MultiSymplecticForm:
     """Load a form from the documented JSON schema and validate it.
 
     ``d``, each term's ``row`` and its ``exponents`` must be integers (an
     integral float such as 2.0 is read as one); anything else is refused
-    rather than truncated.
+    rather than truncated.  ``names``, ``terms`` and each ``exponents`` must
+    be lists, and each term an object with a ``row``, a numeric ``coeff``
+    and ``exponents``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the top level is not an object")
     for key in ("d", "names", "K", "L", "P"):
         if key not in data:
             raise ValueError(f"{path}: missing required key {key!r}")
     d = _json_integer(path, "d", data["d"])
-    names = tuple(str(n) for n in data["names"])
+    names = tuple(str(n) for n in _json_list(path, "names", data["names"]))
     if len(names) != d:
         raise ValueError(f"{path}: names has length {len(names)}, expected d={d}")
-    terms = tuple(
-        PolynomialTerm(
-            _json_integer(path, f"terms[{k}].row", t["row"]),
-            float(t["coeff"]),
-            tuple(_json_integer(path, f"terms[{k}].exponents[{i}]", e) for i, e in enumerate(t["exponents"])),
-        )
-        for k, t in enumerate(data.get("terms", []))
-    )
+    terms = tuple(_json_term(path, k, t) for k, t in enumerate(_json_list(path, "terms", data.get("terms", []))))
     form = MultiSymplecticForm(
         name=str(data.get("name", "json_form")),
         names=names,

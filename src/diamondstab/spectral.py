@@ -100,7 +100,8 @@ class RKBlocks:
 
 @dataclass(frozen=True)
 class SymbolFamily:
-    """Frequency symbols Lambda_k = C0 + zeta_N^k C+ + zeta_N^-k C-."""
+    """Symbols Lambda(q) = C0 + zeta C+ + zeta^-1 C-, zeta = exp(2 pi i q);
+    a periodic mesh of N diamonds has the phases q = k/N, k = 0 .. N-1."""
 
     C0: np.ndarray
     Cp: np.ndarray
@@ -111,20 +112,15 @@ class SymbolFamily:
     def block_size(self) -> int:
         return self.C0.shape[0]
 
-    def symbols(self, ks) -> np.ndarray:
-        """The (len(ks), m, m) stack of Lambda_k.
-
-        zeta is formed from k/N, so equal fractions k/N give bit-identical
-        symbols whatever N is (k = 100 j of N = 800 and k = j of N = 8).
-        """
-        zeta = np.array([cmath.exp(2j * math.pi * (k / self.N)) for k in ks])[:, None, None]
+    def symbols_at(self, q) -> np.ndarray:
+        """The (len(q), m, m) stack of Lambda(q), zeta from ``cmath.exp`` per
+        phase.  Phases k/N equal as fractions give equal bits (100 j / 800 and j / 8)."""
+        zeta = np.array([cmath.exp(2j * math.pi * p) for p in q])[:, None, None]
         return self.C0 + zeta * self.Cp + self.Cm / zeta
 
     def symbol(self, k: int) -> np.ndarray:
-        return self.symbols([k])[0]
-
-    def eigenvalues(self, k: int) -> np.ndarray:
-        return np.linalg.eigvals(self.symbol(k))
+        """Lambda_k = Lambda(k/N)."""
+        return self.symbols_at([k / self.N])[0]
 
 
 def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBlocks:
@@ -271,6 +267,7 @@ def assemble_full_update_matrix_rk(blocks: RKBlocks, N: int) -> np.ndarray:
 
 
 _TOL = 1e-9  # slack of the "strict" and "nozero" thresholds on the dominant modulus
+_SWEEP_RTOL = 1e-6  # the sweep bisects until hi / lo <= 1 + _SWEEP_RTOL (about 22 halvings)
 
 
 @dataclass(frozen=True)
@@ -287,15 +284,20 @@ class Criterion:
     kind: str = "strict"
     theta: float = 1.1
 
+    def __post_init__(self):
+        # the spectra are reciprocal, so lambda_1 >= 1 and theta <= 1 never passes
+        if self.kind == "growth" and not (math.isfinite(self.theta) and self.theta > 1.0):
+            raise ValueError(f"growth criterion needs a finite theta > 1, got {self.theta!r}")
+
     @staticmethod
     def parse(text: str) -> "Criterion":
         if text == "strict":
             return Criterion("strict")
         if text == "nozero":
             return Criterion("nozero")
-        if text.startswith("growth"):
-            theta = float(text.split(":", 1)[1]) if ":" in text else 1.1
-            return Criterion("growth", theta=theta)
+        kind, colon, theta = text.partition(":")
+        if kind == "growth":
+            return Criterion("growth", theta=float(theta) if colon else 1.1)
         raise ValueError(f"unknown criterion {text!r}")
 
 
@@ -304,8 +306,8 @@ class SpectralVerdict:
     """Dominant eigenvalue moduli over all k and over k >= 1, and the k of each.
 
     For real blocks k_dominant and k_dominant_nonzero are the representative
-    k <= N/2 of the conjugate pair {k, N - k}; k_dominant_nonzero is 0 when
-    N = 1.
+    k <= N/2 of the conjugate pair {k, N - k}.  At N = 1 there is no k >= 1:
+    the "nonzero" fields repeat k = 0, and "nozero" is refused.
     """
 
     dominant_all: float
@@ -316,30 +318,36 @@ class SpectralVerdict:
     k_dominant_nonzero: int
 
 
-# Frequencies per stacked eigvals call.  One call on the whole (N, m, m) stack
-# is no faster than chunks of 16 to 32 and raises peak memory (by about 5 MB
-# at N = 800 with m up to 16).
+# Phases per stacked eigvals call.  One call on the whole (N, m, m) stack is
+# no faster than chunks of 16 to 32 and raises peak memory (by about 5 MB at
+# N = 800 with m up to 16).
 _EIGVALS_CHUNK = 32
+
+
+def _moduli_at(family: SymbolFamily, q) -> np.ndarray:
+    """max |eig(Lambda(q))| per phase q; a stacked ``eigvals`` call gives
+    each symbol the bits of a call on that symbol alone."""
+    q = np.asarray(q, dtype=float)
+    moduli = np.empty(len(q))
+    for start in range(0, len(q), _EIGVALS_CHUNK):
+        ev = np.linalg.eigvals(family.symbols_at(q[start : start + _EIGVALS_CHUNK]))
+        moduli[start : start + len(ev)] = np.abs(ev).max(axis=1)
+    return moduli
 
 
 def _dominant_moduli(family: SymbolFamily) -> np.ndarray:
     """max |eig(Lambda_k)| for k = 0 .. N-1.
 
-    Real blocks give Lambda_{N-k} = conj(Lambda_k), so only k <= N/2 are
-    evaluated and the rest are mirrored; complex blocks evaluate every k.
+    Real blocks give Lambda(1 - q) = conj(Lambda(q)), so only k <= N/2 are
+    evaluated and k > N/2 are mirrored from N - k; complex blocks evaluate
+    every k.
     """
     N = family.N
     real = not any(np.iscomplexobj(C) for C in (family.C0, family.Cp, family.Cm))
-    n_eval = N // 2 + 1 if real else N
-    moduli = np.empty(n_eval)
-    for start in range(0, n_eval, _EIGVALS_CHUNK):
-        stop = min(start + _EIGVALS_CHUNK, n_eval)
-        ev = np.linalg.eigvals(family.symbols(range(start, stop)))
-        moduli[start:stop] = np.abs(ev).max(axis=1)
-    if not real:
-        return moduli
     ks = np.arange(N)
-    return moduli[np.minimum(ks, N - ks)]
+    if not real:
+        return _moduli_at(family, ks / N)
+    return _moduli_at(family, ks[: N // 2 + 1] / N)[np.minimum(ks, N - ks)]
 
 
 def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
@@ -356,34 +364,29 @@ def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
 
 
 def spectral_verdict(family: SymbolFamily, criterion: Criterion, dt: float | None = None) -> SpectralVerdict:
+    if criterion.kind == "nozero" and family.N < 2:
+        raise ValueError(f'criterion "nozero" excludes k = 0 and needs N >= 2, got N={family.N}')
     moduli = _dominant_moduli(family)
     k_all = int(np.argmax(moduli))
     k_nonzero = int(np.argmax(moduli[1:])) + 1 if family.N > 1 else k_all
     dominant_all = float(moduli[k_all])
     dominant_nonzero = float(moduli[k_nonzero])
     stable = _within(criterion, dominant_nonzero if criterion.kind == "nozero" else dominant_all, dt)
-    return SpectralVerdict(
-        dominant_all,
-        dominant_nonzero,
-        bool(stable),
-        criterion,
-        k_all,
-        k_nonzero,
-    )
+    return SpectralVerdict(dominant_all, dominant_nonzero, bool(stable), criterion, k_all, k_nonzero)
 
 
 def _witness_unstable(family: SymbolFamily, criterion: Criterion, dt: float | None, k: int) -> bool:
     """True when the symbol at frequency k alone breaks the criterion.
 
-    The criterion is a threshold on a maximum over k, and ``eigvals`` on
-    this one symbol gives the bits that ``_dominant_moduli`` stores for it,
+    The criterion is a threshold on a maximum over k, and ``_moduli_at`` on
+    this one phase gives the bits that ``_dominant_moduli`` stores for it,
     so True here means the full verdict is unstable too.  False decides
     nothing.  Only k <= N/2 are taken, where ``_dominant_moduli`` evaluates
     rather than mirrors, and never k = 0 under "nozero".
     """
     if k > family.N // 2 or (k == 0 and criterion.kind == "nozero"):
         return False
-    return not _within(criterion, float(np.abs(family.eigenvalues(k)).max()), dt)
+    return not _within(criterion, float(_moduli_at(family, [k / family.N])[0]), dt)
 
 
 @dataclass(frozen=True)
@@ -399,7 +402,6 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
     slope: float | None
     log_c: float | None  # intercept of the free log-log fit
-    c_cubic: float | None  # constant fitted with the slope pinned to 3
 
 
 def symbol_family(lin: LinearizedForm, scheme, dt: float, dx: float, N: int) -> SymbolFamily:
@@ -415,23 +417,20 @@ def stability_boundary_sweep(
     domain_length: float,
     dx_list,
     criterion: Criterion,
-    rtol: float = 1e-6,
 ) -> SweepResult:
     """Largest stable dt per dx by bisection on [1e-12, dx].
 
     ``scheme`` is "simple" or an RKTableau.  N is derived from the domain
     length, so domain-size dependence of the boundary shows up directly in
     the fitted constant.  The geometric bisection stops once hi / lo <=
-    1 + rtol, so each dt_max lies within a factor 1 + rtol below the
-    boundary; rtol = 2.1e-12 takes 40 halvings of a decade.
+    1 + _SWEEP_RTOL, so each dt_max lies within that factor below the
+    boundary.
 
     Each unstable verdict names the frequency k that decided it; the next
     dt, at this dx or the next, first tests that one symbol
     (``_witness_unstable``) and computes the full spectrum only when it
     does not decide.  No verdict changes.
     """
-    if not rtol >= 1e-14:
-        raise ValueError(f"rtol must be at least 1e-14 (double precision bisects no finer), got {rtol!r}")
     if not (domain_length > 0 and all(dx > 0 for dx in dx_list)):
         raise ValueError(f"domain length and every dx must be positive, got {domain_length!r} and {dx_list!r}")
     points: list[SweepPoint] = []
@@ -468,7 +467,7 @@ def stability_boundary_sweep(
             points.append(SweepPoint(float(dx), N, None, calls))
             continue
         hi = lo * 10.0
-        while hi / lo > 1.0 + rtol:
+        while hi / lo > 1.0 + _SWEEP_RTOL:
             mid = math.sqrt(lo * hi)
             if stable(mid):
                 lo = mid
@@ -477,11 +476,10 @@ def stability_boundary_sweep(
         points.append(SweepPoint(float(dx), N, lo, calls))
 
     fitted = [(p.dx, p.dt_max) for p in points if p.dt_max is not None]
-    slope = log_c = c_cubic = None
+    slope = log_c = None
     if len(fitted) >= 2:
         lx = np.log([p[0] for p in fitted])
         ly = np.log([p[1] for p in fitted])
         slope_arr = np.polyfit(lx, ly, 1)
         slope, log_c = float(slope_arr[0]), float(slope_arr[1])
-        c_cubic = float(np.exp(np.mean(ly - 3.0 * lx)))
-    return SweepResult(tuple(points), slope, log_c, c_cubic)
+    return SweepResult(tuple(points), slope, log_c)

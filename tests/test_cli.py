@@ -369,6 +369,11 @@ BAD_INPUT_COMMANDS = {
                                 "--params", "rho=3"],
     "analyze_param_without_value": ["analyze", "wave", "--params", "a"],
     "analyze_nonfinite_constant": ["analyze", "dirac", "--params", "m=nan"],
+    "analyze_growth_theta_zero": ["analyze", "wave", "--criterion", "growth:0"],
+    "analyze_growth_theta_nan": ["analyze", "wave", "--criterion", "growth:nan"],
+    "sweep_growth_theta_inf": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
+                               "--criterion", "growth:inf"],
+    "analyze_nozero_one_mode": ["analyze", "linear_kg", "--N", "1", "--criterion", "nozero"],
 }
 
 
@@ -414,6 +419,35 @@ def test_cli_bad_json_entry_is_one_line_error(case, tmp_path, capsys):
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and f"{name} = {value}" in err[0], captured.err
+    assert captured.out == ""
+
+
+# an NLS JSON form whose term 0, or the entry at a key path, has the wrong
+# shape, and the fault the error names
+BAD_JSON_SHAPES = {
+    "term_without_row": (("terms", 0, "row"), None, "terms[0] has no 'row'"),
+    "exponents_not_a_list": (("terms", 0, "exponents"), 3, "terms[0].exponents = 3 is not a list"),
+    "names_not_a_list": (("names",), 5, "names = 5 is not a list"),
+    "term_not_an_object": (("terms",), [5], "terms[0] = 5 is not an object"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_JSON_SHAPES))
+def test_cli_bad_json_shape_is_one_line_error(case, tmp_path, capsys):
+    (*keys, last), value, fault = BAD_JSON_SHAPES[case]
+    entry = data = form_to_dict(registry_get("nls"))
+    for key in keys:
+        entry = entry[key]
+    if value is None:
+        del entry[last]
+    else:
+        entry[last] = value
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {path}: {fault}"
     assert captured.out == ""
 
 

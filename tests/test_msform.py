@@ -301,6 +301,38 @@ def test_non_integral_json_entry_is_refused(keys, value, where, tmp_path):
     assert str(info.value) == f"{path}: {where} = {value!r} is not an integer"
 
 
+@pytest.mark.parametrize("key", ["row", "coeff", "exponents"])
+def test_json_term_without_key_is_named(key, tmp_path):
+    term = msform.form_to_dict(registry_get("nls"))["terms"][0]
+    del term[key]
+    path = _nls_json_with(tmp_path, ("terms", 0), term)
+    with pytest.raises(ValueError) as info:
+        load_form_json(path)
+    assert str(info.value) == f"{path}: terms[0] has no {key!r}"
+
+
+@pytest.mark.parametrize("keys, value, fault", [
+    (("names",), 5, "names = 5 is not a list"),
+    (("terms",), 5, "terms = 5 is not a list"),
+    (("terms", 0, "exponents"), 3, "terms[0].exponents = 3 is not a list"),
+    (("terms",), [5], "terms[0] = 5 is not an object"),
+    (("terms", 0, "coeff"), None, "terms[0].coeff = None is not a number"),
+    (("terms", 0, "coeff"), "1.5", "terms[0].coeff = '1.5' is not a number"),
+])
+def test_json_shape_fault_is_named(keys, value, fault, tmp_path):
+    path = _nls_json_with(tmp_path, keys, value)
+    with pytest.raises(ValueError) as info:
+        load_form_json(path)
+    assert str(info.value) == f"{path}: {fault}"
+
+
+def test_json_top_level_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="top level is not an object"):
+        load_form_json(path)
+
+
 def test_integral_floats_are_read_as_integers(tmp_path):
     f = registry_get("nls")
     data = msform.form_to_dict(f)

@@ -81,7 +81,7 @@ def test_similarity_wave_float_paths():
     lin = lin_for("wave")
     M = assemble_full_update_matrix(lin, 0.05, 0.1, 8)
     fam = assemble_symbol_family_simple(build_blocks_simple(lin, 0.05, 0.1), 8)
-    ev_F = np.concatenate([fam.eigenvalues(k) for k in range(8)])
+    ev_F = np.concatenate([np.linalg.eigvals(fam.symbol(k)) for k in range(8)])
     assert greedy_residual(np.linalg.eigvals(M), ev_F) < 1e-6
 
 
@@ -127,8 +127,8 @@ def test_frequency_symmetry():
     for name in ("wave", "linear_kg", "dirac", "good_boussinesq"):
         fam = assemble_symbol_family_simple(build_blocks_simple(lin_for(name), 0.05, 0.1), 12)
         for k in range(1, 6):
-            a = np.sort(np.abs(fam.eigenvalues(k)))
-            b = np.sort(np.abs(fam.eigenvalues(12 - k)))
+            a = np.sort(np.abs(np.linalg.eigvals(fam.symbol(k))))
+            b = np.sort(np.abs(np.linalg.eigvals(fam.symbol(12 - k))))
             np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -193,7 +193,7 @@ def test_rk_family_matches_explicit_assembly():
     N = 8
     fam = assemble_symbol_family_rk(bl, N)
     M = assemble_full_update_matrix_rk(bl, N)
-    ev_F = np.concatenate([fam.eigenvalues(k) for k in range(N)])
+    ev_F = np.concatenate([np.linalg.eigvals(fam.symbol(k)) for k in range(N)])
     assert greedy_residual(np.linalg.eigvals(M), ev_F) < 1e-6
 
 
@@ -201,7 +201,7 @@ def test_rk_lkg_nonzero_modes_bounded_below_cfl():
     lin = lin_for("linear_kg")
     bl = build_blocks_rk(lin, gauss_tableau(2), 0.05, 0.1)
     fam = assemble_symbol_family_rk(bl, 20)
-    worst = max(np.abs(fam.eigenvalues(k)).max() for k in range(1, 20))
+    worst = max(np.abs(np.linalg.eigvals(fam.symbol(k))).max() for k in range(1, 20))
     assert worst <= 1.0 + 1e-9
 
 
@@ -247,8 +247,28 @@ def test_criterion_parse():
     assert Criterion.parse("strict").kind == "strict"
     assert Criterion.parse("nozero").kind == "nozero"
     assert Criterion.parse("growth:1.2").theta == 1.2
-    with pytest.raises(ValueError):
-        Criterion.parse("bogus")
+    assert Criterion.parse("growth").theta == 1.1
+    for text in ("bogus", "growthx", "growthx:1.2"):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            Criterion.parse(text)
+
+
+@pytest.mark.parametrize("theta", ["0", "-1", "1", "0.5", "inf", "nan"])
+def test_growth_criterion_refuses_theta_that_never_decides(theta):
+    # max |lambda| >= 1 for the reciprocal spectra, so theta <= 1 never
+    # passes, theta = inf always does and theta = nan decides nothing
+    with pytest.raises(ValueError, match="theta"):
+        Criterion.parse(f"growth:{theta}")
+    with pytest.raises(ValueError, match="theta"):
+        Criterion("growth", theta=float(theta))
+
+
+def test_nozero_needs_a_nonzero_mode():
+    fam = batch_family("linear_kg", 1, dt=0.025, dx=0.05)
+    with pytest.raises(ValueError, match="nozero"):
+        spectral_verdict(fam, Criterion("nozero"))
+    v = spectral_verdict(fam, Criterion("strict"))
+    assert v.k_dominant == v.k_dominant_nonzero == 0
 
 
 def test_lkg_boundary_tracks_dx():
@@ -317,7 +337,7 @@ def batch_family(name, N, dt=0.05, dx=0.1):
 
 
 def loop_moduli(fam):
-    return np.array([np.abs(fam.eigenvalues(k)).max() for k in range(fam.N)])
+    return np.array([np.abs(np.linalg.eigvals(fam.symbol(k))).max() for k in range(fam.N)])
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 8, 33, 64, 65, 800])
@@ -347,8 +367,27 @@ def test_symbols_depend_on_k_over_n_only(name):
     # perfbench's custom_forms check compares the N = 800 verdict with its
     # own N = 8 modes (k = 100 j), which needs these to be the same bits
     small, large = batch_family(name, 8), batch_family(name, 800)
-    np.testing.assert_array_equal(small.symbols(range(8)), large.symbols(range(0, 800, 100)))
+    np.testing.assert_array_equal(small.symbols_at(np.arange(8) / 8), large.symbols_at(np.arange(0, 800, 100) / 800))
     np.testing.assert_array_equal(spectral._dominant_moduli(small), spectral._dominant_moduli(large)[::100])
+
+
+@pytest.mark.parametrize("name", list(BATCH_FAMILIES))
+def test_symbols_at_off_grid_phases_match_another_n(name):
+    # phases j / 7 are off the N = 40 grid; they give the bits of the
+    # N = 7 family's symbols
+    fam, other = batch_family(name, 40), batch_family(name, 7)
+    stack = fam.symbols_at(np.arange(7) / 7)
+    for j in range(7):
+        assert stack[j].tobytes() == other.symbol(j).tobytes()
+
+
+@pytest.mark.parametrize("name", list(BATCH_FAMILIES))
+def test_real_blocks_give_conjugate_symbols_at_mirrored_phases(name):
+    # Lambda(1 - q) = conj(Lambda(q)), the identity _dominant_moduli mirrors by
+    fam = batch_family(name, 40)
+    q = np.random.default_rng(4).uniform(0.0, 1.0, 50)
+    scale = max(np.abs(C).max() for C in (fam.C0, fam.Cp, fam.Cm))
+    assert np.abs(fam.symbols_at(1.0 - q) - np.conj(fam.symbols_at(q))).max() <= 1e-14 * scale
 
 
 def test_complex_blocks_evaluate_every_frequency():
@@ -433,8 +472,8 @@ def test_one_symbol_moduli_are_the_verdict_bits(name, scheme, dx, dt_over_dx, N,
     # gives the bits that the stacked verdict computes for k
     fam = symbol_family(lin_for(name), _scheme(scheme), dt_over_dx * dx, dx, N)
     k = round(k_share * (N // 2))
-    one = float(np.abs(fam.eigenvalues(k)).max())
-    assert one == spectral._dominant_moduli(fam)[k]
+    one = float(np.abs(np.linalg.eigvals(fam.symbol(k))).max())
+    assert one == spectral._dominant_moduli(fam)[k] == spectral._moduli_at(fam, [k / N])[0]
 
 
 def _complex_family(seed, N):
@@ -534,29 +573,28 @@ def _sweep_inputs(name):
     return reference_linearization(registry_get(form)), "simple", length, dxs, Criterion.parse(crit)
 
 
+# a bisection resolution that follows the former 40 halvings midpoint for midpoint
+FORTY_HALVINGS_RTOL = 2.1e-12
+
+
 @pytest.mark.parametrize("name", ["wave_strict", "linear_kg_nozero", "nls_growth"])
-def test_fine_resolution_reproduces_forty_halvings(name):
-    # rtol = 2.1e-12 follows the former 40 halvings midpoint for midpoint;
+def test_fine_resolution_reproduces_forty_halvings(name, monkeypatch):
     # equal bits also show that the witness step changed no verdict
     lin, scheme, length, dxs, crit = _sweep_inputs(name)
-    res = stability_boundary_sweep(lin, scheme, length, dxs, crit, rtol=2.1e-12)
+    monkeypatch.setattr(spectral, "_SWEEP_RTOL", FORTY_HALVINGS_RTOL)
+    res = stability_boundary_sweep(lin, scheme, length, dxs, crit)
     assert [p.dt_max for p in res.points] == _fortyfold_sweep(lin, scheme, length, dxs, crit)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_default_resolution_brackets_the_fine_boundary(name):
+def test_default_resolution_brackets_the_fine_boundary(name, monkeypatch):
     lin, scheme, length, dxs, crit = _sweep_inputs(name)
     coarse = stability_boundary_sweep(lin, scheme, length, dxs, crit)
-    fine = stability_boundary_sweep(lin, scheme, length, dxs, crit, rtol=2.1e-12)
+    monkeypatch.setattr(spectral, "_SWEEP_RTOL", FORTY_HALVINGS_RTOL)
+    fine = stability_boundary_sweep(lin, scheme, length, dxs, crit)
     for c, f in zip(coarse.points, fine.points):
         assert f.dt_max / (1.0 + 1e-6) <= c.dt_max <= f.dt_max
         assert c.verdicts <= f.verdicts
-
-
-@pytest.mark.parametrize("rtol", [0.0, 1e-15, -1.0, float("nan")])
-def test_sweep_rejects_unresolvable_resolution(rtol):
-    with pytest.raises(ValueError, match="rtol"):
-        stability_boundary_sweep(lin_for("wave"), "simple", 4.0, [0.4], Criterion("strict"), rtol=rtol)
 
 
 # -- reciprocal spectra and the simple / rk:1 equivalence ------------------------
