@@ -15,6 +15,7 @@ Dirac, Schroedinger).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -346,6 +347,19 @@ _CHECK_POINTS, _CHECK_SEED = 10, 0  # validate_form's seeded random points
 _FD_STEP = 1e-6  # central-difference step of validate_form's check
 
 
+@functools.cache
+def _check_points(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """validate_form's seeded points z for dimension d and their central
+    difference points z +- h e_j, shape (2, points, j, d); formed once per d
+    and read-only."""
+    z = 0.5 * np.random.default_rng(_CHECK_SEED).standard_normal((_CHECK_POINTS, d))
+    steps = _FD_STEP * np.eye(d)
+    shifted = np.stack([z[:, None] + steps, z[:, None] - steps])
+    z.setflags(write=False)
+    shifted.setflags(write=False)
+    return z, shifted
+
+
 def validate_form(form: MultiSymplecticForm) -> ValidationReport:
     """Check the structural invariants of a form.
 
@@ -363,11 +377,11 @@ def validate_form(form: MultiSymplecticForm) -> ValidationReport:
     for label, M in (("K", form.K), ("L", form.L), ("P", form.P)):
         if M.shape != (d, d):
             issues.append(f"{label} has shape {M.shape}, expected {(d, d)}")
-        elif len(bad := np.argwhere(~np.isfinite(M))):
-            i, j = bad[0]
+        elif not np.isfinite(M).all():
+            i, j = np.argwhere(~np.isfinite(M))[0]
             issues.append(f"{label}[{i}][{j}] = {M[i, j]} is not finite")
-        elif label != "P" and len(bad := np.argwhere(M != -M.T)):
-            i, j = bad[0]
+        elif label != "P" and not np.array_equal(M, -M.T):
+            i, j = np.argwhere(M != -M.T)[0]
             issues.append(f"{label} not skew-symmetric at ({i},{j})")
     for k, t in enumerate(form.terms):
         if not math.isfinite(t.coeff):
@@ -383,15 +397,12 @@ def validate_form(form: MultiSymplecticForm) -> ValidationReport:
     if issues:
         return ValidationReport(False, tuple(issues))
 
-    rng = np.random.default_rng(_CHECK_SEED)
-    z = 0.5 * rng.standard_normal((_CHECK_POINTS, d))
+    z, shifted = _check_points(d)
     # an overflow gives inf or NaN, which the tolerance tests below refuse
     with np.errstate(over="ignore", invalid="ignore"):
         jac = eval_jac_S(form, z)
         tol = 1e-6 * np.maximum(1.0, np.abs(jac).max(axis=(1, 2)))
-        # grad S at z +- h e_j for every point and j, shape (2, points, j, d)
-        steps = _FD_STEP * np.eye(d)
-        grads = eval_grad_S(form, np.stack([z[:, None] + steps, z[:, None] - steps]))
+        grads = eval_grad_S(form, shifted)
         fd = np.swapaxes(grads[0] - grads[1], 1, 2) / (2 * _FD_STEP)
         asym = np.abs(jac - np.swapaxes(jac, 1, 2))
         fd_ok = np.abs(jac - fd).max(axis=(1, 2)) <= tol
@@ -444,6 +455,33 @@ def _json_list(path, where: str, value) -> list:
     return value
 
 
+def _json_number(path, where: str, value) -> float:
+    """A numeric entry of a JSON form; strings, booleans, null and integers
+    beyond the float range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: {where} = {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{path}: {where} is an integer beyond the float range") from None
+
+
+def _json_matrix(path, key: str, value, d: int) -> list:
+    """K, L or P of a JSON form: a list of d rows, each a list of d numbers."""
+    rows = _json_list(path, key, value)
+    if len(rows) != d:
+        raise ValueError(f"{path}: {key} has {len(rows)} rows, expected d={d}")
+    for i, row in enumerate(rows):
+        if len(_json_list(path, f"{key}[{i}]", row)) != d:
+            raise ValueError(f"{path}: {key}[{i}] has {len(row)} entries, expected d={d}")
+        # the JSON decoder gives exact types, so a row of floats passes
+        # without a call per entry
+        if not {type(entry) for entry in row} <= {float}:
+            for j, entry in enumerate(row):
+                _json_number(path, f"{key}[{i}][{j}]", entry)
+    return rows
+
+
 def _json_term(path, k: int, term) -> PolynomialTerm:
     """terms[k] of a JSON form: an object with "row", "coeff" and "exponents"."""
     if not isinstance(term, dict):
@@ -451,12 +489,11 @@ def _json_term(path, k: int, term) -> PolynomialTerm:
     for key in ("row", "coeff", "exponents"):
         if key not in term:
             raise ValueError(f"{path}: terms[{k}] has no {key!r}")
-    if isinstance(term["coeff"], bool) or not isinstance(term["coeff"], (int, float)):
-        raise ValueError(f"{path}: terms[{k}].coeff = {term['coeff']!r} is not a number")
+    coeff = _json_number(path, f"terms[{k}].coeff", term["coeff"])
     exponents = _json_list(path, f"terms[{k}].exponents", term["exponents"])
     return PolynomialTerm(
         _json_integer(path, f"terms[{k}].row", term["row"]),
-        float(term["coeff"]),
+        coeff,
         tuple(_json_integer(path, f"terms[{k}].exponents[{i}]", e) for i, e in enumerate(exponents)),
     )
 
@@ -468,7 +505,8 @@ def load_form_json(path) -> MultiSymplecticForm:
     integral float such as 2.0 is read as one); anything else is refused
     rather than truncated.  ``names``, ``terms`` and each ``exponents`` must
     be lists, and each term an object with a ``row``, a numeric ``coeff``
-    and ``exponents``.
+    and ``exponents``.  ``K``, ``L`` and ``P`` must be d lists of d numbers;
+    a string, boolean or null entry is named rather than converted.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -488,9 +526,9 @@ def load_form_json(path) -> MultiSymplecticForm:
     form = MultiSymplecticForm(
         name=str(data.get("name", "json_form")),
         names=names,
-        K=data["K"],
-        L=data["L"],
-        P=data["P"],
+        K=_json_matrix(path, "K", data["K"], d),
+        L=_json_matrix(path, "L", data["L"], d),
+        P=_json_matrix(path, "P", data["P"], d),
         terms=terms,
     )
     report = validate_form(form)

@@ -144,11 +144,13 @@ def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBloc
 
 def assemble_symbol_family_simple(blocks: SimpleBlocks, N: int) -> SymbolFamily:
     d = blocks.B.shape[0]
-    I, O = np.eye(d), np.zeros((d, d))
-    X1 = np.block([[blocks.B, blocks.Ap], [O, I]])
-    Y1 = np.block([[O, blocks.Am], [O, O]])
-    X2 = np.block([[I, O], [blocks.Am, blocks.B]])
-    Y2 = np.block([[O, O], [blocks.Ap, O]])
+    # X1 = [[B, Ap], [0, I]], Y1 = [[0, Am], [0, 0]], X2 = [[I, 0], [Am, B]],
+    # Y2 = [[0, 0], [Ap, 0]], filled by slices rather than np.block
+    X1, Y1, X2, Y2 = np.zeros((4, 2 * d, 2 * d))
+    X1[:d, :d], X1[:d, d:], X1[d:, d:] = blocks.B, blocks.Ap, np.eye(d)
+    Y1[:d, d:] = blocks.Am
+    X2[:d, :d], X2[d:, :d], X2[d:, d:] = np.eye(d), blocks.Am, blocks.B
+    Y2[d:, :d] = blocks.Ap
     return SymbolFamily(C0=X2 @ X1 + Y2 @ Y1, Cp=Y2 @ X1, Cm=X2 @ Y1, N=N)
 
 
@@ -185,6 +187,12 @@ def assemble_full_update_matrix(lin: LinearizedForm, dt: float, dx: float, N: in
 # ---------------------------------------------------------------------------
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, each entry the same one product A[i, j] * B[k, l]."""
+    (m, n), (p, q) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(m * p, n * q)
+
+
 def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlocks:
     """Assemble the stage system and contract it to the edge map blocks.
 
@@ -197,17 +205,17 @@ def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlo
     Ktil = lin.K / dt - lin.L / dx
     Ltil = lin.K / dt + lin.L / dx
     Ir = np.eye(r)
-    Q = np.kron(np.eye(r * r), lin.Peff) - np.kron(Ir, np.kron(F, Ktil)) - np.kron(F, np.kron(Ir, Ltil))
+    Q = _kron(np.eye(r * r), lin.Peff) - _kron(Ir, _kron(F, Ktil)) - _kron(F, _kron(Ir, Ltil))
     Qinv = _pivot_inverse(Q)
     if Qinv is None:
         raise SingularUpdateError(
             f"collocation stage matrix Q is singular for {lin.name!r}; "
             "structural inconsistency carries over to the high-order scheme"
         )
-    Db = -np.kron(np.eye(r), np.kron(mu[:, None], Ktil))  # -mu_j Ktil zb[i]
-    Dl = -np.kron(mu[:, None], np.kron(np.eye(r), Ltil))  # -mu_i Ltil zl[j]
-    Tt = np.kron(np.eye(r), np.kron(beta[None, :], np.eye(d)))  # contracts temporal stages
-    Tr = np.kron(beta[None, :], np.eye(r * d))  # contracts spatial stages
+    Db = -_kron(Ir, _kron(mu[:, None], Ktil))  # -mu_j Ktil zb[i]
+    Dl = -_kron(mu[:, None], _kron(Ir, Ltil))  # -mu_i Ltil zl[j]
+    Tt = _kron(Ir, _kron(beta[None, :], np.eye(d)))  # contracts temporal stages
+    Tr = _kron(beta[None, :], np.eye(r * d))  # contracts spatial stages
     Idr = np.eye(d * r)
     return RKBlocks(
         Clt=Tt @ Qinv @ Dl,
@@ -222,19 +230,14 @@ def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlo
 
 
 def assemble_symbol_family_rk(blocks: RKBlocks, N: int) -> SymbolFamily:
-    O = np.zeros_like(blocks.Clt)
-    C0 = np.block([
-        [blocks.Clt @ blocks.Cbr, blocks.Cbt @ blocks.Clt],
-        [blocks.Clr @ blocks.Cbr, blocks.Cbr @ blocks.Clt],
-    ])
-    Cp = np.block([
-        [blocks.Cbt @ blocks.Cbt, O],
-        [blocks.Cbr @ blocks.Cbt, O],
-    ])
-    Cm = np.block([
-        [O, blocks.Clt @ blocks.Clr],
-        [O, blocks.Clr @ blocks.Clr],
-    ])
+    """C0 = [[Clt Cbr, Cbt Clt], [Clr Cbr, Cbr Clt]], Cp = [[Cbt Cbt, 0],
+    [Cbr Cbt, 0]], Cm = [[0, Clt Clr], [0, Clr Clr]], filled by slices."""
+    Clt, Cbt, Clr, Cbr = blocks.Clt, blocks.Cbt, blocks.Clr, blocks.Cbr
+    m = Clt.shape[0]
+    C0, Cp, Cm = np.zeros((3, 2 * m, 2 * m))
+    C0[:m, :m], C0[:m, m:], C0[m:, :m], C0[m:, m:] = Clt @ Cbr, Cbt @ Clt, Clr @ Cbr, Cbr @ Clt
+    Cp[:m, :m], Cp[m:, :m] = Cbt @ Cbt, Cbr @ Cbt
+    Cm[:m, m:], Cm[m:, m:] = Clt @ Clr, Clr @ Clr
     return SymbolFamily(C0=C0, Cp=Cp, Cm=Cm, N=N)
 
 
@@ -307,7 +310,9 @@ class SpectralVerdict:
 
     For real blocks k_dominant and k_dominant_nonzero are the representative
     k <= N/2 of the conjugate pair {k, N - k}.  At N = 1 there is no k >= 1:
-    the "nonzero" fields repeat k = 0, and "nozero" is refused.
+    the "nonzero" fields repeat k = 0, and "nozero" is refused.  k_marginal
+    names the evaluated k (see ``_evaluated``) whose modulus may round across
+    the threshold at a nearby dt; ``stability_boundary_sweep`` watches them.
     """
 
     dominant_all: float
@@ -316,12 +321,18 @@ class SpectralVerdict:
     criterion: Criterion
     k_dominant: int
     k_dominant_nonzero: int
+    k_marginal: tuple[int, ...]
 
 
 # Phases per stacked eigvals call.  One call on the whole (N, m, m) stack is
 # no faster than chunks of 16 to 32 and raises peak memory (by about 5 MB at
 # N = 800 with m up to 16).
 _EIGVALS_CHUNK = 32
+# k_marginal: a modulus within _ON_CIRCLE of 1 is a unitary eigenvalue's
+# rounding; one below 1 - _MARGIN (under "growth": below half the threshold)
+# is too far inside to cross it
+_ON_CIRCLE = 1e-12
+_MARGIN = 1e-6
 
 
 def _moduli_at(family: SymbolFamily, q) -> np.ndarray:
@@ -335,19 +346,23 @@ def _moduli_at(family: SymbolFamily, q) -> np.ndarray:
     return moduli
 
 
-def _dominant_moduli(family: SymbolFamily) -> np.ndarray:
-    """max |eig(Lambda_k)| for k = 0 .. N-1.
+def _evaluated(family: SymbolFamily) -> int:
+    """How many k, from k = 0, a verdict evaluates rather than mirrors.
 
-    Real blocks give Lambda(1 - q) = conj(Lambda(q)), so only k <= N/2 are
-    evaluated and k > N/2 are mirrored from N - k; complex blocks evaluate
-    every k.
+    Real blocks give Lambda(1 - q) = conj(Lambda(q)), so k <= N/2 suffice;
+    complex blocks need every k.
     """
-    N = family.N
     real = not any(np.iscomplexobj(C) for C in (family.C0, family.Cp, family.Cm))
+    return family.N // 2 + 1 if real else family.N
+
+
+def _dominant_moduli(family: SymbolFamily) -> np.ndarray:
+    """max |eig(Lambda_k)| for k = 0 .. N-1; for real blocks the k > N/2 are
+    mirrored from N - k."""
+    N = family.N
     ks = np.arange(N)
-    if not real:
-        return _moduli_at(family, ks / N)
-    return _moduli_at(family, ks[: N // 2 + 1] / N)[np.minimum(ks, N - ks)]
+    moduli = _moduli_at(family, ks[: _evaluated(family)] / N)
+    return moduli if len(moduli) == N else moduli[np.minimum(ks, N - ks)]
 
 
 def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
@@ -363,6 +378,20 @@ def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
     raise ValueError(f"unknown criterion kind {criterion.kind!r}")
 
 
+def _marginal(criterion: Criterion, moduli: np.ndarray, dt: float | None) -> tuple[int, ...]:
+    """The k whose modulus is more than _ON_CIRCLE off the unit circle and
+    above 1 - _MARGIN, or under "growth" above half the growth threshold
+    (lambda ** (1/dt) > sqrt(theta)); never k = 0 under "nozero"."""
+    if criterion.kind == "growth":
+        floor = math.exp(0.5 * dt * math.log(criterion.theta))
+    else:
+        floor = 1.0 - _MARGIN
+    marginal = (np.abs(moduli - 1.0) > _ON_CIRCLE) & (moduli > floor)
+    if criterion.kind == "nozero":
+        marginal[0] = False
+    return tuple(int(k) for k in np.flatnonzero(marginal))
+
+
 def spectral_verdict(family: SymbolFamily, criterion: Criterion, dt: float | None = None) -> SpectralVerdict:
     if criterion.kind == "nozero" and family.N < 2:
         raise ValueError(f'criterion "nozero" excludes k = 0 and needs N >= 2, got N={family.N}')
@@ -372,21 +401,30 @@ def spectral_verdict(family: SymbolFamily, criterion: Criterion, dt: float | Non
     dominant_all = float(moduli[k_all])
     dominant_nonzero = float(moduli[k_nonzero])
     stable = _within(criterion, dominant_nonzero if criterion.kind == "nozero" else dominant_all, dt)
-    return SpectralVerdict(dominant_all, dominant_nonzero, bool(stable), criterion, k_all, k_nonzero)
+    marginal = _marginal(criterion, moduli[: _evaluated(family)], dt)
+    return SpectralVerdict(dominant_all, dominant_nonzero, bool(stable), criterion, k_all, k_nonzero, marginal)
 
 
-def _witness_unstable(family: SymbolFamily, criterion: Criterion, dt: float | None, k: int) -> bool:
-    """True when the symbol at frequency k alone breaks the criterion.
+def _witness(family: SymbolFamily, criterion: Criterion, dt: float | None, watch) -> int | None:
+    """A watched frequency whose symbol alone breaks the criterion, or None.
 
     The criterion is a threshold on a maximum over k, and ``_moduli_at`` on
-    this one phase gives the bits that ``_dominant_moduli`` stores for it,
-    so True here means the full verdict is unstable too.  False decides
-    nothing.  Only k <= N/2 are taken, where ``_dominant_moduli`` evaluates
-    rather than mirrors, and never k = 0 under "nozero".
+    these phases gives the bits that ``_dominant_moduli`` stores for them,
+    so a witness means the full verdict is unstable too.  None decides
+    nothing.  The first watched k is read alone and the others only when it
+    passes; the witness is the largest modulus of the first stack that
+    breaks.  Only evaluated k are read (k <= N/2 for real blocks), and never
+    k = 0 under "nozero".
     """
-    if k > family.N // 2 or (k == 0 and criterion.kind == "nozero"):
-        return False
-    return not _within(criterion, float(_moduli_at(family, [k / family.N])[0]), dt)
+    n = _evaluated(family)
+    ks = [k for k in watch if k < n and (k > 0 or criterion.kind != "nozero")]
+    for stack in (ks[:1], ks[1:]):
+        if stack:
+            moduli = _moduli_at(family, [k / family.N for k in stack])
+            top = int(np.argmax(moduli))
+            if not _within(criterion, float(moduli[top]), dt):
+                return stack[top]
+    return None
 
 
 @dataclass(frozen=True)
@@ -394,7 +432,8 @@ class SweepPoint:
     dx: float
     N: int
     dt_max: float | None
-    verdicts: int  # dt values decided to find dt_max, by the witness or spectral_verdict
+    verdicts: int  # dt values decided on the watched frequencies, replays included
+    spectra: int  # full spectral_verdict calls, each confirming a dt_max
 
 
 @dataclass(frozen=True)
@@ -411,6 +450,33 @@ def symbol_family(lin: LinearizedForm, scheme, dt: float, dx: float, N: int) -> 
     return assemble_symbol_family_rk(build_blocks_rk(lin, scheme, dt, dx), N)
 
 
+def _boundary(stable, dx: float) -> float | None:
+    """dx when ``stable`` passes it; else a geometric descent by decades to
+    the first dt it passes, then a geometric bisection of that decade until
+    hi / lo <= 1 + _SWEEP_RTOL, returning lo.  None when no dt > 1e-12 passes."""
+    hi = float(dx)
+    if stable(hi):
+        return hi
+    # the first stable dt from above marks the practical boundary and keeps
+    # the search clear of the depth where eigenvalue roundoff swamps the
+    # growth-rate criterion
+    lo = hi
+    while lo > 1e-12:
+        lo /= 10.0
+        if stable(lo):
+            break
+    else:
+        return None
+    hi = lo * 10.0
+    while hi / lo > 1.0 + _SWEEP_RTOL:
+        mid = math.sqrt(lo * hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def stability_boundary_sweep(
     lin: LinearizedForm,
     scheme,
@@ -422,58 +488,53 @@ def stability_boundary_sweep(
 
     ``scheme`` is "simple" or an RKTableau.  N is derived from the domain
     length, so domain-size dependence of the boundary shows up directly in
-    the fitted constant.  The geometric bisection stops once hi / lo <=
-    1 + _SWEEP_RTOL, so each dt_max lies within that factor below the
-    boundary.
+    the fitted constant.  Each dt_max is stable under a full
+    ``spectral_verdict``, and unless it is dx, the last dt the bisection
+    rejected, within a factor 1 + _SWEEP_RTOL above it, breaks the criterion
+    at one frequency: it is unstable under the full verdict too.
 
-    Each unstable verdict names the frequency k that decided it; the next
-    dt, at this dx or the next, first tests that one symbol
-    (``_witness_unstable``) and computes the full spectrum only when it
-    does not decide.  No verdict changes.
+    Each dt is decided on a watch set W of frequencies alone
+    (``_witness``, which reads the k that last decided a dt unstable first):
+    unstable when a watched symbol breaks the criterion, which is exact, and
+    otherwise provisionally stable.  When the
+    search at a dx ends, one full verdict confirms its dt_max.  Each full
+    verdict adds its ``k_marginal`` to W, and an unstable one adds its
+    deciding k and runs the search at that dx again from dt = dx.  W carries
+    across dx.  The search therefore takes the path, and every bit, of a
+    bisection with a full verdict per dt wherever the stability of the
+    unwatched frequencies changes only once on the path (at a boundary
+    below which they are all stable).
     """
     if not (domain_length > 0 and all(dx > 0 for dx in dx_list)):
         raise ValueError(f"domain length and every dx must be positive, got {domain_length!r} and {dx_list!r}")
     points: list[SweepPoint] = []
-    witness: int | None = None  # the k that decided the last unstable verdict
+    watch: list[int] = []  # the k that last decided a dt unstable comes first
+
+    def lead(k: int) -> None:
+        if k in watch:
+            watch.remove(k)
+        watch.insert(0, k)
+
     for dx in dx_list:
         N = max(2, round(domain_length / dx))
-        calls = 0
+        decided = spectra = 0
 
-        def stable(dt: float) -> bool:
-            nonlocal calls, witness
-            calls += 1
-            fam = symbol_family(lin, scheme, dt, dx, N)
-            if witness is not None and _witness_unstable(fam, criterion, dt, witness):
-                return False
-            verdict = spectral_verdict(fam, criterion, dt=dt)
-            if not verdict.stable:
-                witness = verdict.k_dominant_nonzero if criterion.kind == "nozero" else verdict.k_dominant
-            return verdict.stable
+        def provisionally_stable(dt: float) -> bool:
+            nonlocal decided
+            decided += 1
+            k = _witness(symbol_family(lin, scheme, dt, dx, N), criterion, dt, watch)
+            if k is not None:
+                lead(k)
+            return k is None
 
-        # locate a stable bracket end by geometric descent from dx: the first
-        # stable dt from above marks the practical boundary and keeps the
-        # search clear of the depth where eigenvalue roundoff swamps the
-        # growth-rate criterion
-        hi = float(dx)
-        if stable(hi):
-            points.append(SweepPoint(float(dx), N, hi, calls))
-            continue
-        lo = hi
-        while lo > 1e-12:
-            lo /= 10.0
-            if stable(lo):
+        while (dt_max := _boundary(provisionally_stable, dx)) is not None:
+            spectra += 1
+            verdict = spectral_verdict(symbol_family(lin, scheme, dt_max, dx, N), criterion, dt=dt_max)
+            watch += [k for k in verdict.k_marginal if k not in watch]
+            if verdict.stable:
                 break
-        else:
-            points.append(SweepPoint(float(dx), N, None, calls))
-            continue
-        hi = lo * 10.0
-        while hi / lo > 1.0 + _SWEEP_RTOL:
-            mid = math.sqrt(lo * hi)
-            if stable(mid):
-                lo = mid
-            else:
-                hi = mid
-        points.append(SweepPoint(float(dx), N, lo, calls))
+            lead(verdict.k_dominant_nonzero if criterion.kind == "nozero" else verdict.k_dominant)
+        points.append(SweepPoint(float(dx), N, dt_max, decided, spectra))
 
     fitted = [(p.dx, p.dt_max) for p in points if p.dt_max is not None]
     slope = log_c = None

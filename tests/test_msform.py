@@ -318,12 +318,50 @@ def test_json_term_without_key_is_named(key, tmp_path):
     (("terms",), [5], "terms[0] = 5 is not an object"),
     (("terms", 0, "coeff"), None, "terms[0].coeff = None is not a number"),
     (("terms", 0, "coeff"), "1.5", "terms[0].coeff = '1.5' is not a number"),
+    (("K",), 5, "K = 5 is not a list"),
+    (("K",), [[0.0] * 4] * 3, "K has 3 rows, expected d=4"),
+    (("L", 1), [0.0] * 5, "L[1] has 5 entries, expected d=4"),
+    (("P", 2), 7, "P[2] = 7 is not a list"),
 ])
 def test_json_shape_fault_is_named(keys, value, fault, tmp_path):
     path = _nls_json_with(tmp_path, keys, value)
     with pytest.raises(ValueError) as info:
         load_form_json(path)
     assert str(info.value) == f"{path}: {fault}"
+
+
+@pytest.mark.parametrize("keys, value, where", [
+    (("K", 0, 1), "abc", "K[0][1]"),
+    (("L", 0, 2), "1.5", "L[0][2]"),
+    (("P", 2, 2), True, "P[2][2]"),
+    (("P", 1, 0), None, "P[1][0]"),
+    (("K", 3, 2), [1.0], "K[3][2]"),
+])
+def test_non_numeric_matrix_entry_is_named(keys, value, where, tmp_path):
+    path = _nls_json_with(tmp_path, keys, value)
+    with pytest.raises(ValueError) as info:
+        load_form_json(path)
+    assert str(info.value) == f"{path}: {where} = {value!r} is not a number"
+
+
+@pytest.mark.parametrize("keys, where", [(("K", 0, 1), "K[0][1]"), (("terms", 0, "coeff"), "terms[0].coeff")])
+def test_json_integer_beyond_float_range_is_named(keys, where, tmp_path):
+    path = _nls_json_with(tmp_path, keys, 10**400)
+    with pytest.raises(ValueError) as info:
+        load_form_json(path)
+    assert str(info.value) == f"{path}: {where} is an integer beyond the float range"
+
+
+def test_check_points_are_drawn_once_read_only():
+    rng = np.random.default_rng(msform._CHECK_SEED)
+    fresh = 0.5 * rng.standard_normal((msform._CHECK_POINTS, 4))
+    steps = msform._FD_STEP * np.eye(4)
+    z, shifted = msform._check_points(4)
+    assert msform._check_points(4)[0] is z and not (z.flags.writeable or shifted.flags.writeable)
+    assert z.tobytes() == fresh.tobytes()
+    assert shifted.tobytes() == np.stack([fresh[:, None] + steps, fresh[:, None] - steps]).tobytes()
+    form = registry_get("nls")
+    assert validate_form(form) == validate_form(form)
 
 
 def test_json_top_level_must_be_an_object(tmp_path):

@@ -197,6 +197,45 @@ def test_rk_family_matches_explicit_assembly():
     assert greedy_residual(np.linalg.eigvals(M), ev_F) < 1e-6
 
 
+def _np_kron_rk_blocks(lin, tableau, dt, dx):
+    """Q, Db, Dl, Tt and Tr by the np.kron formulas of the stage system."""
+    r, d = tableau.r, lin.d
+    Ktil, Ltil, Ir = lin.K / dt - lin.L / dx, lin.K / dt + lin.L / dx, np.eye(r)
+    Q = np.kron(np.eye(r * r), lin.Peff) - np.kron(Ir, np.kron(tableau.F, Ktil)) - np.kron(tableau.F, np.kron(Ir, Ltil))
+    Db = -np.kron(Ir, np.kron(tableau.mu[:, None], Ktil))
+    Dl = -np.kron(tableau.mu[:, None], np.kron(Ir, Ltil))
+    Tt = np.kron(Ir, np.kron(tableau.beta[None, :], np.eye(d)))
+    Tr = np.kron(tableau.beta[None, :], np.eye(r * d))
+    return Q, Db, Dl, Tt, Tr
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name", ["wave", "linear_kg", "dirac", "good_boussinesq"])
+def test_block_builders_match_kron_and_block_formulas_bit_for_bit(name, r):
+    lin, tab, dt, dx = lin_for(name), gauss_tableau(r), 0.07, 0.13
+    Q, Db, Dl, Tt, Tr = _np_kron_rk_blocks(lin, tab, dt, dx)
+    bl = build_blocks_rk(lin, tab, dt, dx)
+    for got, want in [(bl.Q, Q), (bl.Db, Db), (bl.Dl, Dl)]:
+        assert got.tobytes() == want.tobytes()
+    Qinv, Idr = np.linalg.inv(Q), np.eye(lin.d * r)
+    assert bl.Clt.tobytes() == (Tt @ Qinv @ Dl).tobytes()
+    assert bl.Cbt.tobytes() == ((1.0 - tab.alpha) * Idr + Tt @ Qinv @ Db).tobytes()
+    assert bl.Clr.tobytes() == ((1.0 - tab.alpha) * Idr + Tr @ Qinv @ Dl).tobytes()
+    assert bl.Cbr.tobytes() == (Tr @ Qinv @ Db).tobytes()
+    O = np.zeros_like(bl.Clt)
+    fam = assemble_symbol_family_rk(bl, 9)
+    assert fam.C0.tobytes() == np.block([[bl.Clt @ bl.Cbr, bl.Cbt @ bl.Clt], [bl.Clr @ bl.Cbr, bl.Cbr @ bl.Clt]]).tobytes()
+    assert fam.Cp.tobytes() == np.block([[bl.Cbt @ bl.Cbt, O], [bl.Cbr @ bl.Cbt, O]]).tobytes()
+    assert fam.Cm.tobytes() == np.block([[O, bl.Clt @ bl.Clr], [O, bl.Clr @ bl.Clr]]).tobytes()
+    sb = build_blocks_simple(lin, dt, dx)
+    I, O = np.eye(lin.d), np.zeros((lin.d, lin.d))
+    X1, Y1 = np.block([[sb.B, sb.Ap], [O, I]]), np.block([[O, sb.Am], [O, O]])
+    X2, Y2 = np.block([[I, O], [sb.Am, sb.B]]), np.block([[O, O], [sb.Ap, O]])
+    fam = assemble_symbol_family_simple(sb, 9)
+    assert fam.C0.tobytes() == (X2 @ X1 + Y2 @ Y1).tobytes()
+    assert fam.Cp.tobytes() == (Y2 @ X1).tobytes() and fam.Cm.tobytes() == (X2 @ Y1).tobytes()
+
+
 def test_rk_lkg_nonzero_modes_bounded_below_cfl():
     lin = lin_for("linear_kg")
     bl = build_blocks_rk(lin, gauss_tableau(2), 0.05, 0.1)
@@ -362,6 +401,19 @@ def test_batched_verdict_matches_per_k_loop(name, N):
         assert 1 <= v.k_dominant_nonzero <= N // 2
 
 
+@pytest.mark.parametrize("crit", ["strict", "nozero", "growth:1.1"])
+@pytest.mark.parametrize("name", list(BATCH_FAMILIES))
+def test_marginal_frequencies_follow_the_rule(name, crit):
+    criterion = Criterion.parse(crit)
+    for dt in (0.05, 0.5):
+        fam = batch_family(name, 33, dt=dt)
+        moduli = spectral._dominant_moduli(fam)[: fam.N // 2 + 1]
+        floor = 1.1 ** (dt / 2) if criterion.kind == "growth" else 1.0 - 1e-6
+        want = [k for k, m in enumerate(moduli)
+                if abs(m - 1.0) > 1e-12 and m > floor and (k > 0 or criterion.kind != "nozero")]
+        assert list(spectral_verdict(fam, criterion, dt=dt).k_marginal) == want
+
+
 @pytest.mark.parametrize("name", ["dirac", "good_boussinesq", "wave_rk2"])
 def test_symbols_depend_on_k_over_n_only(name):
     # perfbench's custom_forms check compares the N = 800 verdict with its
@@ -424,27 +476,30 @@ def test_linear_kg_strict_verdict_decided_at_k0(dx):
 
 
 def test_sweep_point_counts_its_verdicts(monkeypatch):
-    # SweepPoint.verdicts counts the dt values decided, by the one-symbol
-    # witness or by a full spectral_verdict
+    # SweepPoint.verdicts counts the dt values decided on the watched
+    # frequencies, one _witness call each, replays included;
+    # SweepPoint.spectra counts the full spectral_verdict calls
     full: dict[int, int] = {}
-    witnessed: dict[int, int] = {}
-    verdict, witness = spectral.spectral_verdict, spectral._witness_unstable
+    watched: dict[int, int] = {}
+    verdict, witness = spectral.spectral_verdict, spectral._witness
 
     def counted_verdict(family, *args, **kwargs):
         full[family.N] = full.get(family.N, 0) + 1
         return verdict(family, *args, **kwargs)
 
     def counted_witness(family, *args):
-        decided = witness(family, *args)
-        witnessed[family.N] = witnessed.get(family.N, 0) + decided
-        return decided
+        watched[family.N] = watched.get(family.N, 0) + 1
+        return witness(family, *args)
 
     monkeypatch.setattr(spectral, "spectral_verdict", counted_verdict)
-    monkeypatch.setattr(spectral, "_witness_unstable", counted_witness)
+    monkeypatch.setattr(spectral, "_witness", counted_witness)
     res = stability_boundary_sweep(lin_for("wave"), "simple", 4.0, [0.4, 0.2, 0.1], Criterion("strict"))
-    assert [p.verdicts for p in res.points] == [full.get(p.N, 0) + witnessed.get(p.N, 0) for p in res.points]
-    assert all(p.verdicts > 1 for p in res.points)
-    assert sum(witnessed.values()) >= 1
+    assert [p.verdicts for p in res.points] == [watched.get(p.N, 0) for p in res.points]
+    assert [p.spectra for p in res.points] == [full.get(p.N, 0) for p in res.points]
+    assert all(p.verdicts > 1 and p.spectra >= 1 for p in res.points)
+    # the empty watch set passes dt = dx, whose full spectrum refutes it
+    assert res.points[0].spectra == 2
+    assert sum(p.spectra for p in res.points) < sum(p.verdicts for p in res.points) / 10
 
 
 # -- the witness step and the stated resolution --------------------------------
@@ -501,28 +556,25 @@ def test_witness_never_overrules_the_full_verdict(source, scheme, dx, dt_over_dx
         fam = symbol_family(lin_for(source), _scheme(scheme), dt, dx, N)
     for crit in CRITERIA:
         v = spectral_verdict(fam, crit, dt=dt)
-        decided = [k for k in range(N) if spectral._witness_unstable(fam, crit, dt, k)]
+        decided = [k for k in range(N) if spectral._witness(fam, crit, dt, [k]) is not None]
         # unstable wherever the witness says so ...
         assert v.stable is False or decided == []
         # ... and never from k = 0 under "nozero" or from a mirrored k > N/2
-        assert all(k <= N // 2 and (k > 0 or crit.kind != "nozero") for k in decided)
+        assert all(k < spectral._evaluated(fam) and (k > 0 or crit.kind != "nozero") for k in decided)
         # the deciding frequency of an unstable verdict decides alone
         deciding = v.k_dominant_nonzero if crit.kind == "nozero" else v.k_dominant
-        if not v.stable and deciding <= N // 2:
+        if not v.stable:
             assert deciding in decided
 
 
 def test_witness_on_complex_blocks_reads_k_above_half():
-    # complex blocks evaluate every k, but the witness takes k <= N/2 only,
-    # so a deciding k above N/2 falls back to the full verdict
+    # complex blocks evaluate every k, so the witness reads every k too
     fam = _complex_family(5, 12)
     v = spectral_verdict(fam, Criterion("strict"))
     assert not v.stable
-    for k in range(7, 12):
-        assert not spectral._witness_unstable(fam, Criterion("strict"), None, k)
-    for k in range(7):
+    for k in range(12):
         broken = spectral._dominant_moduli(fam)[k] > 1.0 + 1e-9
-        assert spectral._witness_unstable(fam, Criterion("strict"), None, k) == broken
+        assert (spectral._witness(fam, Criterion("strict"), None, [k]) == k) == broken
 
 
 def _fortyfold_sweep(lin, scheme, length, dxs, crit):
@@ -556,28 +608,29 @@ def _fortyfold_sweep(lin, scheme, length, dxs, crit):
 
 # sweeps of the tests above and of acceptance 06
 SWEEPS = {
-    "acceptance06_L4": ("good_boussinesq", "strict", 4.0, [0.4, 0.2, 0.1, 0.05]),
-    "acceptance06_L8": ("good_boussinesq", "strict", 8.0, [0.4, 0.2, 0.1, 0.05]),
-    "wave_strict": ("wave", "strict", 4.0, [0.4, 0.2, 0.1]),
-    "wave_nozero": ("wave", "nozero", 4.0, [0.4, 0.2, 0.1]),
-    "linear_kg_nozero": ("linear_kg", "nozero", 4.0, [0.4, 0.2, 0.1]),
-    "dirac_nozero": ("dirac", "nozero", 4.0, [0.4, 0.2, 0.1]),
-    "nls_growth": ("nls", "growth:1.1", 4.0, [0.4, 0.2, 0.1]),
+    "acceptance06_L4": ("good_boussinesq", "simple", "strict", 4.0, [0.4, 0.2, 0.1, 0.05]),
+    "acceptance06_L8": ("good_boussinesq", "simple", "strict", 8.0, [0.4, 0.2, 0.1, 0.05]),
+    "wave_strict": ("wave", "simple", "strict", 4.0, [0.4, 0.2, 0.1]),
+    "wave_nozero": ("wave", "simple", "nozero", 4.0, [0.4, 0.2, 0.1]),
+    "wave_rk2_nozero": ("wave", 2, "nozero", 4.0, [0.4, 0.2, 0.1]),
+    "linear_kg_nozero": ("linear_kg", "simple", "nozero", 4.0, [0.4, 0.2, 0.1]),
+    "dirac_nozero": ("dirac", "simple", "nozero", 4.0, [0.4, 0.2, 0.1]),
+    "nls_growth": ("nls", "simple", "growth:1.1", 4.0, [0.4, 0.2, 0.1]),
 }
 
 
 def _sweep_inputs(name):
     from diamondstab.pipeline import reference_linearization
 
-    form, crit, length, dxs = SWEEPS[name]
-    return reference_linearization(registry_get(form)), "simple", length, dxs, Criterion.parse(crit)
+    form, scheme, crit, length, dxs = SWEEPS[name]
+    return reference_linearization(registry_get(form)), _scheme(scheme), length, dxs, Criterion.parse(crit)
 
 
 # a bisection resolution that follows the former 40 halvings midpoint for midpoint
 FORTY_HALVINGS_RTOL = 2.1e-12
 
 
-@pytest.mark.parametrize("name", ["wave_strict", "linear_kg_nozero", "nls_growth"])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_fine_resolution_reproduces_forty_halvings(name, monkeypatch):
     # equal bits also show that the witness step changed no verdict
     lin, scheme, length, dxs, crit = _sweep_inputs(name)
@@ -595,6 +648,15 @@ def test_default_resolution_brackets_the_fine_boundary(name, monkeypatch):
     for c, f in zip(coarse.points, fine.points):
         assert f.dt_max / (1.0 + 1e-6) <= c.dt_max <= f.dt_max
         assert c.verdicts <= f.verdicts
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_every_dt_max_passes_the_full_verdict(name):
+    lin, scheme, length, dxs, crit = _sweep_inputs(name)
+    res = stability_boundary_sweep(lin, scheme, length, dxs, crit)
+    assert all(p.dt_max is not None for p in res.points)
+    for p in res.points:
+        assert spectral_verdict(symbol_family(lin, scheme, p.dt_max, p.dx, p.N), crit, dt=p.dt_max).stable
 
 
 # -- reciprocal spectra and the simple / rk:1 equivalence ------------------------
