@@ -204,8 +204,7 @@ def _cmd_run(args) -> int:
     scheme = parse_scheme(args.scheme)
     form = msform.registry_get(args.pde, **_parse_params(args.params))
     a, b = (float(v) for v in args.domain.split(","))
-    if not args.dx > 0:
-        raise ValueError(f"dx must be positive, got {args.dx!r}")
+    msform._require_positive(dx=args.dx, domain_length=b - a)
     N = round((b - a) / args.dx)
     mesh = MeshParams(a=a, b=b, N=N, dt=args.dt, T=args.T)
     ic, exact = builtin_initial_condition(args.ic, form)

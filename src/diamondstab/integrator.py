@@ -24,6 +24,7 @@ from .msform import (
     LinearizedForm,
     MultiSymplecticForm,
     _generate_grad_kernel,
+    _require_positive,
     eval_S,
     eval_grad_S,
     eval_jac_S,
@@ -129,6 +130,10 @@ def parse_scheme(text: str):
 
 @dataclass(frozen=True)
 class MeshParams:
+    """A periodic mesh of N >= 2 cells on [a, b), run to time T in nt =
+    round(T / dt) steps (at least one).  dt, T and the domain length b - a
+    must be finite and positive (msform._require_positive)."""
+
     a: float
     b: float
     N: int
@@ -138,8 +143,7 @@ class MeshParams:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("need at least two cells")
-        if self.dt <= 0 or self.b <= self.a:
-            raise ValueError("invalid mesh parameters")
+        _require_positive(dt=self.dt, T=self.T, domain_length=self.b - self.a)
 
     @property
     def dx(self) -> float:
@@ -290,7 +294,17 @@ def _take(arrays: tuple, rows) -> tuple:
     return tuple(a[rows] for a in arrays)
 
 
-def _require_solved(bad: np.ndarray) -> None:
+def _require_solved(res: np.ndarray, tol: float, *values: np.ndarray) -> None:
+    """The acceptance rule of the nonlinear diamond solves of both schemes: a
+    row is solved when its residual norm is at most tol (1 + the norm of
+    that row across ``values``); NaN never passes.  Raises NewtonError
+    naming the first five rows that are not solved."""
+    norm = _row_norms(res)
+    # norm <= tol * scale with scale >= 1: only rows above tol need the scale
+    bad = np.flatnonzero(~(norm <= tol))
+    if bad.size:
+        flat = np.concatenate([v[bad].reshape(bad.size, -1) for v in values], axis=1)
+        bad = bad[~(norm[bad] <= tol * (1.0 + np.linalg.norm(flat, axis=1)))]
     if bad.size:
         raise NewtonError(f"diamond solve did not converge at rows {bad[:5].tolist()}")
 
@@ -428,10 +442,12 @@ def solve_diamonds(
     bits of a one-row call.  Nonlinear forms solve the residual
     K/dt Z + c - grad S((Z + s)/4), with the known corners folded into c and
     s, by _solve_nonlinear with res_tol 1e-13 opscale: the chord is the
-    inverse of that pivot, or Newton runs alone where it is singular.  The
-    rows are stored components first (each component of the batch is one
-    contiguous vector), grad S comes from the form's generated kernel, and
-    every product and norm is formed column by column (_column_product,
+    inverse of that pivot, or Newton runs alone where it is singular.
+    _require_solved accepts each row at 1e-9 opscale, scaled by its top and
+    corners, and raises NewtonError otherwise.  The rows are stored
+    components first (each component of the batch is one contiguous
+    vector), grad S comes from the form's generated kernel, and every
+    product and norm is formed column by column (_column_product,
     _row_norms), so each row of a batch equals a one-row call bit for bit.
     The iteration starts from the bottom values, or from ``_start``, which
     integrate sets to its time predictor 2 z^n - z^(n-1).
@@ -454,13 +470,7 @@ def solve_diamonds(
         Zb if _start is None else np.array(_start, dtype=float, ndmin=2, order="F"),
         (c, s), chord, 1e-13 * opscale,
     )
-    norm = _row_norms(res)
-    # norm <= tol * scale with scale >= 1: only rows above tol need the scale
-    bad = np.flatnonzero(~(norm <= 1e-9 * opscale))
-    if bad.size:
-        scale = 1.0 + np.linalg.norm(np.stack([Zt, Zb, Zl, Zr])[:, bad], axis=(0, 2))
-        bad = bad[~(norm[bad] <= 1e-9 * opscale * scale)]
-    _require_solved(bad)
+    _require_solved(res, 1e-9 * opscale, Zt, Zb, Zl, Zr)
     return Zt
 
 
@@ -487,7 +497,10 @@ def solve_diamond_rk(
     place of (I (x) P) Z, by the simple
     scheme's solver, _solve_nonlinear, from stages equal to the bottom stack,
     with the inverse of Q (the stage Jacobian at z = 0) as the chord and
-    res_tol 0 (Newton stops a row on its step alone).  Each diamond is
+    res_tol 0 (Newton stops a row on its step alone).  _require_solved
+    accepts each row by the simple scheme's rule, at 1e-9 opscale (the stage
+    residual carries Q's K/dt and L/dx entries), scaled by its stages and
+    lower edge stacks, and raises NewtonError otherwise.  Each diamond is
     carried as a (1, r*r*d) row, so each output row equals a one-diamond call
     bit for bit.
     """
@@ -525,7 +538,7 @@ def solve_diamond_rk(
     Z0 = np.repeat(zb[:, :, None, :], r, axis=2).reshape(n, 1, m)
     chord = bl.pivot_inv.T
     Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), lambda res: res @ chord, 0.0)
-    _require_solved(np.flatnonzero(~(_row_norms(res) <= 1e-9 * (1.0 + _row_norms(Z)))))
+    _require_solved(res, 1e-9 * _opscale(form, dt, dx), Z, zb, zl)
     Z = Z.reshape(n, r, r, d)
     beta, alpha = tableau.beta, tableau.alpha
     zt = (1.0 - alpha) * zb + beta @ Z

@@ -67,6 +67,14 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _require_positive(**named: float) -> None:
+    """The one rule for a step size or a length (dt, dx, T, a domain length):
+    raise ValueError naming the first value that is not finite and > 0."""
+    for name, value in named.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class MultiSymplecticForm:
     """Immutable container for one multi-symplectic system.

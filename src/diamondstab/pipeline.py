@@ -3,6 +3,7 @@ spectra) as one function with early exit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ def _check_rho(form, rho: float | None) -> None:
         raise ValueError(
             f"rho is the plane-wave amplitude of the registered nls; form {form.name!r} is linearized at z = 0"
         )
+    if rho is not None and not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
 
 
 def reference_linearization(form, rho: float | None = None) -> msform.LinearizedForm:

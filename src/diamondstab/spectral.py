@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .msform import LinearizedForm
+from .msform import LinearizedForm, _require_positive
 
 __all__ = [
     "SingularUpdateError",
@@ -124,9 +124,9 @@ class SymbolFamily:
 
 
 def build_blocks_simple(lin: LinearizedForm, dt: float, dx: float) -> SimpleBlocks:
-    """Closed-form one-diamond map z_t = B z_b + Am z_l + Ap z_r."""
-    if not (dt > 0 and dx > 0):
-        raise ValueError(f"dt and dx must be positive, got dt={dt!r}, dx={dx!r}")
+    """Closed-form one-diamond map z_t = B z_b + Am z_l + Ap z_r; dt and dx
+    must be finite and positive (ValueError otherwise)."""
+    _require_positive(dt=dt, dx=dx)
     K, L, P = lin.K, lin.L, lin.Peff
     inv = _pivot_inverse(K / dt - P / 4.0)
     if inv is None:
@@ -197,9 +197,9 @@ def build_blocks_rk(lin: LinearizedForm, tableau, dt: float, dx: float) -> RKBlo
     """Assemble the stage system and contract it to the edge map blocks.
 
     Q = I_{r^2} (x) Peff - I_r (x) F (x) Ktil - F (x) I_r (x) Ltil.
+    dt and dx must be finite and positive (ValueError otherwise).
     """
-    if not (dt > 0 and dx > 0):
-        raise ValueError(f"dt and dx must be positive, got dt={dt!r}, dx={dx!r}")
+    _require_positive(dt=dt, dx=dx)
     r, d = tableau.r, lin.d
     F, mu, beta, alpha = tableau.F, tableau.mu, tableau.beta, tableau.alpha
     Ktil = lin.K / dt - lin.L / dx
@@ -486,9 +486,11 @@ def stability_boundary_sweep(
 ) -> SweepResult:
     """Largest stable dt per dx by bisection on [1e-12, dx].
 
-    ``scheme`` is "simple" or an RKTableau.  N is derived from the domain
-    length, so domain-size dependence of the boundary shows up directly in
-    the fitted constant.  Each dt_max is stable under a full
+    ``scheme`` is "simple" or an RKTableau.  The domain length and every dx
+    must be finite and positive (ValueError naming the first that is not).
+    N is derived from the domain length, so domain-size dependence of the
+    boundary shows up directly in the fitted constant.  Each dt_max is
+    stable under a full
     ``spectral_verdict``, and unless it is dx, the last dt the bisection
     rejected, within a factor 1 + _SWEEP_RTOL above it, breaks the criterion
     at one frequency: it is unstable under the full verdict too.
@@ -505,8 +507,7 @@ def stability_boundary_sweep(
     unwatched frequencies changes only once on the path (at a boundary
     below which they are all stable).
     """
-    if not (domain_length > 0 and all(dx > 0 for dx in dx_list)):
-        raise ValueError(f"domain length and every dx must be positive, got {domain_length!r} and {dx_list!r}")
+    _require_positive(domain_length=domain_length, **{f"dx[{i}]": dx for i, dx in enumerate(dx_list)})
     points: list[SweepPoint] = []
     watch: list[int] = []  # the k that last decided a dt unstable comes first
 

@@ -351,45 +351,60 @@ def test_cli_bad_scheme_is_one_line_error(command, scheme, tmp_path, capsys):
     assert captured.out == ""
 
 
+# a command that must be refused, and the name its error gives the input
 BAD_INPUT_COMMANDS = {
-    "analyze_unknown_constant": ["analyze", "wave", "--params", "a=1"],
-    "sweep_unknown_constant": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4", "--params", "a=1"],
-    "run_unknown_constant": ["run", "--pde", "nls", "--params", "rho=3", "--dx", "0.1", "--dt", "0.01",
-                             "--domain=-10,10", "--T", "0.02", "--ic", "two_soliton"],
-    "analyze_negative_dt": ["analyze", "wave", "--dt", "-0.1"],
-    "analyze_zero_dt": ["analyze", "wave", "--dt", "0"],
-    "analyze_zero_dx": ["analyze", "wave", "--dx", "0"],
-    "analyze_rk_negative_dt": ["analyze", "wave", "--scheme", "rk:2", "--dt", "-0.1"],
-    "analyze_zero_N": ["analyze", "wave", "--N", "0"],
-    "sweep_zero_dx": ["sweep", "--pde", "wave", "--dx-list", "0", "--domain-length", "4"],
-    "sweep_zero_domain_length": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "0"],
-    "run_zero_dx": ["run", "--pde", "wave", "--dx", "0", "--dt", "0.1", "--T", "0.2", "--ic", "zero"],
-    "analyze_rho_on_other_form": ["analyze", "wave", "--params", "rho=3"],
-    "sweep_rho_on_other_form": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
-                                "--params", "rho=3"],
-    "analyze_param_without_value": ["analyze", "wave", "--params", "a"],
-    "analyze_nonfinite_constant": ["analyze", "dirac", "--params", "m=nan"],
-    "analyze_growth_theta_zero": ["analyze", "wave", "--criterion", "growth:0"],
-    "analyze_growth_theta_nan": ["analyze", "wave", "--criterion", "growth:nan"],
-    "sweep_growth_theta_inf": ["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
-                               "--criterion", "growth:inf"],
-    "analyze_nozero_one_mode": ["analyze", "linear_kg", "--N", "1", "--criterion", "nozero"],
+    "analyze_unknown_constant": (["analyze", "wave", "--params", "a=1"], "constant a"),
+    "sweep_unknown_constant": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
+                                "--params", "a=1"], "constant a"),
+    "run_unknown_constant": (["run", "--pde", "nls", "--params", "rho=3", "--dx", "0.1", "--dt", "0.01",
+                              "--domain=-10,10", "--T", "0.02", "--ic", "two_soliton"], "constant rho"),
+    "analyze_negative_dt": (["analyze", "wave", "--dt", "-0.1"], "dt"),
+    "analyze_zero_dt": (["analyze", "wave", "--dt", "0"], "dt"),
+    "analyze_zero_dx": (["analyze", "wave", "--dx", "0"], "dx"),
+    "analyze_infinite_dx": (["analyze", "wave", "--dx", "inf"], "dx"),
+    "analyze_rk_negative_dt": (["analyze", "wave", "--scheme", "rk:2", "--dt", "-0.1"], "dt"),
+    "analyze_zero_N": (["analyze", "wave", "--N", "0"], "N"),
+    "sweep_zero_dx": (["sweep", "--pde", "wave", "--dx-list", "0", "--domain-length", "4"], "dx"),
+    "sweep_zero_domain_length": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "0"], "domain"),
+    "sweep_infinite_domain_length": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "inf"],
+                                     "domain"),
+    "run_zero_dx": (["run", "--pde", "wave", "--dx", "0", "--dt", "0.1", "--T", "0.2", "--ic", "zero"], "dx"),
+    "run_infinite_T": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "inf", "--ic", "zero"], "T"),
+    "run_negative_T": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "-1", "--ic", "zero"], "T"),
+    "run_nan_dt": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "nan", "--T", "0.2", "--ic", "zero"], "dt"),
+    "run_nan_domain": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "0.2", "--ic", "zero",
+                        "--domain", "0,nan"], "domain"),
+    "analyze_rho_on_other_form": (["analyze", "wave", "--params", "rho=3"], "rho"),
+    "sweep_rho_on_other_form": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
+                                 "--params", "rho=3"], "rho"),
+    "analyze_negative_rho": (["analyze", "nls", "--params", "rho=-1"], "rho"),
+    "analyze_nan_rho": (["analyze", "nls", "--params", "rho=nan"], "rho"),
+    "analyze_infinite_rho": (["analyze", "nls", "--params", "rho=inf"], "rho"),
+    "analyze_param_without_value": (["analyze", "wave", "--params", "a"], "--params"),
+    "analyze_nonfinite_constant": (["analyze", "dirac", "--params", "m=nan"], "constant m"),
+    "analyze_growth_theta_zero": (["analyze", "wave", "--criterion", "growth:0"], "theta"),
+    "analyze_growth_theta_nan": (["analyze", "wave", "--criterion", "growth:nan"], "theta"),
+    "sweep_growth_theta_inf": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
+                                "--criterion", "growth:inf"], "theta"),
+    "analyze_nozero_one_mode": (["analyze", "linear_kg", "--N", "1", "--criterion", "nozero"], "N"),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(BAD_INPUT_COMMANDS))
 def test_cli_bad_input_is_one_line_error(case, tmp_path, capsys):
-    # an unknown form constant or a non-positive mesh input is refused up
-    # front: exit 1, one error line, no verdict and no warning
-    argv = BAD_INPUT_COMMANDS[case]
+    # an unknown form constant or an inadmissible mesh input is refused up
+    # front: exit 1, one error line naming the input, no verdict, no
+    # warning and no run directory
+    argv, name = BAD_INPUT_COMMANDS[case]
     if argv[0] == "run":
         argv = argv + ["--out", str(tmp_path / "run")]
     assert main(argv) == 1
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], captured.err
     assert captured.out == ""
+    assert not (tmp_path / "run").exists()
 
 
 # an entry of the NLS JSON form set to a non-finite or non-integral value,

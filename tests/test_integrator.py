@@ -1,3 +1,5 @@
+import inspect
+import re
 import warnings
 
 import mpmath
@@ -68,6 +70,30 @@ def test_mesh_params_validation():
         MeshParams(a=0.0, b=1.0, N=4, dt=-0.1, T=1.0)
     with pytest.raises(ValueError):
         MeshParams(a=1.0, b=0.0, N=4, dt=0.1, T=1.0)
+
+
+# the step sizes and lengths each call takes, with admissible defaults;
+# the sweep's dx list is [0.4, dx], so its error names dx[1]
+_WAVE = linearize(registry_get("wave"), np.zeros(3))
+STEP_AND_LENGTH_CALLS = {
+    "build_blocks_simple": lambda dt=0.1, dx=0.1: build_blocks_simple(_WAVE, dt, dx),
+    "build_blocks_rk": lambda dt=0.1, dx=0.1: build_blocks_rk(_WAVE, gauss_tableau(2), dt, dx),
+    "MeshParams": lambda dt=0.1, T=1.0, domain_length=1.0: MeshParams(a=0.0, b=domain_length, N=4, dt=dt, T=T),
+    "stability_boundary_sweep": lambda domain_length=4.0, dx=0.4: spectral.stability_boundary_sweep(
+        _WAVE, "simple", domain_length, [0.4, dx], spectral.Criterion("strict")
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "call,name",
+    [(call, name) for call, fn in STEP_AND_LENGTH_CALLS.items() for name in inspect.signature(fn).parameters],
+)
+def test_step_sizes_and_lengths_must_be_finite_and_positive(call, name, value):
+    shown = "dx[1]" if call == "stability_boundary_sweep" and name == "dx" else name
+    with pytest.raises(ValueError, match=rf"^{re.escape(shown)} must be finite and positive, got {value}$"):
+        STEP_AND_LENGTH_CALLS[call](**{name: value})
 
 
 @pytest.mark.parametrize("name", ["wave", "linear_kg", "mixed_kg"])
@@ -662,10 +688,12 @@ def test_chord_solve_properties(name, scheme, amplitude, dt_over_dx, rows, seed)
     assert _relative_gap(batch, newton) <= 1e-12
     for i in range(rows):
         one = solve(*(Z[i] for Z in corners))
-        assert np.array_equal(one[0] if scheme == "simple" else one, batch[i])
-        if scheme != "simple":
-            # Newton stops each row on its own step, whatever the other rows need
-            assert np.array_equal(_newton_only(solve, *(Z[i] for Z in corners)), newton[i])
+        # Newton stops each row on its own residual or step, whatever the other rows need
+        one_newton = _newton_only(solve, *(Z[i] for Z in corners))
+        if scheme == "simple":
+            one, one_newton = one[0], one_newton[0]
+        assert np.array_equal(one, batch[i])
+        assert np.array_equal(one_newton, newton[i])
 
 
 def test_chord_skipped_where_the_update_matrix_is_singular():
@@ -879,6 +907,26 @@ def test_nonfinite_values_fail_convergence_tests():
     mesh = MeshParams(a=0.0, b=2.0, N=8, dt=0.05, T=0.5)
     with np.errstate(all="ignore"), pytest.raises(NewtonError, match="box initialization"):
         init_half_step(nls, lambda x: np.full(4, 1e200), mesh, method="box")
+
+
+@pytest.mark.parametrize("dt", [1e-7, 1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_collocation_solve_accepts_small_time_steps(r, dt):
+    # the stage residual carries Q's K/dt entries, so the acceptance
+    # tolerance scales with them, as the simple scheme's does
+    zb, zl = 0.5 * np.random.default_rng(0).standard_normal((2, 6, r, 4))
+    zt, zr = solve_diamond_rk(registry_get("dirac"), gauss_tableau(r), zb, zl, dt, 0.1)
+    assert np.isfinite(zt).all() and np.isfinite(zr).all()
+
+
+def test_truncated_solves_are_refused(monkeypatch):
+    form, mesh, values = _dirac_start()
+    zb, zl = 0.5 * np.random.default_rng(0).standard_normal((2, 6, 2, 4))
+    monkeypatch.setattr(integrator, "_MAX_ITER", 1)
+    with pytest.raises(NewtonError, match="did not converge"):
+        solve_diamond_rk(form, gauss_tableau(2), zb, zl, 0.2, 0.1)
+    with pytest.raises(NewtonError, match="did not converge"):
+        solve_diamonds(form, *_half_step_corners(values), mesh.dt, mesh.dx)
 
 
 @pytest.mark.parametrize("scheme,init", [("simple", "exact"), ("simple", "box"), ("rk:2", "exact"), ("rk:2", "box")])
