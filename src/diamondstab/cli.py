@@ -205,6 +205,7 @@ def _cmd_run(args) -> int:
     form = msform.registry_get(args.pde, **_parse_params(args.params))
     a, b = (float(v) for v in args.domain.split(","))
     msform._require_positive(dx=args.dx, domain_length=b - a)
+    msform._require_positive(**{"domain_length / dx": (b - a) / args.dx})
     N = round((b - a) / args.dx)
     mesh = MeshParams(a=a, b=b, N=N, dt=args.dt, T=args.T)
     ic, exact = builtin_initial_condition(args.ic, form)
@@ -220,6 +221,7 @@ def _cmd_run(args) -> int:
         "dx": mesh.dx,
         "dt": args.dt,
         "T": args.T,
+        "t_end": mesh.t_end,
         "N": N,
         "status": result.status,
         "diverged_at": result.diverged_at,
@@ -254,7 +256,10 @@ def _cmd_run(args) -> int:
                 xnext = mesh.a + (i + 1) * mesh.dx
                 for k, c in enumerate(scheme.c):
                     w.writerow([xnext - 0.5 * mesh.dx * c] + list(result.edge_state[2 * i + 1, k]))
-    print(f"status: {result.status}" + (f" (diverged at t={result.diverged_at})" if result.diverged_at else ""))
+    notes = [f"diverged at t={result.diverged_at}"] if result.diverged_at else []
+    if abs(mesh.t_end - args.T) > 1e-9 * args.T:
+        notes.append(f"ran to t_end={mesh.t_end}, the whole step nearest T={args.T}")
+    print(f"status: {result.status}" + (f" ({'; '.join(notes)})" if notes else ""))
     return 0
 
 
@@ -264,6 +269,8 @@ def _cmd_sweep(args) -> int:
     params = _parse_params(args.params)
     rho = params.pop("rho", None)
     dx_list = [float(v) for v in args.dx_list.split(",")]
+    # the mesh inputs are refused before Steps 1 and 2 decide, whatever the form
+    spectral._require_sweep_lengths(args.domain_length, dx_list)
     # Steps 1 and 2 decide first: an inconsistent or unconditionally unstable
     # form has no stability boundary to trace
     report = run_pipeline(msform.registry_get(args.pde, **params), rho=rho, stop_after=2)

@@ -24,6 +24,7 @@ from .msform import (
     LinearizedForm,
     MultiSymplecticForm,
     _generate_grad_kernel,
+    _KernelSource,
     _require_positive,
     eval_S,
     eval_grad_S,
@@ -130,9 +131,10 @@ def parse_scheme(text: str):
 
 @dataclass(frozen=True)
 class MeshParams:
-    """A periodic mesh of N >= 2 cells on [a, b), run to time T in nt =
-    round(T / dt) steps (at least one).  dt, T and the domain length b - a
-    must be finite and positive (msform._require_positive)."""
+    """A periodic mesh of N >= 2 cells on [a, b), run in nt = round(T / dt)
+    steps (at least one) to t_end = nt dt, the whole step nearest T.  dt,
+    T, the domain length b - a and T / dt must be finite and positive
+    (msform._require_positive)."""
 
     a: float
     b: float
@@ -144,6 +146,7 @@ class MeshParams:
         if self.N < 2:
             raise ValueError("need at least two cells")
         _require_positive(dt=self.dt, T=self.T, domain_length=self.b - self.a)
+        _require_positive(**{"T / dt": self.T / self.dt})
 
     @property
     def dx(self) -> float:
@@ -152,6 +155,10 @@ class MeshParams:
     @property
     def nt(self) -> int:
         return max(1, round(self.T / self.dt))
+
+    @property
+    def t_end(self) -> float:
+        return self.nt * self.dt
 
     def x_int(self) -> np.ndarray:
         return self.a + self.dx * np.arange(self.N)
@@ -204,14 +211,16 @@ _MAX_ITER = 50
 _STEP_TOL = 1e-13
 
 # per form: Step 3's one-diamond map per (scheme, dt, dx), the simple
-# scheme's column products per ("products", dt, dx) and the generated
+# scheme's generated diamond kernel per ("kernel", dt, dx) and the generated
 # gradient kernel ("grad S"); the form does not change during a run, so each
 # is made once, at its first use, and a singular pivot is cached as its error
 _FORM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _cached(form: MultiSymplecticForm, key, make):
-    per_form = _FORM_CACHE.setdefault(form, {})
+    per_form = _FORM_CACHE.get(form)
+    if per_form is None:
+        per_form = _FORM_CACHE[form] = {}
     if key not in per_form:
         try:
             per_form[key] = make()
@@ -240,33 +249,6 @@ def _grad_kernel(form: MultiSymplecticForm):
     """The form's generated grad S kernel (msform._generate_grad_kernel),
     which takes and returns points components first; eval_grad_S checks it."""
     return _cached(form, "grad S", lambda: _generate_grad_kernel(form))
-
-
-def _column_product(M: np.ndarray):
-    """Z -> Z M^T for (n, d) rows Z, built one column at a time: column i is
-    the sum of M[i, j] Z[:, j] over the nonzero M[i, j] in column order.  A
-    BLAS product's bits depend on the batch size; these do not, and rows
-    stored components first keep every column contiguous."""
-    # per output column: its first (j, M[i, j]) and the rest; 0-d arrays
-    # multiply arrays faster than Python floats do
-    plan = []
-    for i, row in enumerate(M):
-        entries = [(int(j), np.array(row[j])) for j in np.flatnonzero(row)]
-        plan.append((i, entries[0] if entries else None, tuple(entries[1:])))
-
-    def product(Z):
-        cols, out = Z.T, np.empty((len(plan), len(Z)))
-        for i, first, rest in plan:
-            if first is None:
-                out[i] = 0.0
-                continue
-            col = out[i]
-            np.multiply(first[1], cols[first[0]], out=col)
-            for j, m in rest:
-                col += m * cols[j]
-        return out.T
-
-    return product
 
 
 def _opscale(form: MultiSymplecticForm, dt: float, dx: float) -> float:
@@ -299,6 +281,9 @@ def _require_solved(res: np.ndarray, tol: float, *values: np.ndarray) -> None:
     row is solved when its residual norm is at most tol (1 + the norm of
     that row across ``values``); NaN never passes.  Raises NewtonError
     naming the first five rows that are not solved."""
+    # a row's norm is at most its size times its largest entry
+    if not res.size or np.abs(res).max() * (res.size // len(res)) <= tol:
+        return
     norm = _row_norms(res)
     # norm <= tol * scale with scale >= 1: only rows above tol need the scale
     bad = np.flatnonzero(~(norm <= tol))
@@ -316,10 +301,10 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
     diamonds.  ``residual(Z, *data)`` and ``jacobian(Z, *data)`` take the
     iterates of some rows and the same rows of ``data``.  A chord iteration
     from Z0 with ``chord``, which maps a residual to its step through the
-    inverse of the Jacobian at z = 0, runs first (see _chord_iterate for the
-    rule).  The rows it leaves go on to Newton from their last chord
-    iterate, or from Z0 where that iterate's residual is not below the one
-    at Z0.  ``chord`` None runs Newton alone.  The iterates keep Z0's memory
+    inverse of the Jacobian at z = 0 and returns that step and its row
+    norms, runs first (see _chord_iterate for the rule).  The rows it
+    leaves go on to Newton from their last chord iterate, or from Z0 where
+    that iterate's residual is not below the one at Z0.  ``chord`` None runs Newton alone.  The iterates keep Z0's memory
     layout.  Returns the final iterate and its residual.
     """
     Z = np.copy(Z0)
@@ -341,7 +326,8 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
 
 
 def _chord_iterate(residual, Z, res, data, chord):
-    """Chord (simplified Newton) steps Z -= chord(r(Z)) on the whole batch.
+    """Chord (simplified Newton) steps Z -= delta on the whole batch, where
+    ``chord(r)`` returns the step delta of the residual r and its row norms.
 
     A row is solved once the step it took is below tol = _STEP_TOL (1 + |Z|),
     or once its next step would be below tol / _CHORD_CONTRACTION, the error
@@ -359,28 +345,37 @@ def _chord_iterate(residual, Z, res, data, chord):
     rows left for Newton.
     """
     n = len(Z)
-    active = np.ones(n, dtype=bool)
     newton = np.zeros(n, dtype=bool)
     tol = _STEP_TOL * (1.0 + _row_norms(Z))
-    prev, rate = np.full(n, np.inf), np.zeros(n)
-    r = res
+    prev, r = None, res
     for _ in range(_MAX_ITER):
-        delta = chord(r)
-        step = _row_norms(delta)
-        # a finished row keeps its last rate: no 0/0 from its zero step
-        np.divide(step, prev, out=rate, where=active)
-        fast = (rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)
-        active &= ~(step < tol / _CHORD_CONTRACTION)  # solved: the step is not taken
-        newton |= active & ~fast
-        active &= fast
+        delta, step = chord(r)
+        solved = step < tol / _CHORD_CONTRACTION  # the step is not taken
+        if prev is None:
+            # every row is active and its previous step counts as infinite:
+            # the rate is 0 where the step is finite, so fast is step * 0 < tol,
+            # which a solved row (a finite step below tol) meets too
+            fast, rate = step * 0.0 < tol, np.zeros(n)
+            np.logical_not(fast, out=newton)
+            active = fast > solved
+        else:
+            pending = active > solved  # active and not solved
+            if not np.count_nonzero(pending):
+                break
+            # a finished row keeps its last rate: no 0/0 from its zero step
+            np.divide(step, prev, out=rate, where=pending)
+            fast = (rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)
+            newton |= pending > fast
+            active = pending & fast
         if not np.count_nonzero(active):
             break
         np.subtract(Z, delta, out=Z, where=active.reshape((n,) + (1,) * (Z.ndim - 1)))
         r = residual(Z, *data)
         tol = _STEP_TOL * (1.0 + _row_norms(Z))
-        active &= ~(step < tol)
+        np.greater(active, step < tol, out=active)
         prev = step
-    newton |= active  # rows still going after _MAX_ITER steps
+    else:
+        newton |= active  # rows still going after _MAX_ITER steps
     res[...] = r
     return np.flatnonzero(newton)
 
@@ -411,18 +406,107 @@ def _newton(residual, jacobian, Z, res, data, res_tol):
     return Z, res
 
 
-def _simple_products(form: MultiSymplecticForm, dt: float, dx: float):
-    """The column products of K/dt, L/dx and the chord (the inverse pivot
-    K/dt - P/4, or None where it is singular), made once per dt and dx."""
+@dataclass(frozen=True)
+class _DiamondKernel:
+    """The simple scheme's generated diamond kernel for one form, dt and dx
+    (_generate_diamond_kernel).  Its parts take and return (n, d) rows of n
+    diamonds and work on their (d, n) transposes, which are C-contiguous
+    where the rows are stored components first.
+
+    ``corners(Zb, Zl, Zr)`` returns c = L/dx (Zr - Zl) - K/dt Zb and
+    s = Zb + Zl + Zr, ``residual(Z, c, s)`` returns K/dt Z + c -
+    grad S((Z + s)/4), and ``step(r)``, None where the pivot K/dt - P/4 is
+    singular, returns the chord step pivot^-1 r and its Euclidean norm per
+    diamond.  ``opscale`` scales the solve's tolerances, and ``Kdt`` is K/dt.
+    """
+
+    corners: object
+    residual: object
+    step: object
+    opscale: float
+    Kdt: np.ndarray
+
+
+def _generate_diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float, pivot_inv) -> _DiamondKernel:
+    """Python source for the parts of _DiamondKernel, built with the
+    gradient kernel's expression builder (msform._KernelSource).
+
+    The nonzero entries of K/dt, L/dx and pivot_inv are inlined as
+    constants, and each output component is written into one (d, n) array
+    by its last operation.  Every product is summed in column order and
+    every norm one component at a time, as a fixed chain of elementwise
+    operations, so a diamond's bits do not depend on the batch size.
+    """
+    d, Kdt, Ldx = form.d, form.K / dt, form.L / dx
+    names = {x: [f"{x}{j}" for j in range(d)] for x in "zbecrw"}
+
+    src = _KernelSource()
+    src.line("b, l, r = Zb.T, Zl.T, Zr.T")
+    src.line("c = np.empty(b.shape)")
+    src.line("e = r - l")
+    src.rows("e", names["e"])
+    src.rows("b", names["b"])
+    for i in range(d):
+        L_part, K_part = src.linear(Ldx[i], names["e"]), src.linear(Kdt[i], names["b"])
+        if L_part and K_part:
+            src.line(f"np.subtract({src.sum_of(L_part)}, {src.sum_of(K_part)}, c[{i}])")
+        else:
+            src.store(f"c[{i}]", L_part or src.linear(-Kdt[i], names["b"]))
+    src.line("return c.T, (b + l + r).T")
+    corners = src.compile("corners", "Zb", "Zl", "Zr")
+
+    src = _KernelSource()
+    src.line("z, c = Z.T, C.T")
+    src.line("out = np.empty(z.shape)")
+    src.line("w = z + S.T")
+    src.line(f"w *= {src.const(0.25)}")
+    src.rows("w", names["w"])
+    src.rows("z", names["z"])
+    src.rows("c", names["c"])
+    grad = src.grad_S(form, names["w"])
+    for i in range(d):
+        known = src.linear(Kdt[i], names["z"]) + [(1.0, names["c"][i])]
+        if grad[i] is None:
+            src.store(f"out[{i}]", known)
+        else:
+            src.line(f"np.subtract({src.sum_of(known)}, {grad[i]}, out[{i}])")
+    src.line("return out.T")
+    residual = src.compile("residual", "Z", "C", "S")
+
+    step = None
+    if pivot_inv is not None:
+        src = _KernelSource()
+        src.line("r = R.T")
+        src.line("out = np.empty(r.shape)")
+        src.rows("r", names["r"])
+        for i in range(d):
+            src.store(f"out[{i}]", src.linear(pivot_inv[i], names["r"]))
+        src.line("sq = out * out")
+        src.line(f"norm = {' + '.join(f'sq[{i}]' for i in range(d))}{' + 0.0' if d == 1 else ''}")
+        src.line("return out.T, np.sqrt(norm, norm)")
+        step = src.compile("step", "R")
+    return _DiamondKernel(corners, residual, step, _opscale(form, dt, dx), Kdt)
+
+
+def _diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float) -> _DiamondKernel:
+    """The form's diamond kernel for dt and dx, made once; the chord step
+    comes from the pivot of Step 3's blocks, and is None (Newton alone)
+    where that pivot is singular."""
 
     def make():
         try:
-            chord = _column_product(_step3_blocks(form, "simple", dt, dx).pivot_inv)
-        except spectral.SingularUpdateError:  # Newton alone
-            chord = None
-        return _column_product(form.K / dt), _column_product(form.L / dx), chord
+            pivot_inv = _step3_blocks(form, "simple", dt, dx).pivot_inv
+        except spectral.SingularUpdateError:
+            pivot_inv = None
+        return _generate_diamond_kernel(form, dt, dx, pivot_inv)
 
-    return _cached(form, ("products", dt, dx), make)
+    return _cached(form, ("kernel", dt, dx), make)
+
+
+def _rows(Z) -> np.ndarray:
+    """Z as (n, d) float rows stored components first, copied only where it
+    is not already."""
+    return np.array(Z, dtype=float, ndmin=2, order="F", copy=None)
 
 
 def solve_diamonds(
@@ -446,31 +530,29 @@ def solve_diamonds(
     _require_solved accepts each row at 1e-9 opscale, scaled by its top and
     corners, and raises NewtonError otherwise.  The rows are stored
     components first (each component of the batch is one contiguous
-    vector), grad S comes from the form's generated kernel, and every
-    product and norm is formed column by column (_column_product,
-    _row_norms), so each row of a batch equals a one-row call bit for bit.
-    The iteration starts from the bottom values, or from ``_start``, which
-    integrate sets to its time predictor 2 z^n - z^(n-1).
+    vector; inputs stored so are not copied), and the corners, the residual
+    and the chord step with its row norms come from one kernel generated
+    per form, dt and dx (_DiamondKernel), which forms every product and
+    norm one component at a time, so each row of a batch equals a one-row
+    call bit for bit.  The iteration starts from the bottom values, or from
+    ``_start``, which integrate sets to its time predictor 2 z^n - z^(n-1).
     """
     if form.is_linear:
-        # contiguous copies: the zig-zag halves arrive as strided views
+        # (n, d) float rows: a one-diamond call passes vectors
         Zb, Zl, Zr = (np.array(Z, dtype=float, ndmin=2) for Z in (Zb, Zl, Zr))
         bl = _step3_blocks(form, "simple", dt, dx)
         return (np.concatenate([Zb, Zl, Zr], axis=1)[:, None] @ np.hstack([bl.B, bl.Am, bl.Ap]).T)[:, 0]
-    # components first: each column of the (n, d) rows is one contiguous vector
-    Zb, Zl, Zr = (np.array(Z, dtype=float, ndmin=2, order="F") for Z in (Zb, Zl, Zr))
-    Kdt, Ldx, chord = _simple_products(form, dt, dx)
-    grad_S, Kdt_matrix = _grad_kernel(form), form.K / dt
-    # the known corners of each diamond folded into two constants per row
-    c, s = Ldx(Zr - Zl) - Kdt(Zb), Zb + Zl + Zr
-    opscale = _opscale(form, dt, dx)
+    # components first: each column of the (n, d) rows is one contiguous
+    # vector, and the transposed (d, n) view the kernel takes is C-contiguous
+    Zb, Zl, Zr = (_rows(Z) for Z in (Zb, Zl, Zr))
+    kernel = _diamond_kernel(form, dt, dx)
     Zt, res = _solve_nonlinear(
-        lambda Z, c, s: Kdt(Z) + c - grad_S((0.25 * (Z + s)).T).T,
-        lambda Z, c, s: Kdt_matrix - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
-        Zb if _start is None else np.array(_start, dtype=float, ndmin=2, order="F"),
-        (c, s), chord, 1e-13 * opscale,
+        kernel.residual,
+        lambda Z, c, s: kernel.Kdt - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
+        Zb if _start is None else _rows(_start),
+        kernel.corners(Zb, Zl, Zr), kernel.step, 1e-13 * kernel.opscale,
     )
-    _require_solved(res, 1e-9 * opscale, Zt, Zb, Zl, Zr)
+    _require_solved(res, 1e-9 * kernel.opscale, Zt, Zb, Zl, Zr)
     return Zt
 
 
@@ -536,8 +618,13 @@ def solve_diamond_rk(
         return J
 
     Z0 = np.repeat(zb[:, :, None, :], r, axis=2).reshape(n, 1, m)
-    chord = bl.pivot_inv.T
-    Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), lambda res: res @ chord, 0.0)
+    chord_matrix = bl.pivot_inv.T
+
+    def chord(res):
+        delta = res @ chord_matrix
+        return delta, _row_norms(delta)
+
+    Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), chord, 0.0)
     _require_solved(res, 1e-9 * _opscale(form, dt, dx), Z, zb, zl)
     Z = Z.reshape(n, r, r, d)
     beta, alpha = tableau.beta, tableau.alpha
@@ -764,6 +851,8 @@ def integrate(
     def record(step):
         t = step * mesh.dt
         times.append(t)
+        if simple:
+            values[0::2], values[1::2] = evens, odds
         if want_energy:
             energies.append(total_energy(form, values[0::2], mesh))
         if want_snapshots:
@@ -772,6 +861,8 @@ def integrate(
             norms.append(float(np.abs(values).max()))
 
     def result(status, step, diverged_at=None):
+        if simple:
+            values[0::2], values[1::2] = evens, odds
         return RunResult(
             status, MeshState(values, step) if simple else None, np.array(times),
             np.array(energies) if want_energy else None, snapshots,
@@ -779,22 +870,32 @@ def integrate(
             norms=np.array(norms) if want_norms else None,
         )
 
+    if simple:
+        # the two halves of the zig-zag state, stored components first as the
+        # solves take them, and copied into values where it is recorded
+        evens, odds = np.asfortranarray(values[0::2]), np.asfortranarray(values[1::2])
+        neighbours = np.empty_like(evens)
+    else:
+        evens, odds = values[0::2], values[1::2]
     record(0)
-    evens, odds = values[0::2], values[1::2]
     # nonlinear simple-scheme solves start from the time predictor
     # 2 z^n - z^(n-1), the first step from the bottom values
     predict = simple and not form.is_linear
     guess = (None, None)
     for step in range(1, nt + 1):
         if simple:
-            previous = values.copy() if predict else None
-            evens[:] = solve_diamonds(form, evens, odds[left], odds, mesh.dt, mesh.dx, guess[0])
+            # the diamond on cell i has the half point i-1 on its left
+            neighbours[1:], neighbours[0] = odds[:-1], odds[-1]
+            top = solve_diamonds(form, evens, neighbours, odds, mesh.dt, mesh.dx, guess[0])
+            guess_evens = 2.0 * top - evens if predict else None
+            evens = top
             if _blown_up(evens, blowup):
                 return result("diverged", step, diverged_at=(step - 0.5) * mesh.dt)
-            odds[:] = solve_diamonds(form, odds, evens, evens[right], mesh.dt, mesh.dx, guess[1])
-            if predict:
-                ahead = 2.0 * values - previous
-                guess = (ahead[0::2], ahead[1::2])
+            # and the integer point i+1 on its right in the second half-step
+            neighbours[:-1], neighbours[-1] = evens[1:], evens[0]
+            top = solve_diamonds(form, odds, evens, neighbours, mesh.dt, mesh.dx, guess[1])
+            guess = (guess_evens, 2.0 * top - odds if predict else None)
+            odds = top
             if _blown_up(odds, blowup):
                 return result("diverged", step, diverged_at=step * mesh.dt)
         else:
@@ -814,7 +915,7 @@ def integrate(
 
 def _blown_up(values: np.ndarray, blowup: float) -> bool:
     peak = np.abs(values).max()
-    return not np.isfinite(peak) or peak > blowup
+    return not math.isfinite(peak) or peak > blowup
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:

@@ -209,94 +209,163 @@ def eval_grad_S(form: MultiSymplecticForm, z) -> np.ndarray:
     return out
 
 
-def _generate_grad_kernel(form: MultiSymplecticForm):
-    """grad S as Python source generated from P and the term list.
+class _KernelSource:
+    """Python source of an elementwise kernel, built one statement at a time.
 
-    The returned function takes its points components first: ``w[j]`` holds
-    the j-th component of every point (arrays of one common shape, or
-    scalars), and the result stacks the d components of grad S on a new
-    first axis.  Component i is the sum of the nonzero P[i, j] w[j] (column
-    order) and of its terms, factored: the factor common to all the row's
-    terms is taken out, and the rest is summed by coefficient (in order of
-    first appearance), each coefficient times its own common factor times
-    the sum of the remaining monomials.  So the NLS rows are p (a (p^2 + q^2))
-    and q (a (p^2 + q^2)), and every power (by repeated multiplication, as
-    in eval_grad_S), monomial, sum and factored row part is formed once.
-    Each component is a fixed chain of elementwise operations, so a point's
-    bits do not depend on how many points share the call; they differ from
-    eval_grad_S's by rounding.  The constants are bound by name as 0-d
-    arrays, which multiply arrays faster than Python floats do.
+    Every expression is a fixed chain of elementwise operations on arrays of
+    one common shape, so a point's bits do not depend on how many points
+    share the call.  ``let`` binds one temporary per distinct subexpression,
+    in order of first use; the constants are bound by name as 0-d arrays,
+    which multiply arrays faster than Python floats do.  A sum is formed
+    left to right, in the order its summands are given; a summand is a sign
+    and an expression, and a unit coefficient multiplies by nothing.
     """
-    d = form.d
-    lines = [f"    {', '.join(f'w{j}' for j in range(d))}, = w"]
-    consts: dict[str, np.ndarray] = {}
-    temps: dict[tuple, str] = {}
 
-    def let(key: tuple, expr: str) -> str:
-        # one temporary per distinct subexpression, in order of first use
-        if key not in temps:
-            temps[key] = f"t{len(temps)}"
-            lines.append(f"    {temps[key]} = {expr}")
-        return temps[key]
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace: dict = {"np": np}
+        self.temps: dict[tuple, str] = {}
 
-    def power(j: int, e: int) -> str:
-        return f"w{j}" if e == 1 else let(("pow", j, e), f"{power(j, e - 1)} * w{j}")
+    def line(self, text: str) -> None:
+        self.lines.append(f"    {text}")
 
-    def monomial(exps: tuple) -> str | None:
-        factors = [power(j, e) for j, e in enumerate(exps) if e]
-        if len(factors) <= 1:
-            return factors[0] if factors else None
-        return let(("mono", exps), " * ".join(factors))
+    def rows(self, array: str, names: list[str]) -> None:
+        """Bind names[j] = array[j]."""
+        for j, name in enumerate(names):
+            self.line(f"{name} = {array}[{j}]")
 
-    def times(factor: str | None, expr: str) -> str:
-        return expr if factor is None else f"{factor} * {expr}"
+    def let(self, key: tuple, expr: str) -> str:
+        if key not in self.temps:
+            self.temps[key] = f"t{len(self.temps)}"
+            self.line(f"{self.temps[key]} = {expr}")
+        return self.temps[key]
 
-    def scaled(value: float, expr: str | None) -> tuple[str, str]:
-        # sign and summand; a unit coefficient multiplies by nothing
+    def const(self, value: float) -> str:
+        key = f"k{len(self.namespace) - 1}"
+        self.namespace[key] = np.array(float(value))
+        return key
+
+    def scaled(self, value: float, expr: str | None) -> tuple[str, str]:
         if value in (1.0, -1.0):
             return ("-" if value < 0 else "+"), expr or "1.0"
-        key = f"k{len(consts)}"
-        consts[key] = np.array(float(value))
-        return "+", times(key, expr) if expr else key
+        key = self.const(value)
+        return "+", f"{key} * {expr}" if expr else key
 
-    def split(exps_list: list[tuple]) -> tuple[tuple, tuple]:
-        common = tuple(min(col) for col in zip(*exps_list))
-        return common, tuple(tuple(e - c for e, c in zip(m, common)) for m in exps_list)
-
+    @staticmethod
     def summed(summands: list[tuple[str, str]]) -> str:
         (sign, first), more = summands[0], summands[1:]
         return ("-" if sign == "-" else "") + first + "".join(f" {s} {x}" for s, x in more)
 
-    def by_coefficient(members: tuple) -> list[tuple[str, str]]:
-        groups: dict[float, list[tuple]] = {}
-        for coeff, exps in members:
-            groups.setdefault(coeff, []).append(exps)
-        summands = []
-        for coeff, exps_list in groups.items():
-            if len(exps_list) == 1:
-                summands.append(scaled(coeff, monomial(exps_list[0])))
-                continue
-            common, rest = split(exps_list)
-            total = let(("sum", rest), " + ".join(monomial(m) or "1.0" for m in rest))
-            factor = monomial(common)
-            summands.append(scaled(coeff, total if factor is None else let(("prod", common, rest), times(factor, total))))
-        return summands
+    @staticmethod
+    def linear(row: np.ndarray, names: list[str]) -> list[tuple[float, str]]:
+        """The terms (row[j], names[j]) of sum_j row[j] names[j], over the
+        nonzero row[j] in column order."""
+        return [(float(row[j]), names[j]) for j in np.flatnonzero(row)]
 
-    for i in range(d):
-        summands = [scaled(form.P[i, j], f"w{j}") for j in np.flatnonzero(form.P[i])]
-        members = [(t.coeff, tuple(t.exponents)) for t in form.terms if t.row == i + 1]
-        common, rest = split([exps for _, exps in members]) if members else ((), ())
-        if len(members) > 1 and any(common):
-            inner = tuple(zip((c for c, _ in members), rest))
-            part = temps.get(("inner", inner)) or let(("inner", inner), summed(by_coefficient(inner)))
-            summands.append(("+", let(("prod", common, inner), times(monomial(common), part))))
-        elif members:
-            summands += by_coefficient(tuple(members))
-        lines.append(f"    g{i} = {summed(summands) if summands else 'np.zeros_like(w0)'}")
-    lines.append(f"    return np.array([{', '.join(f'g{i}' for i in range(d))}])")
-    namespace = {"np": np, **consts}
-    exec("def grad_S(w):\n" + "\n".join(lines), namespace)
-    return namespace["grad_S"]
+    def sum_of(self, terms: list[tuple[float, str]]) -> str:
+        """The expression of the sum of value * name over ``terms``."""
+        return self.summed([self.scaled(value, name) for value, name in terms])
+
+    def store(self, target: str, terms: list[tuple[float, str]]) -> None:
+        """target[...] = the sum of value * name over ``terms``, its last
+        operation writing into target; an empty sum stores zero."""
+        if not terms:
+            self.line(f"{target}[...] = 0.0")
+            return
+        *head, (value, name) = terms
+        if head:
+            sign, last = self.scaled(value, name)
+            self.line(f"np.{'subtract' if sign == '-' else 'add'}({self.sum_of(head)}, {last}, {target})")
+        elif value in (1.0, -1.0):
+            self.line(f"np.{'positive' if value > 0 else 'negative'}({name}, {target})")
+        else:
+            self.line(f"np.multiply({self.const(value)}, {name}, {target})")
+
+    def grad_S(self, form: MultiSymplecticForm, w: list[str]) -> list[str | None]:
+        """The expression of each component of grad S at the point whose
+        components are named ``w``, or None where it is identically zero.
+
+        Component i is the sum of the nonzero P[i, j] w[j] (column order)
+        and of its terms, factored: the factor common to all the row's terms
+        is taken out, and the rest is summed by coefficient (in order of
+        first appearance), each coefficient times its own common factor
+        times the sum of the remaining monomials.  So the NLS rows are
+        p (a (p^2 + q^2)) and q (a (p^2 + q^2)), and every power (by
+        repeated multiplication, as in eval_grad_S), monomial, sum and
+        factored row part is formed once.
+        """
+
+        def power(j: int, e: int) -> str:
+            return w[j] if e == 1 else self.let(("pow", j, e), f"{power(j, e - 1)} * {w[j]}")
+
+        def monomial(exps: tuple) -> str | None:
+            factors = [power(j, e) for j, e in enumerate(exps) if e]
+            if len(factors) <= 1:
+                return factors[0] if factors else None
+            return self.let(("mono", exps), " * ".join(factors))
+
+        def times(factor: str | None, expr: str) -> str:
+            return expr if factor is None else f"{factor} * {expr}"
+
+        def split(exps_list: list[tuple]) -> tuple[tuple, tuple]:
+            common = tuple(min(col) for col in zip(*exps_list))
+            return common, tuple(tuple(e - c for e, c in zip(m, common)) for m in exps_list)
+
+        def by_coefficient(members: tuple) -> list[tuple[str, str]]:
+            groups: dict[float, list[tuple]] = {}
+            for coeff, exps in members:
+                groups.setdefault(coeff, []).append(exps)
+            summands = []
+            for coeff, exps_list in groups.items():
+                if len(exps_list) == 1:
+                    summands.append(self.scaled(coeff, monomial(exps_list[0])))
+                    continue
+                common, rest = split(exps_list)
+                total = self.let(("sum", rest), " + ".join(monomial(m) or "1.0" for m in rest))
+                factor = monomial(common)
+                part = total if factor is None else self.let(("prod", common, rest), times(factor, total))
+                summands.append(self.scaled(coeff, part))
+            return summands
+
+        exprs: list[str | None] = []
+        for i in range(form.d):
+            summands = [self.scaled(value, name) for value, name in self.linear(form.P[i], w)]
+            members = [(t.coeff, tuple(t.exponents)) for t in form.terms if t.row == i + 1]
+            common, rest = split([exps for _, exps in members]) if members else ((), ())
+            if len(members) > 1 and any(common):
+                inner = tuple(zip((c for c, _ in members), rest))
+                key = ("inner", inner)
+                part = self.temps.get(key) or self.let(key, self.summed(by_coefficient(inner)))
+                summands.append(("+", self.let(("prod", common, inner), times(monomial(common), part))))
+            elif members:
+                summands += by_coefficient(tuple(members))
+            exprs.append(self.summed(summands) if summands else None)
+        return exprs
+
+    def compile(self, name: str, *args: str):
+        exec(f"def {name}({', '.join(args)}):\n" + "\n".join(self.lines), self.namespace)
+        return self.namespace[name]
+
+
+def _generate_grad_kernel(form: MultiSymplecticForm):
+    """grad S as Python source generated from P and the term list
+    (_KernelSource.grad_S).
+
+    The returned function takes its points components first: ``w[j]`` holds
+    the j-th component of every point (arrays of one common shape, or
+    scalars), and the result stacks the d components of grad S on a new
+    first axis.  Each component is a fixed chain of elementwise operations,
+    so a point's bits do not depend on how many points share the call; they
+    differ from eval_grad_S's by rounding.
+    """
+    src = _KernelSource()
+    w = [f"w{j}" for j in range(form.d)]
+    src.rows("w", w)
+    grad = src.grad_S(form, w)
+    for i, expr in enumerate(grad):
+        src.line(f"g{i} = {expr or 'np.zeros_like(w0)'}")
+    src.line(f"return np.array([{', '.join(f'g{i}' for i in range(form.d))}])")
+    return src.compile("grad_S", "w")
 
 
 def eval_jac_S(form: MultiSymplecticForm, z) -> np.ndarray:

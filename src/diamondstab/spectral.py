@@ -477,6 +477,14 @@ def _boundary(stable, dx: float) -> float | None:
     return lo
 
 
+def _require_sweep_lengths(domain_length: float, dx_list) -> None:
+    """The sweep's admissibility rule (msform._require_positive): the domain
+    length, every dx and every domain_length / dx, from which N is rounded,
+    must be finite and positive."""
+    _require_positive(domain_length=domain_length, **{f"dx[{i}]": dx for i, dx in enumerate(dx_list)})
+    _require_positive(**{f"domain_length / dx[{i}]": domain_length / dx for i, dx in enumerate(dx_list)})
+
+
 def stability_boundary_sweep(
     lin: LinearizedForm,
     scheme,
@@ -486,8 +494,9 @@ def stability_boundary_sweep(
 ) -> SweepResult:
     """Largest stable dt per dx by bisection on [1e-12, dx].
 
-    ``scheme`` is "simple" or an RKTableau.  The domain length and every dx
-    must be finite and positive (ValueError naming the first that is not).
+    ``scheme`` is "simple" or an RKTableau.  The domain length, every dx
+    and their ratios must be finite and positive (ValueError naming the
+    first that is not; _require_sweep_lengths).
     N is derived from the domain length, so domain-size dependence of the
     boundary shows up directly in the fitted constant.  Each dt_max is
     stable under a full
@@ -507,7 +516,7 @@ def stability_boundary_sweep(
     unwatched frequencies changes only once on the path (at a boundary
     below which they are all stable).
     """
-    _require_positive(domain_length=domain_length, **{f"dx[{i}]": dx for i, dx in enumerate(dx_list)})
+    _require_sweep_lengths(domain_length, dx_list)
     points: list[SweepPoint] = []
     watch: list[int] = []  # the k that last decided a dt unstable comes first
 

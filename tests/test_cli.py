@@ -114,6 +114,23 @@ def test_cli_run_writes_outputs(tmp_path):
     assert header == ["x", "p1", "q1", "p2", "q2"]
 
 
+@pytest.mark.parametrize("T,t_end,note", [(0.2, 0.2, False), (0.01, 0.1, True), (0.26, 0.30000000000000004, True)])
+def test_cli_run_reports_the_time_it_reached(T, t_end, note, tmp_path, capsys):
+    # a run takes round(T / dt) whole steps, at least one: run.json records
+    # where it ended, and the status line names that time where it is not T
+    outdir = tmp_path / "run"
+    rc = main(["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", str(T), "--ic", "zero",
+               "--out", str(outdir)])
+    assert rc == 0
+    meta = json.loads((outdir / "run.json").read_text())
+    assert meta["T"] == T and meta["t_end"] == t_end and meta["status"] == "completed"
+    line = capsys.readouterr().out.strip()
+    if note:
+        assert line == f"status: completed (ran to t_end={t_end}, the whole step nearest T={T})"
+    else:
+        assert line == "status: completed"
+
+
 def test_cli_run_collocation_writes_norms_from_t0(tmp_path):
     outdir = tmp_path / "run"
     rc = main([
@@ -368,6 +385,15 @@ BAD_INPUT_COMMANDS = {
     "sweep_zero_domain_length": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "0"], "domain"),
     "sweep_infinite_domain_length": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "inf"],
                                      "domain"),
+    # Steps 1 and 2 would decide kdv without a mesh: its inputs are refused first
+    "sweep_decided_form_infinite_domain_length": (["sweep", "--pde", "kdv", "--dx-list", "0.4",
+                                                   "--domain-length", "inf"], "domain"),
+    "sweep_infinite_cell_count": (["sweep", "--pde", "wave", "--dx-list", "1e-300", "--domain-length", "1e300"],
+                                  "domain_length / dx[0]"),
+    "run_infinite_step_count": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "1e-300", "--T", "1e300",
+                                 "--ic", "zero"], "T / dt"),
+    "run_infinite_cell_count": (["run", "--pde", "wave", "--dx", "1e-300", "--dt", "0.1", "--T", "0.2",
+                                 "--ic", "zero", "--domain", "0,1e300"], "domain_length / dx"),
     "run_zero_dx": (["run", "--pde", "wave", "--dx", "0", "--dt", "0.1", "--T", "0.2", "--ic", "zero"], "dx"),
     "run_infinite_T": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "inf", "--ic", "zero"], "T"),
     "run_negative_T": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "-1", "--ic", "zero"], "T"),

@@ -31,6 +31,7 @@ from diamondstab.msform import (
     eval_jac_S,
     linearize,
     registry_get,
+    registry_names,
 )
 from diamondstab.solutions import (
     dirac_breather,
@@ -94,6 +95,25 @@ def test_step_sizes_and_lengths_must_be_finite_and_positive(call, name, value):
     shown = "dx[1]" if call == "stability_boundary_sweep" and name == "dx" else name
     with pytest.raises(ValueError, match=rf"^{re.escape(shown)} must be finite and positive, got {value}$"):
         STEP_AND_LENGTH_CALLS[call](**{name: value})
+
+
+@pytest.mark.parametrize(
+    "call,kwargs,shown",
+    [
+        ("MeshParams", {"dt": 1e-300, "T": 1e300}, "T / dt"),
+        ("stability_boundary_sweep", {"domain_length": 1e300, "dx": 1e-300}, "domain_length / dx[1]"),
+    ],
+)
+def test_step_ratios_must_be_finite(call, kwargs, shown):
+    # each value is admissible alone; the step or cell count they round to is not
+    with pytest.raises(ValueError, match=rf"^{re.escape(shown)} must be finite and positive, got inf$"):
+        STEP_AND_LENGTH_CALLS[call](**kwargs)
+
+
+def test_mesh_reaches_the_whole_step_nearest_T():
+    assert MeshParams(a=0.0, b=1.0, N=4, dt=0.1, T=0.01).t_end == 0.1
+    assert MeshParams(a=0.0, b=1.0, N=4, dt=0.1, T=0.26).t_end == 3 * 0.1
+    assert MeshParams(a=0.0, b=1.0, N=4, dt=0.25, T=1.0).t_end == 1.0
 
 
 @pytest.mark.parametrize("name", ["wave", "linear_kg", "mixed_kg"])
@@ -696,6 +716,63 @@ def test_chord_solve_properties(name, scheme, amplitude, dt_over_dx, rows, seed)
         assert np.array_equal(one_newton, newton[i])
 
 
+def _diamond_kernel_forms(random_term_form):
+    rng = np.random.default_rng(2323)
+    forms = [f for f in map(registry_get, registry_names()) if not f.is_linear]
+    assert len(forms) == 10
+    return forms + [random_term_form(rng, d, skew=True) for d in range(3, 9) for _ in range(4)]
+
+
+@pytest.mark.parametrize("dt,dx", [(0.1, 0.2), (1.0, 1.0)])
+def test_generated_diamond_kernel_matches_the_diamond_equation(dt, dx, random_term_form, magnitude_form):
+    # unit steps leave unit entries of K/dt and L/dx, which the kernel adds
+    # and subtracts without a product
+    rng = np.random.default_rng(2424)
+    for form in _diamond_kernel_forms(random_term_form):
+        kernel, mag = integrator._diamond_kernel(form, dt, dx), magnitude_form(form)
+        Z, Zb, Zl, Zr = (integrator._rows(rng.standard_normal((7, form.d))) for _ in range(4))
+        got = kernel.residual(Z, *kernel.corners(Zb, Zl, Zr))
+        avg = 0.25 * (Z + Zb + Zl + Zr)
+        ref = (Z - Zb) @ form.K.T / dt + (Zr - Zl) @ form.L.T / dx - eval_grad_S(form, avg)
+        bound = (np.abs(Z) + np.abs(Zb)) @ mag.K.T / dt + (np.abs(Zr) + np.abs(Zl)) @ mag.L.T / dx
+        bound += eval_grad_S(mag, np.abs(avg))
+        assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + bound))
+        try:
+            pivot_inv = integrator._step3_blocks(form, "simple", dt, dx).pivot_inv
+        except spectral.SingularUpdateError:
+            assert kernel.step is None
+            continue
+        delta, norm = kernel.step(got)
+        assert np.all(np.abs(delta - got @ pivot_inv.T) <= 1e-14 * (1.0 + np.abs(got) @ np.abs(pivot_inv).T))
+        assert np.all(np.abs(norm - np.linalg.norm(delta, axis=1)) <= 1e-14 * norm)
+
+
+def test_generated_diamond_kernel_rows_equal_one_row_calls(random_term_form):
+    rng = np.random.default_rng(2525)
+    for form in _diamond_kernel_forms(random_term_form):
+        kernel = integrator._diamond_kernel(form, 0.1, 0.2)
+        Z, Zb, Zl, Zr = (integrator._rows(rng.standard_normal((9, form.d))) for _ in range(4))
+        c, s = kernel.corners(Zb, Zl, Zr)
+        res = kernel.residual(Z, c, s)
+        step = kernel.step(res) if kernel.step is not None else None
+        for i in range(len(Z)):
+            one = [integrator._rows(X[i]) for X in (Z, Zb, Zl, Zr)]
+            c1, s1 = kernel.corners(*one[1:])
+            assert np.array_equal(c1[0], c[i]) and np.array_equal(s1[0], s[i])
+            res1 = kernel.residual(one[0], c1, s1)
+            assert np.array_equal(res1[0], res[i])
+            if step is not None:
+                delta1, norm1 = kernel.step(res1)
+                assert np.array_equal(delta1[0], step[0][i]) and norm1[0] == step[1][i]
+        # an empty batch has empty parts
+        empty = np.zeros((0, form.d))
+        c0, s0 = kernel.corners(empty, empty, empty)
+        assert c0.shape == s0.shape == kernel.residual(empty, c0, s0).shape == (0, form.d)
+        if kernel.step is not None:
+            delta0, norm0 = kernel.step(empty)
+            assert delta0.shape == (0, form.d) and norm0.shape == (0,)
+
+
 def test_chord_skipped_where_the_update_matrix_is_singular():
     # K/dt - P/4 = [[-1, 1], [-1, 1]] at dt = 1: Newton alone solves the rows
     form = MultiSymplecticForm(
@@ -706,6 +783,9 @@ def test_chord_skipped_where_the_update_matrix_is_singular():
         with pytest.raises(SingularUpdateError):
             integrator._step3_blocks(form, "simple", 1.0, 0.1)
     integrator._step3_blocks(form, "simple", 0.5, 0.1)
+    # the generated kernel has no chord step there
+    assert integrator._diamond_kernel(form, 1.0, 0.1).step is None
+    assert integrator._diamond_kernel(form, 0.5, 0.1).step is not None
     Zb, Zl, Zr = 0.5 + 0.1 * np.random.default_rng(5).standard_normal((3, 6, 2))
     np.testing.assert_array_equal(
         solve_diamonds(form, Zb, Zl, Zr, 1.0, 0.1), _newton_only(solve_diamonds, form, Zb, Zl, Zr, 1.0, 0.1)
