@@ -281,9 +281,6 @@ def _require_solved(res: np.ndarray, tol: float, *values: np.ndarray) -> None:
     row is solved when its residual norm is at most tol (1 + the norm of
     that row across ``values``); NaN never passes.  Raises NewtonError
     naming the first five rows that are not solved."""
-    # a row's norm is at most its size times its largest entry
-    if not res.size or np.abs(res).max() * (res.size // len(res)) <= tol:
-        return
     norm = _row_norms(res)
     # norm <= tol * scale with scale >= 1: only rows above tol need the scale
     bad = np.flatnonzero(~(norm <= tol))
@@ -304,8 +301,9 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
     inverse of the Jacobian at z = 0 and returns that step and its row
     norms, runs first (see _chord_iterate for the rule).  The rows it
     leaves go on to Newton from their last chord iterate, or from Z0 where
-    that iterate's residual is not below the one at Z0.  ``chord`` None runs Newton alone.  The iterates keep Z0's memory
-    layout.  Returns the final iterate and its residual.
+    that iterate's residual is not below the one at Z0.  ``chord`` None
+    runs Newton alone.  The iterates keep Z0's memory layout.  Returns the
+    final iterate and its residual.
     """
     Z = np.copy(Z0)
     res = residual(Z, *data)
@@ -335,7 +333,8 @@ def _chord_iterate(residual, Z, res, data, chord):
     taken.  A row goes to Newton when its step is not finite, when the
     step shrinks less than _CHORD_CONTRACTION-fold from the one before,
     when the steps predicted from that rate would not reach tol within
-    _CHORD_BUDGET more steps, or when _MAX_ITER steps have run.
+    _CHORD_BUDGET more steps, or when _MAX_ITER steps have run; the first
+    step, with none before it, is checked for finiteness alone.
     Each row decides for itself, so whether it goes to Newton does not
     depend on the rest of the batch.  Every step evaluates the whole batch
     and moves only the rows still active (a mask, not a compacted copy), so
@@ -345,37 +344,32 @@ def _chord_iterate(residual, Z, res, data, chord):
     rows left for Newton.
     """
     n = len(Z)
+    active = np.ones(n, dtype=bool)
     newton = np.zeros(n, dtype=bool)
     tol = _STEP_TOL * (1.0 + _row_norms(Z))
-    prev, r = None, res
-    for _ in range(_MAX_ITER):
+    rate, r = np.zeros(n), res
+    # on booleans, a > b is a and not b; the loop ends once no row is active
+    for k in range(_MAX_ITER):
         delta, step = chord(r)
-        solved = step < tol / _CHORD_CONTRACTION  # the step is not taken
-        if prev is None:
-            # every row is active and its previous step counts as infinite:
-            # the rate is 0 where the step is finite, so fast is step * 0 < tol,
-            # which a solved row (a finite step below tol) meets too
-            fast, rate = step * 0.0 < tol, np.zeros(n)
-            np.logical_not(fast, out=newton)
-            active = fast > solved
+        np.greater(active, step < tol / _CHORD_CONTRACTION, out=active)  # solved: not taken
+        if k == 0:
+            fast = np.isfinite(step)
         else:
-            pending = active > solved  # active and not solved
-            if not np.count_nonzero(pending):
-                break
             # a finished row keeps its last rate: no 0/0 from its zero step
-            np.divide(step, prev, out=rate, where=pending)
+            np.divide(step, prev, out=rate, where=active)
             fast = (rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)
-            newton |= pending > fast
-            active = pending & fast
+        newton |= active > fast
+        active &= fast
         if not np.count_nonzero(active):
             break
         np.subtract(Z, delta, out=Z, where=active.reshape((n,) + (1,) * (Z.ndim - 1)))
         r = residual(Z, *data)
         tol = _STEP_TOL * (1.0 + _row_norms(Z))
-        np.greater(active, step < tol, out=active)
+        np.greater(active, step < tol, out=active)  # solved: the step taken was below tol
+        if not np.count_nonzero(active):
+            break
         prev = step
-    else:
-        newton |= active  # rows still going after _MAX_ITER steps
+    newton |= active  # rows still going after _MAX_ITER steps
     res[...] = r
     return np.flatnonzero(newton)
 
@@ -482,7 +476,7 @@ def _generate_diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float, pi
         for i in range(d):
             src.store(f"out[{i}]", src.linear(pivot_inv[i], names["r"]))
         src.line("sq = out * out")
-        src.line(f"norm = {' + '.join(f'sq[{i}]' for i in range(d))}{' + 0.0' if d == 1 else ''}")
+        src.line(f"norm = {' + '.join(f'sq[{i}]' for i in range(d))}")
         src.line("return out.T, np.sqrt(norm, norm)")
         step = src.compile("step", "R")
     return _DiamondKernel(corners, residual, step, _opscale(form, dt, dx), Kdt)
@@ -506,7 +500,7 @@ def _diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float) -> _Diamond
 def _rows(Z) -> np.ndarray:
     """Z as (n, d) float rows stored components first, copied only where it
     is not already."""
-    return np.array(Z, dtype=float, ndmin=2, order="F", copy=None)
+    return np.asarray(np.atleast_2d(Z), dtype=float, order="F")
 
 
 def solve_diamonds(
@@ -827,10 +821,6 @@ def integrate(
             )
     start = _exact_start(init_method, exact)
     nt = mesh.nt
-    # the diamond on cell i has its left neighbour at i-1 in the first
-    # half-step and its right neighbour at i+1 in the second
-    cells = np.arange(mesh.N)
-    left, right = (cells - 1) % mesh.N, (cells + 1) % mesh.N
     cadence = max(100, math.ceil(nt / 200))
     want_energy = "energy" in observers
     want_snapshots = "snapshots" in observers
@@ -848,11 +838,15 @@ def integrate(
         values = init_edges_rk(form, scheme, ic, mesh, exact=start)
     _require_finite(values, "initial state")
 
+    def sync():
+        # the simple scheme steps the two halves of values as their own arrays
+        if simple:
+            values[0::2], values[1::2] = evens, odds
+
     def record(step):
         t = step * mesh.dt
         times.append(t)
-        if simple:
-            values[0::2], values[1::2] = evens, odds
+        sync()
         if want_energy:
             energies.append(total_energy(form, values[0::2], mesh))
         if want_snapshots:
@@ -861,8 +855,7 @@ def integrate(
             norms.append(float(np.abs(values).max()))
 
     def result(status, step, diverged_at=None):
-        if simple:
-            values[0::2], values[1::2] = evens, odds
+        sync()
         return RunResult(
             status, MeshState(values, step) if simple else None, np.array(times),
             np.array(energies) if want_energy else None, snapshots,
@@ -877,6 +870,10 @@ def integrate(
         neighbours = np.empty_like(evens)
     else:
         evens, odds = values[0::2], values[1::2]
+        # the diamond on cell i has its left neighbour at i-1 in the first
+        # half-step and its right neighbour at i+1 in the second
+        cells = np.arange(mesh.N)
+        left, right = (cells - 1) % mesh.N, (cells + 1) % mesh.N
     record(0)
     # nonlinear simple-scheme solves start from the time predictor
     # 2 z^n - z^(n-1), the first step from the bottom values
