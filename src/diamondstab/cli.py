@@ -21,8 +21,10 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import msform, propagation, spectral, structure
-from .integrator import MeshParams, NewtonError, integrate, parse_scheme
+from .integrator import MeshParams, NewtonError, edge_node_x, integrate, parse_scheme
 from .pipeline import PipelineReport, run_pipeline
 from .solutions import builtin_initial_condition
 
@@ -99,14 +101,41 @@ def _report_dict(name: str, report: PipelineReport, args) -> dict:
     return out
 
 
-def _parse_params(items) -> dict:
-    out = {}
-    for item in items or []:
+def _numbers(option: str, text: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers of a hand-parsed option, ``count`` of them
+    when given; anything else is refused naming the option and the text."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or count not in (None, len(values)):
+        what = {None: "comma-separated numbers", 1: "a number"}.get(count, f"{count} comma-separated numbers")
+        raise ValueError(f"{option} expects {what}, got {text!r}")
+    return values
+
+
+def _form(args):
+    """The form ``args.pde`` names and the rho of ``args.params``: a *.json
+    path is a JSON form, any other name a registered one, whose constants
+    the other --params set."""
+    params = {}
+    for item in args.params or []:
         key, eq, val = item.partition("=")
         if not eq:
             raise ValueError(f"--params expects key=val, got {item!r}")
-        out[key] = float(val)
-    return out
+        params[key] = _numbers(f"--params {key}", val, 1)[0]
+    rho = params.pop("rho", None)
+    if not args.pde.endswith(".json"):
+        return msform.registry_get(args.pde, **params), rho
+    if params:
+        raise ValueError("--params sets the constants of registered forms, not of JSON forms")
+    return msform.load_form_json(args.pde), rho
+
+
+def _write_table(path, rows) -> None:
+    """Write rows as CSV to the file ``path``, or to stdout when it is None or "-"."""
+    with open(path, "w", newline="", encoding="utf-8") if path and path != "-" else nullcontext(sys.stdout) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _emit(report: dict, args) -> None:
@@ -147,14 +176,7 @@ def _human_summary(report: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    params = _parse_params(args.params)
-    rho = params.pop("rho", None)
-    if args.pde.endswith(".json"):
-        if params:
-            raise ValueError("--params sets the constants of registered forms, not of JSON forms")
-        form = msform.load_form_json(args.pde)
-    else:
-        form = msform.registry_get(args.pde, **params)
+    form, rho = _form(args)
     stop_after = 1 if args.step1 else 2 if args.step2 else 3
     report = run_pipeline(
         form,
@@ -181,29 +203,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    rows = []
+    rows = [["pde", "category", "s_lo"]]
     for name in msform.registry_names():
         report = run_pipeline(msform.registry_get(name), stop_after=2)
         stable = report.classification == "ConditionallyStable"
-        rows.append({
-            "pde": name,
-            "category": report.classification,
-            "s_lo": _fraction_str(report.verdict.s_lo) if stable else "",
-        })
-    if args.category:
-        rows = [r for r in rows if r["category"] == args.category]
-    to_file = args.out and args.out != "-"
-    with open(args.out, "w", newline="", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
-        writer = csv.DictWriter(fh, fieldnames=["pde", "category", "s_lo"])
-        writer.writeheader()
-        writer.writerows(rows)
+        if not args.category or args.category == report.classification:
+            rows.append([name, report.classification, _fraction_str(report.verdict.s_lo) if stable else ""])
+    _write_table(args.out, rows)
     return 0
 
 
 def _cmd_run(args) -> int:
     scheme = parse_scheme(args.scheme)
-    form = msform.registry_get(args.pde, **_parse_params(args.params))
-    a, b = (float(v) for v in args.domain.split(","))
+    form, rho = _form(args)
+    if rho is not None:  # run integrates the nonlinear form, which has no plane wave
+        msform._require_constants(form.name, ["rho"], dict(form.params))
+    a, b = _numbers("--domain", args.domain, 2)
     msform._require_positive(dx=args.dx, domain_length=b - a)
     msform._require_positive(**{"domain_length / dx": (b - a) / args.dx})
     N = round((b - a) / args.dx)
@@ -216,7 +231,7 @@ def _cmd_run(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     meta = {
-        "pde": args.pde,
+        "pde": form.name,
         "scheme": args.scheme,
         "dx": mesh.dx,
         "dt": args.dt,
@@ -228,34 +243,18 @@ def _cmd_run(args) -> int:
     }
     (outdir / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if result.energies is not None:
-        with open(outdir / "energy.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "energy"])
-            w.writerows(zip(result.times, result.energies))
+        _write_table(outdir / "energy.csv", [["t", "energy"], *zip(result.times, result.energies)])
     if result.norms is not None:
-        with open(outdir / "norms.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "max_abs"])
-            w.writerows(zip(result.times, result.norms))
-    if "snapshots" in observers and result.snapshots and result.edge_state is None:
+        _write_table(outdir / "norms.csv", [["t", "max_abs"], *zip(result.times, result.norms)])
+    header = ["x", *form.names]
+    if "snapshots" in observers and result.edge_state is None:
         for idx, (t, snap) in enumerate(result.snapshots):
-            with open(outdir / f"snapshot_{idx:04d}.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x"] + list(form.names))
-                for x, row in zip(mesh.x_int(), snap):
-                    w.writerow([x] + list(row))
+            _write_table(outdir / f"snapshot_{idx:04d}.csv", [header, *np.column_stack((mesh.x_int(), snap))])
     if "snapshots" in observers and result.edge_state is not None:
-        # collocation runs: resolve the final edge stacks at their node positions
-        with open(outdir / "edges_final.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x"] + list(form.names))
-            xs = mesh.x_int()
-            for i in range(N):
-                for k, c in enumerate(scheme.c):
-                    w.writerow([xs[i] + 0.5 * mesh.dx * c] + list(result.edge_state[2 * i, k]))
-                xnext = mesh.a + (i + 1) * mesh.dx
-                for k, c in enumerate(scheme.c):
-                    w.writerow([xnext - 0.5 * mesh.dx * c] + list(result.edge_state[2 * i + 1, k]))
+        # collocation runs: the final edge stacks at the node positions init_edges_rk samples,
+        # rows ordered as the stacks (edge 2i+j, node k)
+        xs = edge_node_x(mesh, scheme.c).transpose(2, 0, 1).reshape(-1)
+        _write_table(outdir / "edges_final.csv", [header, *np.column_stack((xs, result.edge_state.reshape(-1, form.d)))])
     notes = [f"diverged at t={result.diverged_at}"] if result.diverged_at else []
     if abs(mesh.t_end - args.T) > 1e-9 * args.T:
         notes.append(f"ran to t_end={mesh.t_end}, the whole step nearest T={args.T}")
@@ -266,14 +265,13 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scheme = parse_scheme(args.scheme)
     criterion = spectral.Criterion.parse(args.criterion)
-    params = _parse_params(args.params)
-    rho = params.pop("rho", None)
-    dx_list = [float(v) for v in args.dx_list.split(",")]
+    dx_list = _numbers("--dx-list", args.dx_list)
     # the mesh inputs are refused before Steps 1 and 2 decide, whatever the form
     spectral._require_sweep_lengths(args.domain_length, dx_list)
+    form, rho = _form(args)
     # Steps 1 and 2 decide first: an inconsistent or unconditionally unstable
     # form has no stability boundary to trace
-    report = run_pipeline(msform.registry_get(args.pde, **params), rho=rho, stop_after=2)
+    report = run_pipeline(form, rho=rho, stop_after=2)
     if report.classification != "ConditionallyStable":
         print(f"{args.pde}: {report.classification}, no stability boundary to sweep")
         return 0
@@ -281,11 +279,7 @@ def _cmd_sweep(args) -> int:
     rows = [["dx", "N", "dt_max"]]
     rows += [[p.dx, p.N, p.dt_max if p.dt_max is not None else ""] for p in result.points]
     rows.append(["slope", "", result.slope if result.slope is not None else ""])
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-    else:
-        csv.writer(sys.stdout).writerows(rows)
+    _write_table(args.out, rows)
     return 0
 
 
@@ -344,10 +338,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except msform.UnknownFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, NewtonError, spectral.SingularUpdateError) as exc:
+    except (ValueError, OSError, NewtonError, spectral.SingularUpdateError, msform.UnknownFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

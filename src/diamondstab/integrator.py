@@ -43,6 +43,7 @@ __all__ = [
     "solve_diamonds",
     "solve_diamond_rk",
     "init_half_step",
+    "edge_node_x",
     "init_edges_rk",
     "integrate",
     "total_energy",
@@ -742,6 +743,13 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams) -> np.ndarra
     return U
 
 
+def edge_node_x(mesh: MeshParams, c) -> np.ndarray:
+    """x of the collocation nodes c on the edges, shape (2, r, N): [0, k, i]
+    on the edge rising from x_i, [1, k, i] on the edge falling into x_{i+1}."""
+    xi, half = mesh.x_int(), 0.5 * mesh.dx * np.asarray(c, dtype=float)[:, None]
+    return np.stack((xi + half, (xi + mesh.dx) - half))
+
+
 def init_edges_rk(
     form: MultiSymplecticForm,
     tableau: RKTableau,
@@ -759,7 +767,7 @@ def init_edges_rk(
     N, r, d = mesh.N, tableau.r, form.d
     dx, dt = mesh.dx, mesh.dt
     state = np.empty((2 * N, r, d))
-    xi = mesh.x_int()
+    rising, falling = edge_node_x(mesh, tableau.c)
 
     if exact is not None:
         def sample(xs, t):
@@ -775,8 +783,8 @@ def init_edges_rk(
 
     for k, c in enumerate(tableau.c):
         t = 0.5 * dt * c
-        state[0::2, k] = sample(xi + 0.5 * dx * c, t)
-        state[1::2, k] = sample((xi + dx) - 0.5 * dx * c, t)
+        state[0::2, k] = sample(rising[k], t)
+        state[1::2, k] = sample(falling[k], t)
     return state
 
 

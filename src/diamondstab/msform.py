@@ -67,6 +67,14 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _require_constants(name: str, keys, constants) -> None:
+    """Raise ValueError naming the form, the keys it lacks and the constants it has."""
+    unknown = sorted(set(keys) - set(constants))
+    if unknown:
+        have = ", ".join(constants) or "none"
+        raise ValueError(f"form {name!r} has no constant {', '.join(unknown)}; its constants: {have}")
+
+
 def _require_positive(**named: float) -> None:
     """The one rule for a step size or a length (dt, dx, T, a domain length):
     raise ValueError naming the first value that is not finite and > 0."""
@@ -108,7 +116,10 @@ class MultiSymplecticForm:
         return len(self.terms) == 0
 
     def param(self, key: str) -> float:
-        return dict(self.params)[key]
+        """The named constant ``key``; ValueError when the form has none."""
+        params = dict(self.params)
+        _require_constants(self.name, [key], params)
+        return params[key]
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,8 @@ class LinearizedForm:
 
 
 class UnknownFormError(KeyError):
-    pass
+    # a KeyError, but its message prints unquoted
+    __str__ = Exception.__str__
 
 
 class FormValidationError(ValueError):
@@ -843,11 +855,7 @@ def registry_get(name: str, **params: float) -> MultiSymplecticForm:
         raise UnknownFormError(
             f"unknown form {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         ) from None
-    constants = tuple(inspect.signature(builder).parameters) if params else ()
-    unknown = sorted(set(params) - set(constants))
-    if unknown:
-        have = ", ".join(constants) or "none"
-        raise ValueError(f"form {name!r} has no constant {', '.join(unknown)}; its constants: {have}")
+    _require_constants(name, params, tuple(inspect.signature(builder).parameters) if params else ())
     for key, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"form {name!r}: constant {key} = {value} is not finite")

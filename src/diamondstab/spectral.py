@@ -288,20 +288,18 @@ class Criterion:
     theta: float = 1.1
 
     def __post_init__(self):
+        if self.kind not in ("strict", "nozero", "growth"):
+            raise ValueError(f"unknown criterion kind {self.kind!r}")
         # the spectra are reciprocal, so lambda_1 >= 1 and theta <= 1 never passes
         if self.kind == "growth" and not (math.isfinite(self.theta) and self.theta > 1.0):
             raise ValueError(f"growth criterion needs a finite theta > 1, got {self.theta!r}")
 
     @staticmethod
     def parse(text: str) -> "Criterion":
-        if text == "strict":
-            return Criterion("strict")
-        if text == "nozero":
-            return Criterion("nozero")
         kind, colon, theta = text.partition(":")
-        if kind == "growth":
-            return Criterion("growth", theta=float(theta) if colon else 1.1)
-        raise ValueError(f"unknown criterion {text!r}")
+        if colon and kind != "growth":
+            raise ValueError(f"unknown criterion {text!r}")
+        return Criterion(kind, theta=float(theta)) if colon else Criterion(kind)
 
 
 @dataclass(frozen=True)
@@ -368,14 +366,12 @@ def _dominant_moduli(family: SymbolFamily) -> np.ndarray:
 def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
     """The criterion's threshold on one dominant modulus: of all k, or of
     k >= 1 under "nozero"."""
-    if criterion.kind in ("strict", "nozero"):
+    if criterion.kind != "growth":
         return dominant <= 1.0 + _TOL
-    if criterion.kind == "growth":
-        if dt is None:
-            raise ValueError("growth criterion needs dt")
-        # log-space comparison of lambda1**(1/dt) <= theta avoids overflow
-        return dominant <= 0.0 or math.log(dominant) / dt <= math.log(criterion.theta)
-    raise ValueError(f"unknown criterion kind {criterion.kind!r}")
+    if dt is None:
+        raise ValueError("growth criterion needs dt")
+    # log-space comparison of lambda1**(1/dt) <= theta avoids overflow
+    return dominant <= 0.0 or math.log(dominant) / dt <= math.log(criterion.theta)
 
 
 def _marginal(criterion: Criterion, moduli: np.ndarray, dt: float | None) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from diamondstab import propagation, spectral
+from diamondstab import integrator, propagation, spectral
 from diamondstab.cli import main
 from diamondstab.integrator import gauss_tableau, solve_diamond_rk
 from diamondstab.msform import (
@@ -68,7 +68,9 @@ def test_cli_analyze_json_deterministic(tmp_path, capsys):
 
 def test_cli_unknown_pde_is_operational_error(capsys):
     assert main(["analyze", "heat"]) == 1
-    assert "wave" in capsys.readouterr().err  # lists available names
+    # one unquoted line that lists the available names
+    available = ", ".join(sorted(registry_names()))
+    assert capsys.readouterr().err == f"error: unknown form 'heat'; available: {available}\n"
 
 
 def test_cli_unstable_verdict_exits_zero(capsys):
@@ -207,16 +209,17 @@ def test_python_m_diamondstab_runs_the_cli():
     assert proc.stdout.startswith("kdv: StructurallyInconsistent")
 
 
-def test_cli_sweep_emits_slope(tmp_path):
+def test_cli_sweep_emits_slope(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
-    rc = main([
-        "sweep", "--pde", "linear_kg", "--criterion", "nozero",
-        "--dx-list", "0.4,0.2", "--domain-length", "4", "--out", str(path),
-    ])
-    assert rc == 0
+    args = ["sweep", "--pde", "linear_kg", "--criterion", "nozero", "--dx-list", "0.4,0.2", "--domain-length", "4"]
+    assert main(args + ["--out", str(path)]) == 0
     rows = list(csv.reader(open(path, newline="")))
     assert rows[0] == ["dx", "N", "dt_max"]
     assert rows[-1][0] == "slope"
+    # "--out -" writes the same table to stdout
+    capsys.readouterr()
+    assert main(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == path.read_bytes().decode()
 
 
 def _nonlinear_only_consistent_form():
@@ -413,6 +416,14 @@ BAD_INPUT_COMMANDS = {
     "sweep_growth_theta_inf": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
                                 "--criterion", "growth:inf"], "theta"),
     "analyze_nozero_one_mode": (["analyze", "linear_kg", "--N", "1", "--criterion", "nozero"], "N"),
+    "analyze_param_not_a_number": (["analyze", "wave", "--params", "a=abc"],
+                                   "--params a expects a number, got 'abc'"),
+    "sweep_dx_list_not_a_number": (["sweep", "--pde", "wave", "--dx-list", "0.4,abc", "--domain-length", "4"],
+                                   "--dx-list expects comma-separated numbers, got '0.4,abc'"),
+    "run_domain_one_number": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "0.2", "--ic", "zero",
+                               "--domain", "0"], "--domain expects 2 comma-separated numbers, got '0'"),
+    "run_domain_three_numbers": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "0.2", "--ic", "zero",
+                                  "--domain", "1,2,3"], "--domain expects 2 comma-separated numbers, got '1,2,3'"),
 }
 
 
@@ -508,3 +519,79 @@ def test_params_faults_name_their_cause(capsys):
     assert "plane-wave amplitude of the registered nls" in capsys.readouterr().err
     # the registered NLS takes rho as before
     assert main(["analyze", "nls", "--params", "rho=4", "--step2", "--format", "json"]) == 0
+
+
+def _json_copy(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(form_to_dict(registry_get(name))))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["good_boussinesq", "wave", "linear_kg", "dirac"])
+def test_cli_sweep_of_a_json_copy_is_byte_identical(name, tmp_path):
+    args = ["--dx-list", "0.4,0.2", "--domain-length", "4"]
+    assert main(["sweep", "--pde", name, *args, "--out", str(tmp_path / "name.csv")]) == 0
+    assert main(["sweep", "--pde", _json_copy(tmp_path, name), *args, "--out", str(tmp_path / "json.csv")]) == 0
+    assert (tmp_path / "json.csv").read_bytes() == (tmp_path / "name.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["simple", "rk:2"])
+def test_cli_run_of_a_json_copy_is_byte_identical(scheme, tmp_path):
+    args = ["--scheme", scheme, "--dx", "0.1", "--dt", "0.05", "--domain", "0,6.283185307179586", "--T", "0.3",
+            "--ic", "plane_wave", "--observe", "norms,snapshots"]
+    assert main(["run", "--pde", "linear_kg", *args, "--out", str(tmp_path / "name")]) == 0
+    assert main(["run", "--pde", _json_copy(tmp_path, "linear_kg"), *args, "--out", str(tmp_path / "json")]) == 0
+    files = sorted(p.name for p in (tmp_path / "name").iterdir())
+    assert len(files) >= 3 and files == sorted(p.name for p in (tmp_path / "json").iterdir())
+    for f in files:
+        assert (tmp_path / "json" / f).read_bytes() == (tmp_path / "name" / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("name", [n for n in registry_names() if n != "nls"])
+def test_cli_analyze_of_a_json_copy_matches(name, tmp_path, capsys):
+    # the JSON NLS has no constant a and is linearized at zero, so it is left out
+    reports = []
+    for pde in (name, _json_copy(tmp_path, name)):
+        assert main(["analyze", pde, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("pde") == pde
+        report.pop("generated_at")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_cli_run_of_a_json_copy_refuses_constants_it_lacks(tmp_path, capsys):
+    # the breather reads the constants m and lam of the registered dirac
+    path = _json_copy(tmp_path, "dirac")
+    rc = main(["run", "--pde", path, "--dx", "0.6", "--dt", "0.2", "--domain=-12,12", "--T", "0.4",
+               "--ic", "breather", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: form 'dirac' has no constant m; its constants: none\n"
+    assert main(["run", "--pde", path, "--params", "rho=3", "--dx", "0.6", "--dt", "0.2", "--T", "0.4",
+                 "--ic", "zero", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: form 'dirac' has no constant rho; its constants: none\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_edges_final_x_are_the_sampled_positions(tmp_path, monkeypatch):
+    # record the x at which init_edges_rk samples the exact breather
+    sampled = []
+    original = integrator.init_edges_rk
+
+    def recording(form, tableau, ic, mesh, exact=None):
+        def spy(x, t):
+            sampled.append(np.array(x, dtype=float))
+            return exact(x, t)
+
+        return original(form, tableau, ic, mesh, exact=spy)
+
+    monkeypatch.setattr(integrator, "init_edges_rk", recording)
+    rc = main(["run", "--pde", "dirac", "--scheme", "rk:2", "--dx", "0.3", "--dt", "0.2", "--domain=-24,24",
+               "--T", "0.4", "--ic", "breather", "--observe", "snapshots", "--out", str(tmp_path / "run")])
+    assert rc == 0
+    # node k of the rising edges, then of the falling ones, for k = 0, 1
+    assert len(sampled) == 4 and all(x.shape == (160,) for x in sampled)
+    positions = np.array(sampled).reshape(2, 2, 160)  # [k, j, i]: edge 2i+j, node k
+    with open(tmp_path / "run" / "edges_final.csv", newline="") as fh:
+        xs = [float(row["x"]) for row in csv.DictReader(fh)]
+    assert xs == positions.transpose(2, 1, 0).reshape(-1).tolist()

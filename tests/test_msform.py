@@ -65,8 +65,22 @@ def test_kdv_structure():
 
 
 def test_unknown_name_lists_available():
-    with pytest.raises(UnknownFormError, match="wave"):
+    with pytest.raises(UnknownFormError, match="wave") as exc:
         registry_get("heat")
+    # printed without the quotes KeyError puts around its message
+    assert str(exc.value).startswith("unknown form 'heat'; available: ")
+
+
+def test_missing_constant_names_the_form_and_its_constants(tmp_path):
+    with pytest.raises(ValueError) as exc:
+        registry_get("dirac").param("mass")
+    assert str(exc.value) == "form 'dirac' has no constant mass; its constants: m, lam"
+    # a JSON form carries no constants
+    path = tmp_path / "dirac.json"
+    path.write_text(json.dumps(msform.form_to_dict(registry_get("dirac"))))
+    with pytest.raises(ValueError) as exc:
+        load_form_json(path).param("m")
+    assert str(exc.value) == "form 'dirac' has no constant m; its constants: none"
 
 
 def test_skew_violation_reported_with_indices():

@@ -287,9 +287,14 @@ def test_criterion_parse():
     assert Criterion.parse("nozero").kind == "nozero"
     assert Criterion.parse("growth:1.2").theta == 1.2
     assert Criterion.parse("growth").theta == 1.1
-    for text in ("bogus", "growthx", "growthx:1.2"):
+    for text in ("bogus", "growthx", "growthx:1.2", "strict:2"):
         with pytest.raises(ValueError, match="unknown criterion"):
             Criterion.parse(text)
+
+
+def test_unknown_criterion_kind_is_refused_at_construction():
+    with pytest.raises(ValueError, match="unknown criterion kind 'nozer'"):
+        Criterion("nozer")
 
 
 @pytest.mark.parametrize("theta", ["0", "-1", "1", "0.5", "inf", "nan"])
