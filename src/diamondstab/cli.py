@@ -114,6 +114,17 @@ def _numbers(option: str, text: str, count: int | None = None) -> list[float]:
     return values
 
 
+def _criterion(text: str) -> spectral.Criterion:
+    """The --criterion "strict", "nozero", "growth" or "growth:theta", theta
+    read as a hand-parsed number."""
+    kind, colon, theta = text.partition(":")
+    if not colon:
+        return spectral.Criterion(kind)
+    if kind != "growth":
+        raise ValueError(f"unknown criterion {text!r}")
+    return spectral.Criterion(kind, theta=_numbers("--criterion growth", theta, 1)[0])
+
+
 def _form(args):
     """The form ``args.pde`` names and the rho of ``args.params``: a *.json
     path is a JSON form, any other name a registered one, whose constants
@@ -185,7 +196,7 @@ def _cmd_analyze(args) -> int:
         dt=args.dt,
         dx=args.dx,
         N=args.N,
-        criterion=spectral.Criterion.parse(args.criterion),
+        criterion=_criterion(args.criterion),
         scheme=parse_scheme(args.scheme),
     )
     if args.dot_dir:
@@ -264,7 +275,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scheme = parse_scheme(args.scheme)
-    criterion = spectral.Criterion.parse(args.criterion)
+    criterion = _criterion(args.criterion)
     dx_list = _numbers("--dx-list", args.dx_list)
     # the mesh inputs are refused before Steps 1 and 2 decide, whatever the form
     spectral._require_sweep_lengths(args.domain_length, dx_list)

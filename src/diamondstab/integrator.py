@@ -12,7 +12,6 @@ records ``energy``, since the collocation edge stacks hold no vertex values.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,9 @@ from . import spectral
 from .msform import (
     LinearizedForm,
     MultiSymplecticForm,
-    _generate_grad_kernel,
+    _grad_kernel,
     _KernelSource,
+    _made_once,
     _require_positive,
     eval_S,
     eval_grad_S,
@@ -211,45 +211,26 @@ _CHORD_BUDGET = 2
 _MAX_ITER = 50
 _STEP_TOL = 1e-13
 
-# per form: Step 3's one-diamond map per (scheme, dt, dx), the simple
-# scheme's generated diamond kernel per ("kernel", dt, dx) and the generated
-# gradient kernel ("grad S"); the form does not change during a run, so each
-# is made once, at its first use, and a singular pivot is cached as its error
-_FORM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _cached(form: MultiSymplecticForm, key, make):
-    per_form = _FORM_CACHE.get(form)
-    if per_form is None:
-        per_form = _FORM_CACHE[form] = {}
-    if key not in per_form:
-        try:
-            per_form[key] = make()
-        except spectral.SingularUpdateError as exc:
-            per_form[key] = exc
-    if isinstance(per_form[key], Exception):
-        raise per_form[key].with_traceback(None)
-    return per_form[key]
-
 
 def _step3_blocks(form: MultiSymplecticForm, scheme, dt: float, dx: float):
-    """Step 3's one-diamond map of the form linearized at zero; ``scheme`` is
-    "simple" or an RKTableau.  Raises SingularUpdateError where its pivot is
-    singular, an outcome that is cached too."""
+    """Step 3's one-diamond map of the form linearized at zero, made once per
+    form, scheme ("simple" or an RKTableau), dt and dx.  Where its pivot is
+    singular every lookup raises a new SingularUpdateError with the message
+    of the first, which is what is kept."""
 
-    def build():
+    def make(form):
         lin = linearize(form, np.zeros(form.d))
-        if scheme == "simple":
-            return spectral.build_blocks_simple(lin, dt, dx)
-        return spectral.build_blocks_rk(lin, scheme, dt, dx)
+        try:
+            if scheme == "simple":
+                return spectral.build_blocks_simple(lin, dt, dx)
+            return spectral.build_blocks_rk(lin, scheme, dt, dx)
+        except spectral.SingularUpdateError as exc:
+            return str(exc)
 
-    return _cached(form, (scheme, dt, dx), build)
-
-
-def _grad_kernel(form: MultiSymplecticForm):
-    """The form's generated grad S kernel (msform._generate_grad_kernel),
-    which takes and returns points components first; eval_grad_S checks it."""
-    return _cached(form, "grad S", lambda: _generate_grad_kernel(form))
+    blocks = _made_once(form, (scheme, dt, dx), make)
+    if isinstance(blocks, str):
+        raise spectral.SingularUpdateError(blocks)
+    return blocks
 
 
 def _opscale(form: MultiSymplecticForm, dt: float, dx: float) -> float:
@@ -488,14 +469,14 @@ def _diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float) -> _Diamond
     comes from the pivot of Step 3's blocks, and is None (Newton alone)
     where that pivot is singular."""
 
-    def make():
+    def make(form):
         try:
             pivot_inv = _step3_blocks(form, "simple", dt, dx).pivot_inv
         except spectral.SingularUpdateError:
             pivot_inv = None
         return _generate_diamond_kernel(form, dt, dx, pivot_inv)
 
-    return _cached(form, ("kernel", dt, dx), make)
+    return _made_once(form, ("kernel", dt, dx), make)
 
 
 def _rows(Z) -> np.ndarray:

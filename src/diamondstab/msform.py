@@ -19,6 +19,7 @@ import functools
 import inspect
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,24 @@ __all__ = [
     "form_to_dict",
     "nls_constant_amplitude_linearization",
 ]
+
+
+# what is made once per form: its compiled terms, its generated grad S kernel
+# and, in the integrators, Step 3's blocks and the diamond kernel, each under
+# its own key; a form does not change, and its entries go when it is freed
+_MADE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _made_once(form: MultiSymplecticForm, key, make):
+    """make(form), called at the first lookup of this form and key, and kept.
+    What make returns must not reference the form, or the form is never
+    freed: an outcome to raise again is kept as data, not as the exception."""
+    per_form = _MADE.get(form)
+    if per_form is None:
+        per_form = _MADE[form] = {}
+    if key not in per_form:
+        per_form[key] = make(form)
+    return per_form[key]
 
 
 @dataclass(frozen=True)
@@ -166,20 +185,13 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-import weakref
-
-_TERM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _compiled_terms(form: MultiSymplecticForm):
-    """Stacked exponent/coefficient arrays for vectorized term evaluation.
+def _term_arrays(form: MultiSymplecticForm):
+    """Stacked exponent/coefficient arrays for vectorized term evaluation,
+    read through _compiled_terms.
 
     Monomials are evaluated by gathering from a table of variable powers, so
     the hot path uses only multiplies (no float pow).
     """
-    cached = _TERM_CACHE.get(form)
-    if cached is not None:
-        return cached
     d = form.d
     n = len(form.terms)
     E = np.array([t.exponents for t in form.terms], dtype=np.intp).reshape(n, d)
@@ -192,9 +204,12 @@ def _compiled_terms(form: MultiSymplecticForm):
     Ederiv = np.maximum(E[:, None, :] - np.eye(d, dtype=np.intp)[None, :, :], 0)
     cols_g = np.broadcast_to(np.arange(d), (n, d))
     cols_j = np.broadcast_to(np.arange(d), (n, d, d))
-    cached = (E, C, R, Ederiv, int(E.max()), cols_g, cols_j)
-    _TERM_CACHE[form] = cached
-    return cached
+    return E, C, R, Ederiv, int(E.max()), cols_g, cols_j
+
+
+def _compiled_terms(form: MultiSymplecticForm):
+    """The form's term arrays (_term_arrays), made once."""
+    return _made_once(form, "terms", _term_arrays)
 
 
 def _power_table(z: np.ndarray, max_exp: int) -> np.ndarray:
@@ -378,6 +393,12 @@ def _generate_grad_kernel(form: MultiSymplecticForm):
         src.line(f"g{i} = {expr or 'np.zeros_like(w0)'}")
     src.line(f"return np.array([{', '.join(f'g{i}' for i in range(form.d))}])")
     return src.compile("grad_S", "w")
+
+
+def _grad_kernel(form: MultiSymplecticForm):
+    """The form's generated grad S kernel, made once; it takes and returns
+    points components first, and eval_grad_S checks it."""
+    return _made_once(form, "grad S", _generate_grad_kernel)
 
 
 def eval_jac_S(form: MultiSymplecticForm, z) -> np.ndarray:

@@ -294,13 +294,6 @@ class Criterion:
         if self.kind == "growth" and not (math.isfinite(self.theta) and self.theta > 1.0):
             raise ValueError(f"growth criterion needs a finite theta > 1, got {self.theta!r}")
 
-    @staticmethod
-    def parse(text: str) -> "Criterion":
-        kind, colon, theta = text.partition(":")
-        if colon and kind != "growth":
-            raise ValueError(f"unknown criterion {text!r}")
-        return Criterion(kind, theta=float(theta)) if colon else Criterion(kind)
-
 
 @dataclass(frozen=True)
 class SpectralVerdict:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diamondstab import integrator, propagation, spectral
-from diamondstab.cli import main
+from diamondstab.cli import _criterion, main
 from diamondstab.integrator import gauss_tableau, solve_diamond_rk
 from diamondstab.msform import (
     MultiSymplecticForm,
@@ -424,6 +424,10 @@ BAD_INPUT_COMMANDS = {
                                "--domain", "0"], "--domain expects 2 comma-separated numbers, got '0'"),
     "run_domain_three_numbers": (["run", "--pde", "wave", "--dx", "0.1", "--dt", "0.1", "--T", "0.2", "--ic", "zero",
                                   "--domain", "1,2,3"], "--domain expects 2 comma-separated numbers, got '1,2,3'"),
+    "analyze_growth_theta_not_a_number": (["analyze", "wave", "--criterion", "growth:abc"],
+                                          "--criterion growth expects a number, got 'abc'"),
+    "sweep_growth_theta_missing": (["sweep", "--pde", "wave", "--dx-list", "0.4", "--domain-length", "4",
+                                    "--criterion", "growth:"], "--criterion growth expects a number, got ''"),
 }
 
 
@@ -442,6 +446,16 @@ def test_cli_bad_input_is_one_line_error(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], captured.err
     assert captured.out == ""
     assert not (tmp_path / "run").exists()
+
+
+def test_criterion_text():
+    assert _criterion("strict") == spectral.Criterion("strict")
+    assert _criterion("nozero") == spectral.Criterion("nozero")
+    assert _criterion("growth:1.2") == spectral.Criterion("growth", theta=1.2)
+    assert _criterion("growth") == spectral.Criterion("growth", theta=1.1)
+    for text in ("bogus", "growthx", "growthx:1.2", "strict:2"):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            _criterion(text)
 
 
 # an entry of the NLS JSON form set to a non-finite or non-integral value,
@@ -595,3 +609,39 @@ def test_cli_edges_final_x_are_the_sampled_positions(tmp_path, monkeypatch):
     with open(tmp_path / "run" / "edges_final.csv", newline="") as fh:
         xs = [float(row["x"]) for row in csv.DictReader(fh)]
     assert xs == positions.transpose(2, 1, 0).reshape(-1).tolist()
+
+
+def test_sweep_without_a_stable_dt_leaves_dt_max_empty(tmp_path, capsys):
+    # K = [[0, 1], [-1, 0]], L = 0, P = diag(1, -1): Steps 1-2 find s_lo = 0,
+    # but no dt meets the growth criterion at either dx
+    form = MultiSymplecticForm("no_stable_dt", ("u", "v"), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)),
+                               np.diag([1.0, -1.0]))
+    report = run_pipeline(form, stop_after=2)
+    assert report.classification == "ConditionallyStable" and report.verdict.s_lo == 0
+    result = spectral.stability_boundary_sweep(report.lin, "simple", 4.0, [0.4, 0.2], spectral.Criterion("growth"))
+    assert [p.dt_max for p in result.points] == [None, None] and result.slope is None
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(form_to_dict(form)))
+    argv = ["sweep", "--pde", str(path), "--criterion", "growth:1.1", "--dx-list", "0.4,0.2", "--domain-length", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["dx,N,dt_max", "0.4,10,", "0.2,20,", "slope,,"]
+
+
+def test_cli_analyze_writes_dot_files(tmp_path):
+    assert main(["analyze", "nls", "--params", "rho=9", "--dot-dir", str(tmp_path / "nls")]) == 0
+    report = run_pipeline(registry_get("nls"), rho=9.0, stop_after=2)
+    assert sorted(p.name for p in (tmp_path / "nls").iterdir()) == ["nls_bipartite.dot", "nls_propagation.dot"]
+    # one undirected line per Step-1 edge, solid where K gives it
+    lines = (tmp_path / "nls" / "nls_bipartite.dot").read_text().splitlines()
+    assert [line for line in lines if " -- " in line] == [
+        f"  eq{i} -- un{j} [style={'solid' if tag == 'K' else 'dashed'}];" for (i, j), tag in report.bip.provenance
+    ]
+    # one directed line per Step-2 edge, labelled with its index
+    lines = (tmp_path / "nls" / "nls_propagation.dot").read_text().splitlines()
+    assert [line for line in lines if " -> " in line] == [
+        f'  "{e.src}" -> "{e.dst}" [label="{e.index.label()}"];' for e in report.graph.edges
+    ]
+    assert len(report.bip.provenance) == 6 and len(report.graph.edges) == 10
+    # kdv stops at Step 1: no propagation graph to draw
+    assert main(["analyze", "kdv", "--dot-dir", str(tmp_path / "kdv")]) == 0
+    assert [p.name for p in (tmp_path / "kdv").iterdir()] == ["kdv_bipartite.dot"]

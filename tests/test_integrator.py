@@ -1,6 +1,8 @@
+import gc
 import inspect
 import re
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import root
 
-from diamondstab import integrator, spectral
+from diamondstab import integrator, msform, spectral
 from diamondstab.integrator import (
     MeshParams,
     MeshState,
@@ -779,7 +781,7 @@ def test_chord_skipped_where_the_update_matrix_is_singular():
         "pivot", ("a", "b"), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.diag([4.0, -4.0]),
         (PolynomialTerm(1, 1.0, (3, 0)),),
     )
-    for _ in range(2):  # the second call raises from the cache
+    for _ in range(2):  # the second call raises from the kept message
         with pytest.raises(SingularUpdateError):
             integrator._step3_blocks(form, "simple", 1.0, 0.1)
     integrator._step3_blocks(form, "simple", 0.5, 0.1)
@@ -790,6 +792,84 @@ def test_chord_skipped_where_the_update_matrix_is_singular():
     np.testing.assert_array_equal(
         solve_diamonds(form, Zb, Zl, Zr, 1.0, 0.1), _newton_only(solve_diamonds, form, Zb, Zl, Zr, 1.0, 0.1)
     )
+
+
+def _solve_both(form, tableau):
+    """The outcome of each scheme's solve on rows of 0.1: "solved" or the
+    error's type and message."""
+    outcomes = []
+    for solve in (
+        lambda: solve_diamonds(form, *np.full((3, 4, form.d), 0.1), 0.1, 0.1),
+        lambda: solve_diamond_rk(form, tableau, *np.full((2, 3, 2, form.d), 0.1), 0.1, 0.1),
+    ):
+        try:
+            solve()
+            outcomes.append("solved")
+        except (NewtonError, SingularUpdateError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+spectral_pivot_inverse = spectral._pivot_inverse
+generate_grad_kernel = msform._generate_grad_kernel
+
+
+def test_what_a_form_makes_once_is_dropped_with_it(monkeypatch):
+    # kdv's pivots are singular (its simple-scheme rows run Newton alone,
+    # which meets a singular Newton matrix here); dirac and nls solve
+    tableau = gauss_tableau(2)
+    pivots, kernels = [], []
+    monkeypatch.setattr(spectral, "_pivot_inverse", lambda M: pivots.append(M) or spectral_pivot_inverse(M))
+    monkeypatch.setattr(msform, "_generate_grad_kernel", lambda f: kernels.append(f.name) or generate_grad_kernel(f))
+    gc.collect()
+    stored = len(msform._MADE)
+    for name, expected, made in (
+        ("kdv", [NewtonError, SingularUpdateError], 0), ("dirac", ["solved"] * 2, 1), ("nls", ["solved"] * 2, 1),
+    ):
+        form = registry_get(name)
+        first = _solve_both(form, tableau)
+        assert [o if o == "solved" else o[0] for o in first] == expected
+        # one pivot decision per scheme and at most one grad S kernel (the
+        # collocation solve makes it once its pivot is regular), however
+        # often it solves
+        assert len(pivots) == 2 and len(kernels) == made
+        for _ in range(2):
+            assert _solve_both(form, tableau) == first
+        assert len(pivots) == 2 and len(kernels) == made
+        if name == "kdv":
+            # each lookup of a singular pivot raises a new error with the first's message
+            errors = []
+            for _ in range(2):
+                with pytest.raises(SingularUpdateError) as info:
+                    integrator._step3_blocks(form, "simple", 0.1, 0.1)
+                errors.append(info.value)
+            del info
+            assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+            assert "'kdv'" in str(errors[0]) and len(pivots) == 2
+            del errors
+        ref = weakref.ref(form)
+        del form
+        gc.collect()
+        assert ref() is None, name
+        assert len(msform._MADE) == stored
+        pivots.clear()
+        kernels.clear()
+
+
+def test_singular_newton_matrix_is_a_newton_error():
+    # kdv's pivot is singular, so Newton runs alone, and its first matrix is singular
+    form = registry_get("kdv")
+    with pytest.raises(NewtonError) as info:
+        solve_diamonds(form, np.full((3, 4), 0.1), np.zeros((3, 4)), np.zeros((3, 4)), 0.1, 0.1)
+    assert str(info.value) == "singular Newton matrix in the diamond solve"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_unknown_init_method_is_refused():
+    mesh = MeshParams(a=0.0, b=1.0, N=10, dt=0.1, T=0.2)
+    with pytest.raises(ValueError) as info:
+        integrate(registry_get("wave"), "simple", lambda x: np.zeros((len(x), 3)), mesh, init_method="nope")
+    assert str(info.value) == "unknown init method 'nope'"
 
 
 def test_nonlinear_solve_of_an_empty_batch():

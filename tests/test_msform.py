@@ -487,3 +487,29 @@ def test_registry_rejects_nonfinite_constants(value):
     with pytest.raises(ValueError, match="constant lam = .* is not finite"):
         registry_get("dirac", lam=value)
     assert registry_get("dirac", lam=2.0).param("lam") == 2.0
+
+
+def _wave_with(**changes):
+    # the wave form (d = 3, no terms) with some fields replaced
+    f = registry_get("wave")
+    fields = {"name": "bad", "names": f.names, "K": f.K, "L": f.L, "P": f.P, "terms": ()}
+    return MultiSymplecticForm(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("changes, issue", [
+    ({"names": ("u",), "K": [[0.0]], "L": [[0.0]], "P": [[1.0]]}, "dimension d=1 < 2"),
+    ({"K": np.zeros((2, 2))}, "K has shape (2, 2), expected (3, 3)"),
+    ({"L": np.zeros((3, 4))}, "L has shape (3, 4), expected (3, 3)"),
+    ({"P": np.zeros(3)}, "P has shape (3,), expected (3, 3)"),
+    ({"terms": (PolynomialTerm(0, 1.0, (2, 0, 0)),)}, "term row 0 out of range 1..3"),
+    ({"terms": (PolynomialTerm(4, 1.0, (2, 0, 0)),)}, "term row 4 out of range 1..3"),
+    ({"terms": (PolynomialTerm(1, 1.0, (2, 0)),)}, "term exponents (2, 0) not length 3"),
+    ({"terms": (PolynomialTerm(1, 1.0, (3, -1, 0)),)}, "term exponents (3, -1, 0) not nonnegative integers"),
+    ({"terms": (PolynomialTerm(1, 1.0, (1.5, 1, 0)),)}, "term exponents (1.5, 1, 0) not nonnegative integers"),
+    ({"terms": (PolynomialTerm(2, 1.0, (0, 1, 0)),)}, "term in row 2 has degree 1 < 2"),
+    ({"terms": (PolynomialTerm(3, 1.0, (0, 0, 0)),)}, "term in row 3 has degree 0 < 2"),
+])
+def test_validate_form_names_each_structural_issue(changes, issue):
+    # forms built in Python skip the JSON loader's earlier checks
+    report = validate_form(_wave_with(**changes))
+    assert not report.ok and report.issues == (issue,)

@@ -282,16 +282,6 @@ def test_growth_criterion_requires_dt():
         spectral_verdict(fam, Criterion("growth"))
 
 
-def test_criterion_parse():
-    assert Criterion.parse("strict").kind == "strict"
-    assert Criterion.parse("nozero").kind == "nozero"
-    assert Criterion.parse("growth:1.2").theta == 1.2
-    assert Criterion.parse("growth").theta == 1.1
-    for text in ("bogus", "growthx", "growthx:1.2", "strict:2"):
-        with pytest.raises(ValueError, match="unknown criterion"):
-            Criterion.parse(text)
-
-
 def test_unknown_criterion_kind_is_refused_at_construction():
     with pytest.raises(ValueError, match="unknown criterion kind 'nozer'"):
         Criterion("nozer")
@@ -301,8 +291,6 @@ def test_unknown_criterion_kind_is_refused_at_construction():
 def test_growth_criterion_refuses_theta_that_never_decides(theta):
     # max |lambda| >= 1 for the reciprocal spectra, so theta <= 1 never
     # passes, theta = inf always does and theta = nan decides nothing
-    with pytest.raises(ValueError, match="theta"):
-        Criterion.parse(f"growth:{theta}")
     with pytest.raises(ValueError, match="theta"):
         Criterion("growth", theta=float(theta))
 
@@ -406,10 +394,10 @@ def test_batched_verdict_matches_per_k_loop(name, N):
         assert 1 <= v.k_dominant_nonzero <= N // 2
 
 
-@pytest.mark.parametrize("crit", ["strict", "nozero", "growth:1.1"])
+@pytest.mark.parametrize("criterion", [Criterion("strict"), Criterion("nozero"), Criterion("growth", theta=1.1)],
+                         ids=["strict", "nozero", "growth:1.1"])
 @pytest.mark.parametrize("name", list(BATCH_FAMILIES))
-def test_marginal_frequencies_follow_the_rule(name, crit):
-    criterion = Criterion.parse(crit)
+def test_marginal_frequencies_follow_the_rule(name, criterion):
     for dt in (0.05, 0.5):
         fam = batch_family(name, 33, dt=dt)
         moduli = spectral._dominant_moduli(fam)[: fam.N // 2 + 1]
@@ -613,14 +601,14 @@ def _fortyfold_sweep(lin, scheme, length, dxs, crit):
 
 # sweeps of the tests above and of acceptance 06
 SWEEPS = {
-    "acceptance06_L4": ("good_boussinesq", "simple", "strict", 4.0, [0.4, 0.2, 0.1, 0.05]),
-    "acceptance06_L8": ("good_boussinesq", "simple", "strict", 8.0, [0.4, 0.2, 0.1, 0.05]),
-    "wave_strict": ("wave", "simple", "strict", 4.0, [0.4, 0.2, 0.1]),
-    "wave_nozero": ("wave", "simple", "nozero", 4.0, [0.4, 0.2, 0.1]),
-    "wave_rk2_nozero": ("wave", 2, "nozero", 4.0, [0.4, 0.2, 0.1]),
-    "linear_kg_nozero": ("linear_kg", "simple", "nozero", 4.0, [0.4, 0.2, 0.1]),
-    "dirac_nozero": ("dirac", "simple", "nozero", 4.0, [0.4, 0.2, 0.1]),
-    "nls_growth": ("nls", "simple", "growth:1.1", 4.0, [0.4, 0.2, 0.1]),
+    "acceptance06_L4": ("good_boussinesq", "simple", Criterion("strict"), 4.0, [0.4, 0.2, 0.1, 0.05]),
+    "acceptance06_L8": ("good_boussinesq", "simple", Criterion("strict"), 8.0, [0.4, 0.2, 0.1, 0.05]),
+    "wave_strict": ("wave", "simple", Criterion("strict"), 4.0, [0.4, 0.2, 0.1]),
+    "wave_nozero": ("wave", "simple", Criterion("nozero"), 4.0, [0.4, 0.2, 0.1]),
+    "wave_rk2_nozero": ("wave", 2, Criterion("nozero"), 4.0, [0.4, 0.2, 0.1]),
+    "linear_kg_nozero": ("linear_kg", "simple", Criterion("nozero"), 4.0, [0.4, 0.2, 0.1]),
+    "dirac_nozero": ("dirac", "simple", Criterion("nozero"), 4.0, [0.4, 0.2, 0.1]),
+    "nls_growth": ("nls", "simple", Criterion("growth", theta=1.1), 4.0, [0.4, 0.2, 0.1]),
 }
 
 
@@ -628,7 +616,7 @@ def _sweep_inputs(name):
     from diamondstab.pipeline import reference_linearization
 
     form, scheme, crit, length, dxs = SWEEPS[name]
-    return reference_linearization(registry_get(form)), _scheme(scheme), length, dxs, Criterion.parse(crit)
+    return reference_linearization(registry_get(form)), _scheme(scheme), length, dxs, crit
 
 
 # a bisection resolution that follows the former 40 halvings midpoint for midpoint
