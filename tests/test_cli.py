@@ -517,6 +517,34 @@ def test_cli_bad_json_shape_is_one_line_error(case, tmp_path, capsys):
     assert captured.out == ""
 
 
+# a JSON copy of a registered form with one entry changed, and its error
+# line; none of them is a valid form, so none may be analysed
+BAD_JSON_FORMS = {
+    "coeff_not_exact": ("nls", ("terms", 1, "coeff"), 2.0000002,
+                        "grad S is not exact: S's monomial p^2*q^2 has coefficient 1.0000001 by row 1 "
+                        "but 1.0 by row 2"),
+    "names_repeated": ("nls", ("names",), ["z"] * 4, "variable name 'z' is repeated"),
+    "wave_names_repeated": ("wave", ("names",), ["z"] * 3, "variable name 'z' is repeated"),
+    "good_boussinesq_names_repeated": ("good_boussinesq", ("names",), ["u", "v", "u", "q"],
+                                       "variable name 'u' is repeated"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_JSON_FORMS))
+def test_cli_refuses_a_json_form_that_is_not_exact_or_repeats_a_name(case, tmp_path, capsys):
+    name, (*keys, last), value, fault = BAD_JSON_FORMS[case]
+    entry = data = form_to_dict(registry_get(name))
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {fault}" and captured.out == ""
+
+
 def test_unknown_constant_error_names_the_form_constants(capsys):
     assert main(["analyze", "dirac", "--params", "mass=2"]) == 1
     assert capsys.readouterr().err.strip() == "error: form 'dirac' has no constant mass; its constants: m, lam"

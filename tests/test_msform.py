@@ -101,8 +101,8 @@ def test_non_gradient_field_fails_exactness():
         terms=(PolynomialTerm(1, 1.0, (1, 1, 0)),),
     )
     report = validate_form(bad)
-    assert not report.ok
-    assert any("not exact" in msg for msg in report.issues)
+    # S's monomial u^2 v gets 1/2 from row 1 and nothing from row 2
+    assert report.issues == ("grad S is not exact: S's monomial u^2*v has coefficient 0.5 by row 1 but 0.0 by row 2",)
 
 
 def test_linearize_wave_is_identity_on_P():
@@ -222,56 +222,102 @@ def test_derived_potential_matches_random_polynomials():
         assert eval_S(form, z[0]) == pytest.approx(expected[0], rel=1e-12, abs=1e-12 * scale[0])
 
 
-def _per_point_exactness_check(form):
-    """The exactness check as a loop over the seeded points, one evaluation
-    per point and per finite difference; returns the issues and the index of
-    the first failing point (None when every point passes)."""
-    rng = np.random.default_rng(msform._CHECK_SEED)
-    for point in range(msform._CHECK_POINTS):
-        z = 0.5 * rng.standard_normal(form.d)
-        jac = eval_jac_S(form, z)
-        scale = max(1.0, float(np.abs(jac).max()))
-        if np.abs(jac - fd_jacobian(form, z, msform._FD_STEP)).max() > 1e-6 * scale:
-            return ["analytic Jacobian disagrees with finite differences"], point
-        asym = np.abs(jac - jac.T)
-        if asym.max() > 1e-6 * scale:
-            i, j = np.unravel_index(np.argmax(asym), asym.shape)
-            return [f"grad S is not exact: Jacobian asymmetric at ({i},{j}) for z={np.round(z, 3).tolist()}"], point
-    return [], None
-
-
 def _scaled_term(form, k, factor):
     terms = list(form.terms)
     terms[k] = PolynomialTerm(terms[k].row, terms[k].coeff * factor, terms[k].exponents)
     return MultiSymplecticForm(form.name, form.names, form.K, form.L, form.P, tuple(terms))
 
 
-def test_batched_exactness_check_matches_the_per_point_loop():
+def _shares_its_monomial(term):
+    # S's monomial e + e_row has a nonzero exponent outside the term's row
+    return any(e for j, e in enumerate(term.exponents) if j != term.row - 1)
+
+
+def test_jacobian_matches_central_differences_of_the_gradient():
     rng = np.random.default_rng(1818)
     registered = [registry_get(name) for name in registry_names()]
     drawn = [_random_potential_form(rng, int(rng.integers(2, 7)))[0] for _ in range(40)]
-    # every term of a registered form, one term of a drawn form; at 1e-6 the
-    # asymmetry is near the tolerance, so some forms first fail at a later point
-    rels = (1e-3, 1e-6, 1e-7)
-    perturbed = [_scaled_term(form, k, 1.0 + rel) for form in registered for k in range(len(form.terms)) for rel in rels]
-    perturbed += [_scaled_term(form, int(rng.integers(len(form.terms))), 1.0 + rel)
-                  for form in drawn if form.terms for rel in rels]
-    first_failures = []
-    for form in registered + drawn + perturbed:
-        issues, point = _per_point_exactness_check(form)
-        assert validate_form(form) == msform.ValidationReport(not issues, tuple(issues))
-        first_failures.append(point)
-    assert all(point is None for point in first_failures[: len(registered) + len(drawn)])
-    later = [point for point in first_failures if point is not None and point > 0]
-    assert later and None in first_failures[len(registered) + len(drawn):] and 0 in first_failures
+    for form in registered + drawn:
+        for z in 0.5 * rng.standard_normal((5, form.d)):
+            jac = eval_jac_S(form, z)
+            assert np.abs(jac - fd_jacobian(form, z)).max() <= 1e-6 * max(1.0, np.abs(jac).max()), form.name
+
+
+@pytest.mark.parametrize("rel", [1e-7, 1e-9])
+def test_perturbed_coefficient_is_refused_where_its_monomial_is_shared(rel):
+    rng = np.random.default_rng(1818)
+    registered = [registry_get(name) for name in registry_names()]
+    drawn = [_random_potential_form(rng, int(rng.integers(2, 7)))[0] for _ in range(40)]
+    # every term of a registered form, one term of a drawn form
+    cases = [(form, k) for form in registered for k in range(len(form.terms))]
+    cases += [(form, int(rng.integers(len(form.terms)))) for form in drawn if form.terms]
+    shared = 0
+    for form, k in cases:
+        report = validate_form(_scaled_term(form, k, 1.0 + rel))
+        if _shares_its_monomial(form.terms[k]):
+            shared += 1
+            assert not report.ok and report.issues[0].startswith("grad S is not exact: S's monomial "), report
+        else:
+            assert report.ok, report
+    assert 0 < shared < len(cases)
+
+
+def test_not_exact_names_the_monomial_and_its_rows():
+    # a |phi|^2 phi with one coefficient off: p^2 q^2 gets a/2 from row 2
+    # (term p^2 q) and a different value from row 1 (term p q^2)
+    report = validate_form(_scaled_term(registry_get("nls"), 1, 1.0000001))
+    assert report.issues == (
+        "grad S is not exact: S's monomial p^2*q^2 has coefficient 1.0000001 by row 1 but 1.0 by row 2",
+    )
+
+
+@pytest.mark.parametrize("upper, lower, ok", [
+    (1.0, 1.0 + 1e-9, False),
+    (0.3, 0.1 * 3, True),
+    (1e300, 1e300 * (1 + 1e-9), False),
+    (1.7e308, 1.7e308, True),
+    (1.7e308, -1.7e308, False),
+    (1e-300, 0.0, False),
+])
+def test_p_must_be_symmetric_to_rounding(upper, lower, ok):
+    f = registry_get("wave")
+    P = f.P.copy()
+    P[0, 1], P[1, 0] = upper, lower
+    report = validate_form(MultiSymplecticForm("p", f.names, f.K, f.L, P))
+    assert report.issues == (() if ok else (
+        f"grad S is not exact: S's monomial u*v has coefficient {upper} by row 1 but {lower} by row 2",
+    ))
+
+
+def test_decimal_coefficients_are_accepted(tmp_path):
+    # S = 0.1 u^3 v + 0.7 u v^2 w: the coefficients written as decimals are
+    # not the float products 3 * 0.1 or 2 * 0.7, and row 2 gives 1.4 as the
+    # cancelling sum 2.1 - 0.7
+    f = registry_get("wave")
+    terms = (
+        PolynomialTerm(1, 0.3, (2, 1, 0)), PolynomialTerm(2, 0.1, (3, 0, 0)),
+        PolynomialTerm(1, 0.7, (0, 2, 1)), PolynomialTerm(2, 2.1, (1, 1, 1)),
+        PolynomialTerm(2, -0.7, (1, 1, 1)), PolynomialTerm(3, 0.7, (1, 2, 0)),
+    )
+    assert 3 * 0.1 != 0.3 and 2.1 - 0.7 != 1.4
+    form = MultiSymplecticForm("decimal", f.names, f.K, f.L, f.P, terms)
+    assert validate_form(form).ok
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(msform.form_to_dict(form)))
+    assert load_form_json(path).terms == terms
+    # the same sums one part in 1e9 off are refused
+    assert not validate_form(_scaled_term(form, 4, 1.0 + 1e-9)).ok
 
 
 @pytest.mark.filterwarnings("error")
 def test_exactness_check_refuses_an_overflowing_gradient():
-    # finite coefficients whose Jacobian overflows at the seeded points: the
-    # inf and NaN that result fail the tolerance tests, silently
+    # finite coefficients whose Jacobian coefficients c * e_j overflow
     report = validate_form(registry_get("nls", a=1.7e308))
-    assert report.issues == ("analytic Jacobian disagrees with finite differences",)
+    assert report.issues == tuple(
+        f"terms[{k}]: Jacobian coefficient 1.7e+308 * {e} is not finite" for k, e in enumerate((3, 2, 2, 3))
+    )
+    # the largest a whose Jacobian coefficients 3a stay finite passes
+    assert validate_form(registry_get("nls", a=1.7e308 / 3)).ok
 
 
 def _nls_json_with(tmp_path, keys, value):
@@ -364,18 +410,6 @@ def test_json_integer_beyond_float_range_is_named(keys, where, tmp_path):
     with pytest.raises(ValueError) as info:
         load_form_json(path)
     assert str(info.value) == f"{path}: {where} is an integer beyond the float range"
-
-
-def test_check_points_are_drawn_once_read_only():
-    rng = np.random.default_rng(msform._CHECK_SEED)
-    fresh = 0.5 * rng.standard_normal((msform._CHECK_POINTS, 4))
-    steps = msform._FD_STEP * np.eye(4)
-    z, shifted = msform._check_points(4)
-    assert msform._check_points(4)[0] is z and not (z.flags.writeable or shifted.flags.writeable)
-    assert z.tobytes() == fresh.tobytes()
-    assert shifted.tobytes() == np.stack([fresh[:, None] + steps, fresh[:, None] - steps]).tobytes()
-    form = registry_get("nls")
-    assert validate_form(form) == validate_form(form)
 
 
 def test_json_top_level_must_be_an_object(tmp_path):
@@ -498,6 +532,8 @@ def _wave_with(**changes):
 
 @pytest.mark.parametrize("changes, issue", [
     ({"names": ("u",), "K": [[0.0]], "L": [[0.0]], "P": [[1.0]]}, "dimension d=1 < 2"),
+    ({"names": ("z", "z", "z")}, "variable name 'z' is repeated"),
+    ({"names": ("u", "v", "u")}, "variable name 'u' is repeated"),
     ({"K": np.zeros((2, 2))}, "K has shape (2, 2), expected (3, 3)"),
     ({"L": np.zeros((3, 4))}, "L has shape (3, 4), expected (3, 3)"),
     ({"P": np.zeros(3)}, "P has shape (3,), expected (3, 3)"),
