@@ -55,13 +55,14 @@ def _step1_dict(dm: structure.DMReport) -> dict:
 
 
 def _step2_dict(graph, cycles, verdict) -> dict:
+    """Step 2 as JSON, each variable index written as its name."""
     return {
         "edges": [
-            {"src": e.src, "dst": e.dst, "index": e.index.label(), "equation": e.equation}
+            {"src": graph.names[e.src], "dst": graph.names[e.dst], "index": e.index.label(), "equation": e.equation}
             for e in graph.edges
         ],
         "cycles": [
-            {"nodes": list(c.nodes), "weight": c.weight.label()} for c in cycles
+            {"nodes": [graph.names[n] for n in c.nodes], "weight": c.weight.label()} for c in cycles
         ],
         "verdict": {
             "unconditionally_unstable": verdict.unconditionally_unstable,
@@ -214,11 +215,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    categories = ("StructurallyInconsistent", "UnconditionallyUnstable", "ConditionallyStable")
+    if args.category not in (None, *categories):
+        raise ValueError(f"unknown category {args.category!r}; categories: {', '.join(categories)}")
     rows = [["pde", "category", "s_lo"]]
     for name in msform.registry_names():
         report = run_pipeline(msform.registry_get(name), stop_after=2)
         stable = report.classification == "ConditionallyStable"
-        if not args.category or args.category == report.classification:
+        if args.category in (None, report.classification):
             rows.append([name, report.classification, _fraction_str(report.verdict.s_lo) if stable else ""])
     _write_table(args.out, rows)
     return 0

@@ -65,21 +65,35 @@ _RULE = {
 
 @dataclass(frozen=True)
 class PropEdge:
-    src: str
-    dst: str
+    """The error of unknown ``src`` amplified by dx**index in the update of
+    unknown ``dst``; both are indices 0..d-1 into the form's variables."""
+
+    src: int
+    dst: int
     index: AffineIndex
     equation: int  # row that produced the edge
 
 
 @dataclass(frozen=True)
 class PropagationGraph:
-    nodes: tuple[str, ...]
+    """Weighted multigraph on the unknowns of one diamond update.
+
+    A node is a variable's index, so ``nodes`` is ``tuple(range(d))``;
+    ``names`` are the variables' labels, read only where output is written
+    (they need not be distinct).
+    """
+
+    nodes: tuple[int, ...]
     edges: tuple[PropEdge, ...]
+    names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Cycle:
-    nodes: tuple[str, ...]
+    """A simple directed cycle: ``nodes`` are variable indices, starting at
+    the least one, and ``edges`` the chosen edge out of each in turn."""
+
+    nodes: tuple[int, ...]
     edges: tuple[PropEdge, ...]
     weight: AffineIndex
 
@@ -120,7 +134,6 @@ def build_propagation_graph(lin: LinearizedForm, dm: DMReport) -> PropagationGra
     """
     if not dm.consistent:
         raise ValueError("propagation graph requires a structurally consistent form")
-    names = lin.names
     edges: list[PropEdge] = []
     for eq, target in dm.order:
         if lin.K[eq, target] != 0.0:
@@ -129,7 +142,7 @@ def build_propagation_graph(lin: LinearizedForm, dm: DMReport) -> PropagationGra
             pivot = "P"
         else:
             raise InternalPivotError(
-                f"equation {eq} has no admissible pivot for variable {names[target]}"
+                f"equation {eq} has no admissible pivot for variable {lin.names[target]}"
             )
         for src in range(lin.d):
             channels = []
@@ -146,17 +159,17 @@ def build_propagation_graph(lin: LinearizedForm, dm: DMReport) -> PropagationGra
                 # the three known corners of the average
                 channels.append("P")
             for ch in channels:
-                edges.append(PropEdge(names[src], names[target], _RULE[(pivot, ch)], eq))
-    return PropagationGraph(nodes=tuple(names), edges=tuple(edges))
+                edges.append(PropEdge(src, target, _RULE[(pivot, ch)], eq))
+    return PropagationGraph(tuple(range(lin.d)), tuple(edges), lin.names)
 
 
 def propagation_dot(graph: PropagationGraph) -> str:
     """Graphviz rendering with symbolic edge weights ("s-1", "-1", ...)."""
     lines = ["digraph propagation {"]
-    for n in graph.nodes:
+    for n in graph.names:
         lines.append(f'  "{n}";')
     for e in graph.edges:
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.index.label()}"];')
+        lines.append(f'  "{graph.names[e.src]}" -> "{graph.names[e.dst]}" [label="{e.index.label()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -164,23 +177,20 @@ def propagation_dot(graph: PropagationGraph) -> str:
 def enumerate_cycles(graph: PropagationGraph) -> list[Cycle]:
     """All simple directed cycles, with parallel edges expanded separately.
 
-    Depth-first search from each node in turn, visiting only nodes later in
-    ``graph.nodes``, so every cycle starts at its earliest node and is found
-    once per choice of parallel edges.
+    Depth-first search from each node in turn, visiting only greater nodes,
+    so every cycle starts at its least node and is found once per choice of
+    parallel edges.
     """
-    rank = {n: i for i, n in enumerate(graph.nodes)}
-    out: dict[str, list[PropEdge]] = {n: [] for n in graph.nodes}
-    for e in graph.edges:
-        out[e.src].append(e)
+    out = [[e for e in graph.edges if e.src == n] for n in graph.nodes]
     cycles: list[Cycle] = []
 
-    def extend(root: str, path: list[str], chosen: list[PropEdge]) -> None:
+    def extend(root: int, path: list[int], chosen: list[PropEdge]) -> None:
         for e in out[path[-1]]:
             if e.dst == root:
                 edges = (*chosen, e)
                 weight = sum((x.index for x in edges), AffineIndex(0, 0))
                 cycles.append(Cycle(tuple(path), edges, weight))
-            elif rank[e.dst] > rank[root] and e.dst not in path:
+            elif e.dst > root and e.dst not in path:
                 extend(root, path + [e.dst], chosen + [e])
 
     for root in graph.nodes:

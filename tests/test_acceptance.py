@@ -99,17 +99,18 @@ STEP2_EXPECTED = [
 STEP2_PUBLISHED = {"linear_kg": Fraction(2, 3), "dirac": Fraction(1, 2)}
 
 # Hand-derived cycles of weight 2s-2 that fix s_lo = 1, as edge sets
-# (src, dst, (a, b)) for an edge of weight a*s + b.  linear_kg has the same
-# K and L as wave, and its mass term only adds the edge u -> v, so the wave
-# cycle survives; dirac pairs q1, q2 and p1, p2 through two K-pivot edges
-# with an L source each.
+# (src, dst, (a, b)) of variable indices for an edge of weight a*s + b.
+# linear_kg (u, v, w = 0, 1, 2) has the same K and L as wave, and its mass
+# term only adds the edge u -> v, so the wave cycle survives; dirac
+# (p1, q1, p2, q2 = 0, 1, 2, 3) pairs q1, q2 and p1, p2 through two K-pivot
+# edges with an L source each.
 STEP2_BINDING = {
     "linear_kg": {
-        frozenset({("v", "u", (1, 0)), ("u", "w", (0, -1)), ("w", "v", (1, -1))}),
+        frozenset({(1, 0, (1, 0)), (0, 2, (0, -1)), (2, 1, (1, -1))}),
     },
     "dirac": {
-        frozenset({("q1", "q2", (1, -1)), ("q2", "q1", (1, -1))}),
-        frozenset({("p1", "p2", (1, -1)), ("p2", "p1", (1, -1))}),
+        frozenset({(1, 3, (1, -1)), (3, 1, (1, -1))}),
+        frozenset({(0, 2, (1, -1)), (2, 0, (1, -1))}),
     },
 }
 
@@ -132,6 +133,7 @@ def test_criterion_02_step2_thresholds(name, expected):
         # the zero-weight self-loops bind at every s; only s-dependent cycles count
         cycles = [c for c in verdict.binding if c.weight.a != 0]
         binding = {frozenset((e.src, e.dst, (e.index.a, e.index.b)) for e in c.edges) for c in cycles}
+        names = result.graph.names
         # the Step-3 spectra are an independent oracle: growth past 1 that
         # rises as dx halves at the published exponent, none at s = 1
         grow = [_dominant_nonzero_mode(lin, published, dx) for dx in (0.05, 0.025)]
@@ -139,7 +141,7 @@ def test_criterion_02_step2_thresholds(name, expected):
         ok = ok and binding == STEP2_BINDING[name] and 1 < grow[0] < grow[1] and max(flat) <= 1 + 1e-9
         message = (
             f"{name}: s_lo = {got} (expected {expected}; published {published}, see README); binding "
-            f"{', '.join('->'.join(c.nodes) + f' [{c.weight.label()}]' for c in cycles)}; "
+            f"{', '.join('->'.join(names[n] for n in c.nodes) + f' [{c.weight.label()}]' for c in cycles)}; "
             f"max |lambda| at s = {published}: {grow[0]:.3g}, {grow[1]:.3g} "
             f"for dx = 0.05, 0.025; at s = 1: 1 + {max(flat) - 1:.1e}"
         )

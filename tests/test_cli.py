@@ -90,12 +90,23 @@ def test_cli_classify_csv(tmp_path):
     }
 
 
-def test_cli_classify_filter_empty(tmp_path):
-    path = tmp_path / "none.csv"
-    assert main(["classify", "--category", "NoSuchCategory", "--out", str(path)]) == 0
+def test_cli_classify_filter(tmp_path):
+    path = tmp_path / "stable.csv"
+    assert main(["classify", "--category", "ConditionallyStable", "--out", str(path)]) == 0
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows == []
+    assert {r["pde"] for r in rows} == {"wave", "linear_kg", "dirac", "good_boussinesq", "nls"}
+
+
+def test_cli_classify_refuses_an_unknown_category(tmp_path, capsys):
+    # a misspelt category must not read as "no such forms"
+    path = tmp_path / "none.csv"
+    assert main(["classify", "--category", "Stable", "--out", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown category 'Stable'; categories: "
+        "StructurallyInconsistent, UnconditionallyUnstable, ConditionallyStable\n"
+    )
+    assert not path.exists()
 
 
 def test_cli_run_writes_outputs(tmp_path):
@@ -664,10 +675,11 @@ def test_cli_analyze_writes_dot_files(tmp_path):
     assert [line for line in lines if " -- " in line] == [
         f"  eq{i} -- un{j} [style={'solid' if tag == 'K' else 'dashed'}];" for (i, j), tag in report.bip.provenance
     ]
-    # one directed line per Step-2 edge, labelled with its index
+    # one directed line per Step-2 edge between the names of its nodes, labelled with its index
     lines = (tmp_path / "nls" / "nls_propagation.dot").read_text().splitlines()
+    names = report.graph.names
     assert [line for line in lines if " -> " in line] == [
-        f'  "{e.src}" -> "{e.dst}" [label="{e.index.label()}"];' for e in report.graph.edges
+        f'  "{names[e.src]}" -> "{names[e.dst]}" [label="{e.index.label()}"];' for e in report.graph.edges
     ]
     assert len(report.bip.provenance) == 6 and len(report.graph.edges) == 10
     # kdv stops at Step 1: no propagation graph to draw

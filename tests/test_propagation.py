@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import diamondstab
-from diamondstab.msform import linearize, registry_get
-from diamondstab.pipeline import run_pipeline
+from diamondstab.msform import MultiSymplecticForm, linearize, registry_get, registry_names
+from diamondstab.pipeline import reference_linearization, run_pipeline
 from diamondstab.propagation import (
     AffineIndex,
     Cycle,
@@ -33,12 +33,13 @@ def edge_set(graph):
 
 
 def test_wave_edges_match_worked_example():
+    # variables u, v, w are nodes 0, 1, 2
     edges = edge_set(graph_for("wave"))
-    assert ("w", "v", (1, -1)) in edges
-    assert ("u", "w", (0, -1)) in edges
-    assert ("v", "u", (1, 0)) in edges
+    assert (2, 1, (1, -1)) in edges
+    assert (0, 2, (0, -1)) in edges
+    assert (1, 0, (1, 0)) in edges
     # index-0 self edges on every variable
-    for v in ("u", "v", "w"):
+    for v in range(3):
         assert (v, v, (0, 0)) in edges
     assert len(edges) == 6
 
@@ -46,25 +47,27 @@ def test_wave_edges_match_worked_example():
 def test_linear_kg_edges_are_wave_plus_mass_edge():
     # same K and L as wave; the mass term adds only u -> v through the average
     edges = edge_set(graph_for("linear_kg"))
-    assert edges == edge_set(graph_for("wave")) | {("u", "v", (1, 0))}
+    assert edges == edge_set(graph_for("wave")) | {(0, 1, (1, 0))}
     assert len(edges) == 7
 
 
 def test_dirac_edges_match_rule_table():
+    # variables p1, q1, p2, q2 are nodes 0, 1, 2, 3
     edges = edge_set(graph_for("dirac"))
     # every row pivots on its time derivative: an index-0 self edge, an
     # index-s edge from the mass term and an index-(s-1) edge from L
     assert edges == {
-        ("q1", "q1", (0, 0)), ("p1", "q1", (1, 0)), ("q2", "q1", (1, -1)),
-        ("p1", "p1", (0, 0)), ("q1", "p1", (1, 0)), ("p2", "p1", (1, -1)),
-        ("q2", "q2", (0, 0)), ("p2", "q2", (1, 0)), ("q1", "q2", (1, -1)),
-        ("p2", "p2", (0, 0)), ("q2", "p2", (1, 0)), ("p1", "p2", (1, -1)),
+        (1, 1, (0, 0)), (0, 1, (1, 0)), (3, 1, (1, -1)),
+        (0, 0, (0, 0)), (1, 0, (1, 0)), (2, 0, (1, -1)),
+        (3, 3, (0, 0)), (2, 3, (1, 0)), (1, 3, (1, -1)),
+        (2, 2, (0, 0)), (3, 2, (1, 0)), (0, 2, (1, -1)),
     }
 
 
 def test_mixed_kg_edges():
+    # variables u, v, w are nodes 0, 1, 2
     edges = edge_set(graph_for("mixed_kg"))
-    for e in [("u", "w", (-1, 0)), ("w", "u", (0, -1)), ("u", "v", (0, -1)), ("v", "u", (-1, 0))]:
+    for e in [(0, 2, (-1, 0)), (2, 0, (0, -1)), (0, 1, (0, -1)), (1, 0, (-1, 0))]:
         assert e in edges
 
 
@@ -73,14 +76,15 @@ def test_wave_contains_cycle_2s_minus_2():
     weights = {(c.weight.a, c.weight.b) for c in cycles}
     assert (2, -2) in weights
     three = [c for c in cycles if (c.weight.a, c.weight.b) == (2, -2)]
-    assert any(set(c.nodes) == {"u", "v", "w"} for c in three)
+    assert any(set(c.nodes) == {0, 1, 2} for c in three)
 
 
 def test_improved_boussinesq_cycles():
+    # variables u, v, n, w, p, q are nodes 0 to 5
     cycles = enumerate_cycles(graph_for("improved_boussinesq"))
     pairs = {(tuple(sorted(c.nodes)), (c.weight.a, c.weight.b)) for c in cycles}
-    assert (("n", "v"), (0, -2)) in pairs
-    assert (("p", "v", "w"), (0, -2)) in pairs
+    assert ((1, 2), (0, -2)) in pairs
+    assert ((1, 3, 4), (0, -2)) in pairs
 
 
 def test_good_boussinesq_least_weight_cycle():
@@ -92,15 +96,15 @@ def test_good_boussinesq_least_weight_cycle():
 
 
 def test_empty_graph_has_no_cycles():
-    g = PropagationGraph(nodes=("x",), edges=())
+    g = PropagationGraph(nodes=(0,), edges=(), names=("x",))
     assert enumerate_cycles(g) == []
 
 
 def test_parallel_edges_make_distinct_cycles():
-    e1 = PropEdge("a", "b", AffineIndex(1, 0), 0)
-    e2 = PropEdge("a", "b", AffineIndex(0, -1), 0)
-    back = PropEdge("b", "a", AffineIndex(0, 0), 1)
-    g = PropagationGraph(nodes=("a", "b"), edges=(e1, e2, back))
+    e1 = PropEdge(0, 1, AffineIndex(1, 0), 0)
+    e2 = PropEdge(0, 1, AffineIndex(0, -1), 0)
+    back = PropEdge(1, 0, AffineIndex(0, 0), 1)
+    g = PropagationGraph(nodes=(0, 1), edges=(e1, e2, back), names=("a", "b"))
     cycles = enumerate_cycles(g)
     assert len(cycles) == 2
     assert {(c.weight.a, c.weight.b) for c in cycles} == {(1, 0), (0, -1)}
@@ -108,12 +112,11 @@ def test_parallel_edges_make_distinct_cycles():
 
 def brute_force_cycles(graph):
     """Every simple cycle as (nodes, edges), by trying each node sequence
-    that starts at its earliest node and each choice of parallel edges."""
-    rank = {n: i for i, n in enumerate(graph.nodes)}
+    that starts at its least node and each choice of parallel edges."""
     found = Counter()
     for k in range(1, len(graph.nodes) + 1):
         for seq in itertools.permutations(graph.nodes, k):
-            if min(seq, key=rank.get) != seq[0]:
+            if min(seq) != seq[0]:
                 continue
             hops = [
                 [e for e in graph.edges if (e.src, e.dst) == (seq[i], seq[(i + 1) % k])]
@@ -128,21 +131,74 @@ def test_cycles_match_brute_force_on_random_multigraphs():
     rng = np.random.default_rng(5)
     for _ in range(300):
         n = int(rng.integers(1, 6))
-        names = tuple(str(v) for v in rng.permutation(list("abcde"[:n])))
         edges = tuple(
             PropEdge(
-                names[rng.integers(n)], names[rng.integers(n)],
+                int(rng.integers(n)), int(rng.integers(n)),
                 AffineIndex(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))), i,
             )
             for i in range(int(rng.integers(0, 3 * n + 1)))
         )
-        graph = PropagationGraph(names, edges)
+        # the labels are never read: every node may carry the same one
+        graph = PropagationGraph(tuple(range(n)), edges, ("z",) * n)
         cycles = enumerate_cycles(graph)
         assert Counter((c.nodes, c.edges) for c in cycles) == brute_force_cycles(graph)
         for c in cycles:
             assert (c.weight.a, c.weight.b) == (
                 sum(e.index.a for e in c.edges), sum(e.index.b for e in c.edges)
             )
+
+
+def step2_outcome(report):
+    """Classification, (s_lo, s_hi), index edges and (nodes, weight) cycles of a report."""
+    v = report.verdict
+    return (
+        report.classification,
+        v and (v.s_lo, v.s_hi),
+        report.graph and report.graph.edges,
+        report.cycles and [(c.nodes, c.weight) for c in report.cycles],
+    )
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_steps_1_2_ignore_the_variable_names(name):
+    # names only label the output: a form whose variables all share one name
+    # is analysed exactly as the registered form
+    form = registry_get(name)
+    same = MultiSymplecticForm(form.name, ("z",) * form.d, form.K, form.L, form.P, form.terms, form.params)
+    assert step2_outcome(run_pipeline(same, stop_after=2)) == step2_outcome(run_pipeline(form, stop_after=2))
+
+
+def steps_1_2(lin):
+    """Step 1's consistency and Step 2's (unstable, s_lo, s_hi) of a linearization."""
+    dm = classify_consistency(lin)
+    if not dm.consistent:
+        return False, None
+    v = stability_threshold(enumerate_cycles(build_propagation_graph(lin, dm)))
+    return True, (v.unconditionally_unstable, v.s_lo, v.s_hi)
+
+
+def test_steps_1_2_are_invariant_under_signed_permutations():
+    # z = T w with T a signed permutation maps K, L and Peff to T^T K T, T^T L T
+    # and T^T Peff T, a relabelling of the unknowns and of the equations.  Only
+    # the verdicts are compared: ties in the DM matching may pick other pivots,
+    # so the cycle lists may differ.  (Elementary shears do change the verdicts
+    # of most forms today, so they are left out.)
+    rng = np.random.default_rng(11)
+    for name in registry_names():
+        lin = reference_linearization(registry_get(name))
+        expected = steps_1_2(lin)
+        perms = [np.arange(lin.d)[::-1]] + [rng.permutation(lin.d) for _ in range(8)]
+        for perm in perms:
+            T = np.eye(lin.d)[:, perm] * rng.choice([-1.0, 1.0], lin.d)
+            moved = type(lin)(
+                name=lin.name,
+                names=tuple(lin.names[j] for j in perm),
+                K=T.T @ lin.K @ T,
+                L=T.T @ lin.L @ T,
+                Peff=T.T @ lin.Peff @ T,
+                z_ref=T.T @ lin.z_ref,
+            )
+            assert steps_1_2(moved) == expected, (name, perm)
 
 
 def test_import_leaves_out_networkx():
@@ -218,22 +274,22 @@ def test_edges_invariant_under_positive_rescaling():
 def test_threshold_monotone_under_added_cycle():
     base = enumerate_cycles(graph_for("wave"))
     v0 = stability_threshold(base)
-    extra = Cycle(("u",), (), AffineIndex(1, -3))  # forces s >= 3
+    extra = Cycle((0,), (), AffineIndex(1, -3))  # forces s >= 3
     v1 = stability_threshold(base + [extra])
     assert v1.s_lo >= v0.s_lo
-    always_neg = Cycle(("u",), (), AffineIndex(0, -1))
+    always_neg = Cycle((0,), (), AffineIndex(0, -1))
     v2 = stability_threshold(base + [always_neg])
     assert v2.unconditionally_unstable
 
 
 def test_bounded_above_interval_supported():
     cycles = [
-        Cycle(("a",), (), AffineIndex(1, -1)),   # s >= 1
-        Cycle(("b",), (), AffineIndex(-1, 3)),   # s <= 3
+        Cycle((0,), (), AffineIndex(1, -1)),   # s >= 1
+        Cycle((1,), (), AffineIndex(-1, 3)),   # s <= 3
     ]
     v = stability_threshold(cycles)
     assert v.feasible and v.s_lo == 1 and v.s_hi == 3
-    v_empty = stability_threshold(cycles + [Cycle(("c",), (), AffineIndex(-1, 0))])
+    v_empty = stability_threshold(cycles + [Cycle((2,), (), AffineIndex(-1, 0))])
     assert v_empty.unconditionally_unstable
 
 
