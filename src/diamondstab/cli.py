@@ -239,8 +239,7 @@ def _cmd_run(args) -> int:
     N = round((b - a) / args.dx)
     mesh = MeshParams(a=a, b=b, N=N, dt=args.dt, T=args.T)
     ic, exact = builtin_initial_condition(args.ic, form)
-    observe = args.observe if args.observe is not None else "energy" if scheme == "simple" else "norms"
-    observers = tuple(observe.split(",")) if observe else ()
+    observers = None if args.observe is None else tuple(args.observe.split(",")) if args.observe else ()
     result = integrate(form, scheme, ic, mesh, observers=observers, exact=exact)
 
     outdir = Path(args.out)
@@ -262,10 +261,10 @@ def _cmd_run(args) -> int:
     if result.norms is not None:
         _write_table(outdir / "norms.csv", [["t", "max_abs"], *zip(result.times, result.norms)])
     header = ["x", *form.names]
-    if "snapshots" in observers and result.edge_state is None:
+    if result.snapshots and result.edge_state is None:
         for idx, (t, snap) in enumerate(result.snapshots):
             _write_table(outdir / f"snapshot_{idx:04d}.csv", [header, *np.column_stack((mesh.x_int(), snap))])
-    if "snapshots" in observers and result.edge_state is not None:
+    if result.snapshots and result.edge_state is not None:
         # collocation runs: the final edge stacks at the node positions init_edges_rk samples,
         # rows ordered as the stacks (edge 2i+j, node k)
         xs = edge_node_x(mesh, scheme.c).transpose(2, 0, 1).reshape(-1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.sparse import bsr_matrix
@@ -22,6 +23,7 @@ from . import spectral
 from .msform import (
     LinearizedForm,
     MultiSymplecticForm,
+    _frozen_array,
     _grad_kernel,
     _KernelSource,
     _made_once,
@@ -85,17 +87,20 @@ class RKTableau:
         F = spectral._pivot_inverse(A)
         if F is None:
             raise ValueError("collocation matrix A must be invertible")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "mu", F.sum(axis=1))
-        object.__setattr__(self, "beta", self.b @ F)
+        object.__setattr__(self, "A", _frozen_array(A))
+        object.__setattr__(self, "b", _frozen_array(self.b))
+        object.__setattr__(self, "c", _frozen_array(self.c))
+        object.__setattr__(self, "F", _frozen_array(F))
+        object.__setattr__(self, "mu", _frozen_array(F.sum(axis=1)))
+        object.__setattr__(self, "beta", _frozen_array(self.b @ F))
         object.__setattr__(self, "alpha", float(self.b @ F.sum(axis=1)))
 
 
+@cache
 def gauss_tableau(r: int) -> RKTableau:
-    """Gauss-Legendre collocation on (0, 1) with r stages."""
+    """Gauss-Legendre collocation on (0, 1) with r stages: one tableau per r,
+    shared by every caller, so its arrays are read-only and a form's store
+    (msform._made_once) keeps one Step-3 entry per r and mesh."""
     if not 1 <= r <= 4:
         raise ValueError("stage count r must be in 1..4")
     nodes, weights = np.polynomial.legendre.leggauss(r)
@@ -779,7 +784,7 @@ def integrate(
     scheme,
     ic,
     mesh: MeshParams,
-    observers: tuple[str, ...] = ("energy",),
+    observers: tuple[str, ...] | None = None,
     exact=None,
     init_method: str = "auto",
     blowup: float = 1e8,
@@ -797,11 +802,14 @@ def integrate(
     "snapshots" work for both schemes; "energy" is a simple-scheme observer
     (the collocation edge stacks hold no vertex values).  Any other observer,
     or "energy" under collocation, raises ValueError before any work.
+    ``observers=None`` records "energy" under the simple scheme and "norms"
+    under collocation.
     """
     if isinstance(scheme, str):
         scheme = parse_scheme(scheme)
     simple = scheme == "simple"
     accepted = ("energy", "norms", "snapshots") if simple else ("norms", "snapshots")
+    observers = (("energy",) if simple else ("norms",)) if observers is None else observers
     for name in observers:
         if name not in accepted:
             raise ValueError(

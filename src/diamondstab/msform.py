@@ -891,6 +891,19 @@ def registry_get(name: str, **params: float) -> MultiSymplecticForm:
     return builder(**params)
 
 
+def _registered(form: MultiSymplecticForm) -> MultiSymplecticForm | None:
+    """The registered form named ``form.name``, built with ``form.params`` as
+    its constants (the registry defaults when there are none, as for a JSON
+    copy), when its K, L, P and terms are the form's own; None otherwise.
+    Variable names are labels and are not compared."""
+    try:
+        registered = registry_get(form.name, **dict(form.params))
+    except (KeyError, ValueError):
+        return None
+    same = all(np.array_equal(getattr(registered, m), getattr(form, m)) for m in "KLP")
+    return registered if same and registered.terms == form.terms else None
+
+
 def nls_constant_amplitude_linearization(rho: float, a: float = 2.0) -> LinearizedForm:
     """Linear Schroedinger system obtained by freezing |phi|^2 = rho.
 

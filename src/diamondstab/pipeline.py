@@ -4,7 +4,7 @@ spectra) as one function with early exit."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,31 +36,26 @@ class PipelineReport:
     lin_dm: structure.DMReport | None = None
 
 
-def _is_registered_nls(form) -> bool:
-    # the form named "nls" that carries its constant a
-    return form.name == "nls" and "a" in dict(form.params)
+def reference_linearization(form, rho: float | None = None) -> msform.LinearizedForm:
+    """The linear form Steps 2 and 3 analyse.
 
-
-def _check_rho(form, rho: float | None) -> None:
-    # rho is the amplitude of the registered NLS's plane wave; no other form has one
-    if rho is not None and not _is_registered_nls(form):
-        raise ValueError(
-            f"rho is the plane-wave amplitude of the registered nls; form {form.name!r} is linearized at z = 0"
-        )
+    A form with the equations of the registered NLS (msform._registered:
+    its name, constants, K, L, P and terms) is linearized about the plane
+    wave of constant amplitude ``rho`` (default 9), under its own variable
+    labels; every other form about z = 0, and a ``rho`` for it raises
+    ValueError, as does a ``rho`` that is not finite and >= 0.
+    """
+    registered = msform._registered(form)
+    if registered is None or registered.name != "nls":
+        if rho is not None:
+            raise ValueError(
+                f"rho is the plane-wave amplitude of the registered nls; form {form.name!r} is linearized at z = 0"
+            )
+        return msform.linearize(form, np.zeros(form.d))
     if rho is not None and not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
-
-
-def reference_linearization(form, rho: float | None = None) -> msform.LinearizedForm:
-    """The linear form Steps 2 and 3 analyse: the registered NLS about the
-    plane wave of constant amplitude ``rho`` (default 9), every other form
-    about z = 0 (a ``rho`` for those raises ValueError)."""
-    _check_rho(form, rho)
-    if _is_registered_nls(form):
-        return msform.nls_constant_amplitude_linearization(
-            rho if rho is not None else 9.0, form.param("a")
-        )
-    return msform.linearize(form, np.zeros(form.d))
+    lin = msform.nls_constant_amplitude_linearization(9.0 if rho is None else rho, registered.param("a"))
+    return replace(lin, names=form.names)
 
 
 def run_pipeline(
@@ -84,13 +79,13 @@ def run_pipeline(
         raise ValueError(f"stop_after must be 1, 2 or 3, got {stop_after!r}")
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N!r}")
-    _check_rho(form, rho)
+    # the linearization decides rho, so a bad rho fails under stop_after = 1 too
+    lin = reference_linearization(form, rho)
     bip = structure.build_equation_unknown_graph(form)
     dm = structure.dm_decompose(bip)
     if not dm.consistent or stop_after == 1:
         return PipelineReport(bip, dm, None if dm.consistent else "StructurallyInconsistent")
 
-    lin = reference_linearization(form, rho)
     lin_dm = structure.classify_consistency(lin)
     if not lin_dm.consistent:
         return PipelineReport(bip, dm, "StructurallyInconsistent", lin, lin_dm=lin_dm)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from . import msform
+
 __all__ = [
     "mixed_kg_cosine",
     "dirac_breather",
@@ -117,13 +119,18 @@ def nls_two_soliton_ic():
 
 
 def builtin_initial_condition(name: str, form):
-    """Resolve a builtin IC name to (ic, exact-or-None) for a given form."""
-    key = (name, form.name)
+    """Resolve a builtin IC name to (ic, exact-or-None) for a given form.
+
+    Each start but "zero" belongs to one registered form: a form gets it
+    exactly when msform._registered recognises that form's equations in it,
+    and the start reads its constants (a, m, lam) from the registered form.
+    """
+    registered = msform._registered(form)
+    key = (name, registered and registered.name)
     if key == ("cosine", "mixed_kg"):
-        return mixed_kg_cosine(form.param("a"))
+        return mixed_kg_cosine(registered.param("a"))
     if key == ("breather", "dirac"):
-        ic, exact = dirac_breather(form.param("m"), form.param("lam"))
-        return ic, exact
+        return dirac_breather(registered.param("m"), registered.param("lam"))
     if key == ("two_soliton", "nls"):
         return nls_two_soliton_ic(), None
     if key == ("plane_wave", "linear_kg"):

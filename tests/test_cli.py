@@ -274,15 +274,17 @@ def test_form_consistent_only_through_nonlinear_terms(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
-def test_cli_analyze_json_nls_linearizes_at_zero(tmp_path, capsys):
-    # a JSON form carries no constants: the plane-wave linearization belongs
-    # to the registered NLS, and the JSON copy is linearized at zero
+def test_cli_analyze_json_nls_gets_the_plane_wave_step2(tmp_path, capsys):
+    # a JSON form carries no constants: the copy of nls has the equations of
+    # the registered nls at its default a, so it is linearized about the
+    # same plane wave and gets the same Step-2 edges and verdict
     path = tmp_path / "nls.json"
     path.write_text(json.dumps(form_to_dict(registry_get("nls"))))
-    assert main(["analyze", str(path), "--step2", "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["classification"] == "ConditionallyStable"
-    assert report["step2"]["verdict"]["s_lo"] == "2"
+    steps = []
+    for pde in (str(path), "nls"):
+        assert main(["analyze", pde, "--step2", "--format", "json"]) == 0
+        steps.append(json.loads(capsys.readouterr().out)["step2"])
+    assert steps[0] == steps[1] and steps[0]["verdict"]["s_lo"] == "2"
 
 
 def test_cli_step1_only_report(capsys):
@@ -600,9 +602,8 @@ def test_cli_run_of_a_json_copy_is_byte_identical(scheme, tmp_path):
         assert (tmp_path / "json" / f).read_bytes() == (tmp_path / "name" / f).read_bytes(), f
 
 
-@pytest.mark.parametrize("name", [n for n in registry_names() if n != "nls"])
+@pytest.mark.parametrize("name", registry_names())
 def test_cli_analyze_of_a_json_copy_matches(name, tmp_path, capsys):
-    # the JSON NLS has no constant a and is linearized at zero, so it is left out
     reports = []
     for pde in (name, _json_copy(tmp_path, name)):
         assert main(["analyze", pde, "--format", "json"]) == 0
@@ -614,12 +615,17 @@ def test_cli_analyze_of_a_json_copy_matches(name, tmp_path, capsys):
 
 
 def test_cli_run_of_a_json_copy_refuses_constants_it_lacks(tmp_path, capsys):
-    # the breather reads the constants m and lam of the registered dirac
+    # the copy of dirac has the registered dirac's equations, so the breather
+    # reads m and lam from that form and the run is the same byte for byte
     path = _json_copy(tmp_path, "dirac")
-    rc = main(["run", "--pde", path, "--dx", "0.6", "--dt", "0.2", "--domain=-12,12", "--T", "0.4",
-               "--ic", "breather", "--out", str(tmp_path / "run")])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: form 'dirac' has no constant m; its constants: none\n"
+    args = ["--dx", "0.6", "--dt", "0.2", "--domain=-12,12", "--T", "0.4", "--ic", "breather"]
+    assert main(["run", "--pde", "dirac", *args, "--out", str(tmp_path / "name")]) == 0
+    assert main(["run", "--pde", path, *args, "--out", str(tmp_path / "json")]) == 0
+    files = sorted(p.name for p in (tmp_path / "name").iterdir())
+    assert files == ["energy.csv", "run.json"] == sorted(p.name for p in (tmp_path / "json").iterdir())
+    for f in files:
+        assert (tmp_path / "json" / f).read_bytes() == (tmp_path / "name" / f).read_bytes(), f
+    capsys.readouterr()
     assert main(["run", "--pde", path, "--params", "rho=3", "--dx", "0.6", "--dt", "0.2", "--T", "0.4",
                  "--ic", "zero", "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "error: form 'dirac' has no constant rho; its constants: none\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import inspect
 import re
@@ -36,6 +37,7 @@ from diamondstab.msform import (
     registry_names,
 )
 from diamondstab.solutions import (
+    builtin_initial_condition,
     dirac_breather,
     linear_kg_plane_wave,
     mixed_kg_cosine,
@@ -64,6 +66,23 @@ def test_gauss_tableau_range():
         gauss_tableau(5)
     with pytest.raises(ValueError):
         gauss_tableau(0)
+
+
+def test_one_tableau_per_r_keeps_the_store_from_growing():
+    # tableaus hash by identity: a new one per run would add a Step-3 entry
+    # to the form's store at every run
+    assert gauss_tableau(2) is integrator.parse_scheme("rk:2")
+    for name in ("A", "b", "c", "F", "mu", "beta"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(gauss_tableau(2), name)[0] = 1.0
+    form = registry_get("dirac")
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"))
+    mesh = MeshParams(a=-12.0, b=12.0, N=40, dt=0.2, T=0.4)
+    sizes = []
+    for _ in range(3):
+        integrate(form, "rk:2", ic, mesh, observers=(), exact=exact)
+        sizes.append(len(msform._MADE[form]))
+    assert sizes == sizes[:1] * 3
 
 
 def test_mesh_params_validation():
@@ -293,6 +312,29 @@ def test_integrate_rejects_observers_the_scheme_cannot_record(scheme, observers)
     mesh = MeshParams(a=0.0, b=1.0, N=8, dt=0.1, T=0.1)
     with pytest.raises(ValueError, match=f"'{observers[-1]}'"):
         integrate(registry_get("dirac"), scheme, ic, mesh, observers=observers)
+
+
+def test_an_exact_start_needs_the_equations_it_solves():
+    # a form named "dirac" with m and lam but twice the mass matrix is not the
+    # registered dirac, whose breather would not solve it
+    dirac = registry_get("dirac")
+    doubled = dataclasses.replace(dirac, P=2.0 * dirac.P)
+    with pytest.raises(ValueError, match="no builtin initial condition 'breather' for form 'dirac'"):
+        builtin_initial_condition("breather", doubled)
+    # a form with dirac's equations under other labels gets it, at its own constants
+    relabelled = dataclasses.replace(registry_get("dirac", m=2.0), names=("a", "b", "c", "d"))
+    ic, exact = builtin_initial_condition("breather", relabelled)
+    assert np.array_equal(exact(0.3, 0.2), dirac_breather(2.0, 1.0)[1](0.3, 0.2))
+
+
+@pytest.mark.parametrize("scheme,recorded", [("simple", "energies"), ("rk:2", "norms")])
+def test_integrate_records_the_schemes_own_observer_by_default(scheme, recorded):
+    form = registry_get("dirac")
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"))
+    res = integrate(form, scheme, ic, MeshParams(a=-12.0, b=12.0, N=40, dt=0.2, T=0.4), exact=exact)
+    records = {"energies": res.energies, "norms": res.norms}
+    assert len(records.pop(recorded)) == len(res.times) == 2
+    assert list(records.values()) == [None] and res.snapshots == []
 
 
 @pytest.mark.parametrize("scheme", ["simple", "rk:2"])

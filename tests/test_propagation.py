@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +12,14 @@ import numpy as np
 import pytest
 
 import diamondstab
-from diamondstab.msform import MultiSymplecticForm, linearize, registry_get, registry_names
+from diamondstab.msform import (
+    MultiSymplecticForm,
+    form_to_dict,
+    linearize,
+    load_form_json,
+    registry_get,
+    registry_names,
+)
 from diamondstab.pipeline import reference_linearization, run_pipeline
 from diamondstab.propagation import (
     AffineIndex,
@@ -168,6 +177,28 @@ def test_steps_1_2_ignore_the_variable_names(name):
     assert step2_outcome(run_pipeline(same, stop_after=2)) == step2_outcome(run_pipeline(form, stop_after=2))
 
 
+def test_a_form_is_analysed_by_its_equations_not_its_name():
+    # dirac named "nls" with the constant a is not the registered NLS: it is
+    # linearized at zero under its own labels and analysed as dirac
+    dirac = registry_get("dirac")
+    renamed = dataclasses.replace(dirac, name="nls", params=(("a", 2.0),))
+    report = run_pipeline(renamed, stop_after=2)
+    assert step2_outcome(report) == step2_outcome(run_pipeline(dirac, stop_after=2))
+    assert report.verdict.s_lo == 1 and report.lin.names == ("p1", "q1", "p2", "q2")
+    with pytest.raises(ValueError, match="plane-wave amplitude of the registered nls"):
+        run_pipeline(renamed, rho=4.0, stop_after=1)
+
+
+def test_json_nls_is_linearized_about_the_registered_plane_wave(tmp_path):
+    path = tmp_path / "nls.json"
+    path.write_text(json.dumps(form_to_dict(registry_get("nls"))))
+    copy = reference_linearization(load_form_json(path), 4.0)
+    registered = reference_linearization(registry_get("nls"), 4.0)
+    assert (copy.name, copy.names) == (registered.name, registered.names)
+    for field in ("K", "L", "Peff", "z_ref"):
+        assert np.array_equal(getattr(copy, field), getattr(registered, field)), field
+
+
 def steps_1_2(lin):
     """Step 1's consistency and Step 2's (unstable, s_lo, s_hi) of a linearization."""
     dm = classify_consistency(lin)
@@ -181,8 +212,8 @@ def test_steps_1_2_are_invariant_under_signed_permutations():
     # z = T w with T a signed permutation maps K, L and Peff to T^T K T, T^T L T
     # and T^T Peff T, a relabelling of the unknowns and of the equations.  Only
     # the verdicts are compared: ties in the DM matching may pick other pivots,
-    # so the cycle lists may differ.  (Elementary shears do change the verdicts
-    # of most forms today, so they are left out.)
+    # so the cycle lists may differ.  (Elementary shears change the verdicts of
+    # most forms today: test_steps_1_2_under_elementary_shears.)
     rng = np.random.default_rng(11)
     for name in registry_names():
         lin = reference_linearization(registry_get(name))
@@ -199,6 +230,31 @@ def test_steps_1_2_are_invariant_under_signed_permutations():
                 z_ref=T.T @ lin.z_ref,
             )
             assert steps_1_2(moved) == expected, (name, perm)
+
+
+def test_steps_1_2_under_elementary_shears():
+    # z = T w with T = I +- e_i e_j^T maps K, L and Peff to T^T K T, T^T L T and
+    # T^T Peff T, the same system in other unknowns.  Most linearizations
+    # change their verdict under some shear (the basis dependence of Steps 1
+    # and 2); the count per form is printed, and only the forms that are
+    # invariant today are held to it.
+    for name in registry_names():
+        lin = reference_linearization(registry_get(name))
+        expected = steps_1_2(lin)
+        changed = total = 0
+        for i, j in itertools.permutations(range(lin.d), 2):
+            for sign in (1.0, -1.0):
+                T = np.eye(lin.d)
+                T[i, j] = sign
+                sheared = dataclasses.replace(
+                    lin, K=T.T @ lin.K @ T, L=T.T @ lin.L @ T, Peff=T.T @ lin.Peff @ T,
+                    z_ref=lin.z_ref - sign * lin.z_ref[j] * np.eye(lin.d)[i],
+                )
+                changed += steps_1_2(sheared) != expected
+                total += 1
+        print(f"BASIS {name}: {changed}/{total} elementary shears change Steps 1-2")
+        if name in ("dirac", "hunter_saxton_1", "hunter_saxton_2"):
+            assert changed == 0, name
 
 
 def test_import_leaves_out_networkx():
