@@ -286,24 +286,20 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
     iterates of some rows and the same rows of ``data``.  A chord iteration
     from Z0 with ``chord``, which maps a residual to its step through the
     inverse of the Jacobian at z = 0 and returns that step and its row
-    norms, runs first (see _chord_iterate for the rule).  The rows it
-    leaves go on to Newton from their last chord iterate, or from Z0 where
-    that iterate's residual is not below the one at Z0.  ``chord`` None
-    runs Newton alone.  The iterates keep Z0's memory layout.  Returns the
-    final iterate and its residual.
+    norms, runs first (see _chord_iterate for the rule); the scheme's
+    pivot is regular, or Step 3 has refused the solve.  The rows it leaves
+    go on to Newton from their last chord iterate, or from Z0 where that
+    iterate's residual is not below the one at Z0.  The iterates keep Z0's
+    memory layout.  Returns the final iterate and its residual.
     """
     Z = np.copy(Z0)
     res = residual(Z, *data)
-    if chord is None:
-        rows = np.arange(len(Z))
-    else:
-        res0 = np.copy(res)
-        rows = _chord_iterate(residual, Z, res, data, chord)
+    res0 = np.copy(res)
+    rows = _chord_iterate(residual, Z, res, data, chord)
     if rows.size:
-        if chord is not None:
-            # Newton starts afresh where the chord raised the residual or overflowed
-            back = rows[~(_row_norms(res[rows]) < _row_norms(res0[rows]))]
-            Z[back], res[back] = Z0[back], res0[back]
+        # Newton starts afresh where the chord raised the residual or overflowed
+        back = rows[~(_row_norms(res[rows]) < _row_norms(res0[rows]))]
+        Z[back], res[back] = Z0[back], res0[back]
         Z[rows], res[rows] = _newton(
             residual, jacobian, Z[rows], res[rows], _take(data, rows), res_tol
         )
@@ -396,9 +392,9 @@ class _DiamondKernel:
 
     ``corners(Zb, Zl, Zr)`` returns c = L/dx (Zr - Zl) - K/dt Zb and
     s = Zb + Zl + Zr, ``residual(Z, c, s)`` returns K/dt Z + c -
-    grad S((Z + s)/4), and ``step(r)``, None where the pivot K/dt - P/4 is
-    singular, returns the chord step pivot^-1 r and its Euclidean norm per
-    diamond.  ``opscale`` scales the solve's tolerances, and ``Kdt`` is K/dt.
+    grad S((Z + s)/4), and ``step(r)`` returns the chord step pivot^-1 r,
+    with the pivot K/dt - P/4, and its Euclidean norm per diamond.
+    ``opscale`` scales the solve's tolerances, and ``Kdt`` is K/dt.
     """
 
     corners: object
@@ -454,32 +450,26 @@ def _generate_diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float, pi
     src.line("return out.T")
     residual = src.compile("residual", "Z", "C", "S")
 
-    step = None
-    if pivot_inv is not None:
-        src = _KernelSource()
-        src.line("r = R.T")
-        src.line("out = np.empty(r.shape)")
-        src.rows("r", names["r"])
-        for i in range(d):
-            src.store(f"out[{i}]", src.linear(pivot_inv[i], names["r"]))
-        src.line("sq = out * out")
-        src.line(f"norm = {' + '.join(f'sq[{i}]' for i in range(d))}")
-        src.line("return out.T, np.sqrt(norm, norm)")
-        step = src.compile("step", "R")
+    src = _KernelSource()
+    src.line("r = R.T")
+    src.line("out = np.empty(r.shape)")
+    src.rows("r", names["r"])
+    for i in range(d):
+        src.store(f"out[{i}]", src.linear(pivot_inv[i], names["r"]))
+    src.line("sq = out * out")
+    src.line(f"norm = {' + '.join(f'sq[{i}]' for i in range(d))}")
+    src.line("return out.T, np.sqrt(norm, norm)")
+    step = src.compile("step", "R")
     return _DiamondKernel(corners, residual, step, _opscale(form, dt, dx), Kdt)
 
 
 def _diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float) -> _DiamondKernel:
     """The form's diamond kernel for dt and dx, made once; the chord step
-    comes from the pivot of Step 3's blocks, and is None (Newton alone)
-    where that pivot is singular."""
+    comes from the pivot of Step 3's blocks, so a singular pivot raises
+    SingularUpdateError (_step3_blocks) and no kernel is made."""
 
     def make(form):
-        try:
-            pivot_inv = _step3_blocks(form, "simple", dt, dx).pivot_inv
-        except spectral.SingularUpdateError:
-            pivot_inv = None
-        return _generate_diamond_kernel(form, dt, dx, pivot_inv)
+        return _generate_diamond_kernel(form, dt, dx, _step3_blocks(form, "simple", dt, dx).pivot_inv)
 
     return _made_once(form, ("kernel", dt, dx), make)
 
@@ -501,15 +491,16 @@ def solve_diamonds(
 ) -> np.ndarray:
     """Solve a batch of diamond updates; rows are independent diamonds.
 
-    Linear forms apply Step 3's one-diamond map z_t = B z_b + Am z_l + Ap z_r
-    (spectral.build_blocks_simple), which raises SingularUpdateError where
-    the pivot K/dt - P/4 is singular; a stacked product gives each row the
-    bits of a one-row call.  Nonlinear forms solve the residual
+    Step 3's blocks (spectral.build_blocks_simple) decide whether the
+    diamonds can be solved: where the pivot K/dt - P/4 is singular they
+    raise SingularUpdateError, linear or not.  Linear forms apply their
+    one-diamond map z_t = B z_b + Am z_l + Ap z_r; a stacked product gives
+    each row the bits of a one-row call.  Nonlinear forms solve the residual
     K/dt Z + c - grad S((Z + s)/4), with the known corners folded into c and
-    s, by _solve_nonlinear with res_tol 1e-13 opscale: the chord is the
-    inverse of that pivot, or Newton runs alone where it is singular.
-    _require_solved accepts each row at 1e-9 opscale, scaled by its top and
-    corners, and raises NewtonError otherwise.  The rows are stored
+    s, by _solve_nonlinear with res_tol 1e-13 opscale and the inverse of
+    that pivot as the chord.  _require_solved accepts each row at 1e-9
+    opscale, scaled by its top and corners, and raises NewtonError
+    otherwise.  The rows are stored
     components first (each component of the batch is one contiguous
     vector; inputs stored so are not copied), and the corners, the residual
     and the chord step with its row norms come from one kernel generated
@@ -794,10 +785,13 @@ def integrate(
     ``scheme`` is "simple" or an RKTableau / "rk:R" string.  Each half-step
     is an independent map over the N diamonds, solved as one batch; after
     the first step, the nonlinear simple-scheme solves start from the time
-    predictor 2 z^n - z^(n-1).  A value exceeding ``blowup``, or any non-finite value, ends the run with status
-    "diverged" (an outcome, not an error).  A non-finite initial state is
-    rejected with ValueError.  ``init_method`` ("auto", "exact" or "box")
-    picks the start of both schemes alike.  Observers are sampled at t = 0,
+    predictor 2 z^n - z^(n-1).  Step 3's pivot of the scheme at the mesh's
+    dt and dx is asked before the start: where it is singular the run
+    raises SingularUpdateError before any work, linear form or not.  A
+    value exceeding ``blowup``, or any non-finite value, ends the run with
+    status "diverged" (an outcome, not an error).  A non-finite initial
+    state is rejected with ValueError.  ``init_method`` ("auto", "exact"
+    or "box") picks the start of both schemes alike.  Observers are sampled at t = 0,
     every max(100, nt / 200) full steps and at the horizon.  "norms" and
     "snapshots" work for both schemes; "energy" is a simple-scheme observer
     (the collocation edge stacks hold no vertex values).  Any other observer,
@@ -817,6 +811,7 @@ def integrate(
                 f"scheme; expected one of: {', '.join(accepted)}"
             )
     start = _exact_start(init_method, exact)
+    _step3_blocks(form, scheme, mesh.dt, mesh.dx)
     nt = mesh.nt
     cadence = max(100, math.ceil(nt / 200))
     want_energy = "energy" in observers

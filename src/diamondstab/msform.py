@@ -499,8 +499,9 @@ def _exactness_issues(form: MultiSymplecticForm) -> list[str]:
 def validate_form(form: MultiSymplecticForm) -> ValidationReport:
     """Check the structural invariants of a form.
 
-    Variable names must be distinct, every entry of K, L, P and every term
-    coefficient finite, and so every Jacobian coefficient c * e_j of a term.
+    Variable names must be distinct, every entry of K, L, P, every term
+    coefficient and every named constant finite, and so every Jacobian
+    coefficient c * e_j of a term.
     K and L must be exactly skew-symmetric, and the right-hand side an exact
     gradient, decided from the coefficients (_exactness_issues).
     """
@@ -532,6 +533,9 @@ def validate_form(form: MultiSymplecticForm) -> ValidationReport:
             issues.append(f"term in row {t.row} has degree {t.degree} < 2")
         elif math.isfinite(t.coeff) and not math.isfinite(t.coeff * max(t.exponents)):
             issues.append(f"terms[{k}]: Jacobian coefficient {t.coeff} * {max(t.exponents)} is not finite")
+    for key, value in form.params:
+        if not math.isfinite(value):
+            issues.append(f"params.{key} = {value} is not finite")
     if not issues:
         issues = _exactness_issues(form)
     return ValidationReport(not issues, tuple(issues))
@@ -543,8 +547,12 @@ def validate_form(form: MultiSymplecticForm) -> ValidationReport:
 
 
 def form_to_dict(form: MultiSymplecticForm) -> dict:
+    """The form in the JSON schema load_form_json reads, its constants
+    (``params``) included, so a copy of a registered form is recognised
+    as that form built with the same constants."""
     return {
         "name": form.name,
+        "params": dict(form.params),
         "d": form.d,
         "names": list(form.names),
         "K": form.K.tolist(),
@@ -624,7 +632,9 @@ def load_form_json(path) -> MultiSymplecticForm:
     rather than truncated.  ``names``, ``terms`` and each ``exponents`` must
     be lists, and each term an object with a ``row``, a numeric ``coeff``
     and ``exponents``.  ``K``, ``L`` and ``P`` must be d lists of d numbers;
-    a string, boolean or null entry is named rather than converted.
+    a string, boolean or null entry is named rather than converted.  The
+    optional ``params`` is an object of the form's named constants, each a
+    number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -641,6 +651,9 @@ def load_form_json(path) -> MultiSymplecticForm:
     if len(names) != d:
         raise ValueError(f"{path}: names has length {len(names)}, expected d={d}")
     terms = tuple(_json_term(path, k, t) for k, t in enumerate(_json_list(path, "terms", data.get("terms", []))))
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{path}: params = {params!r} is not an object")
     form = MultiSymplecticForm(
         name=str(data.get("name", "json_form")),
         names=names,
@@ -648,6 +661,7 @@ def load_form_json(path) -> MultiSymplecticForm:
         L=_json_matrix(path, "L", data["L"], d),
         P=_json_matrix(path, "P", data["P"], d),
         terms=terms,
+        params=tuple((key, _json_number(path, f"params.{key}", value)) for key, value in params.items()),
     )
     report = validate_form(form)
     if not report.ok:
@@ -893,8 +907,8 @@ def registry_get(name: str, **params: float) -> MultiSymplecticForm:
 
 def _registered(form: MultiSymplecticForm) -> MultiSymplecticForm | None:
     """The registered form named ``form.name``, built with ``form.params`` as
-    its constants (the registry defaults when there are none, as for a JSON
-    copy), when its K, L, P and terms are the form's own; None otherwise.
+    its constants (the registry defaults when there are none), when its K,
+    L, P and terms are the form's own; None otherwise.
     Variable names are labels and are not compared."""
     try:
         registered = registry_get(form.name, **dict(form.params))

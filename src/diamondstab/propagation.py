@@ -41,6 +41,9 @@ class AffineIndex:
     def __add__(self, other: "AffineIndex") -> "AffineIndex":
         return AffineIndex(self.a + other.a, self.b + other.b)
 
+    def __sub__(self, other: "AffineIndex") -> "AffineIndex":
+        return AffineIndex(self.a - other.a, self.b - other.b)
+
     def label(self) -> str:
         if self.a == 0:
             return str(self.b)
@@ -50,17 +53,11 @@ class AffineIndex:
         return f"{sa}{self.b:+d}"
 
 
-# amplification of a source relative to the pivot, keyed by
-# (pivot channel, source channel); channels: K time derivative,
-# L space derivative, P averaged right-hand side.
-_RULE = {
-    ("K", "K"): AffineIndex(0, 0),
-    ("K", "L"): AffineIndex(1, -1),
-    ("K", "P"): AffineIndex(1, 0),
-    ("P", "K"): AffineIndex(-1, 0),
-    ("P", "L"): AffineIndex(0, -1),
-    ("P", "P"): AffineIndex(0, 0),
-}
+# the power of dx each channel of a diamond equation scales like under
+# dt ~ dx**s: K z_t like dx**-s, L z_x like dx**-1 and the averaged
+# right-hand side P like 1.  A source is amplified by its channel's
+# exponent less the pivot's.
+_EXPONENT = {"K": AffineIndex(-1, 0), "L": AffineIndex(0, -1), "P": AffineIndex(0, 0)}
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,15 @@ def build_propagation_graph(lin: LinearizedForm, dm: DMReport) -> PropagationGra
 
     For equation row i solved for target j (in DM order), the pivot is the
     time derivative when K[i, j] != 0 and the averaged right-hand side
-    otherwise.  Every other variable appearing in row i sends an edge into j
-    weighted by the rule table; self-edges through the old value or the
-    average are kept.
+    otherwise.  Every variable with an entry in row i sends an edge into j
+    through each channel (K, L, P, in that order) where it has one,
+    weighted by _EXPONENT[channel] - _EXPONENT[pivot]; the target's own
+    pivot channel, the old value at the diamond bottom or the three known
+    corners of the average, comes last among its edges.
     """
     if not dm.consistent:
         raise ValueError("propagation graph requires a structurally consistent form")
+    channels = {"K": lin.K, "L": lin.L, "P": lin.Peff}
     edges: list[PropEdge] = []
     for eq, target in dm.order:
         if lin.K[eq, target] != 0.0:
@@ -141,25 +141,13 @@ def build_propagation_graph(lin: LinearizedForm, dm: DMReport) -> PropagationGra
         elif lin.Peff[eq, target] != 0.0:
             pivot = "P"
         else:
-            raise InternalPivotError(
-                f"equation {eq} has no admissible pivot for variable {lin.names[target]}"
-            )
+            raise InternalPivotError(f"equation {eq} has no admissible pivot for variable {lin.names[target]}")
         for src in range(lin.d):
-            channels = []
-            if lin.K[eq, src] != 0.0 and not (pivot == "K" and src == target):
-                channels.append("K")
-            if lin.L[eq, src] != 0.0:
-                channels.append("L")
-            if lin.Peff[eq, src] != 0.0 and not (pivot == "P" and src == target):
-                channels.append("P")
-            if pivot == "K" and src == target:
-                # old value at the diamond bottom enters with coefficient 1
-                channels.append("K")
-            if pivot == "P" and src == target:
-                # the three known corners of the average
-                channels.append("P")
-            for ch in channels:
-                edges.append(PropEdge(src, target, _RULE[(pivot, ch)], eq))
+            present = [ch for ch, M in channels.items() if M[eq, src] != 0.0]
+            if src == target:
+                present.append(present.pop(present.index(pivot)))
+            for ch in present:
+                edges.append(PropEdge(src, target, _EXPONENT[ch] - _EXPONENT[pivot], eq))
     return PropagationGraph(tuple(range(lin.d)), tuple(edges), lin.names)
 
 

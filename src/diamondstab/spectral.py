@@ -45,8 +45,10 @@ class SingularUpdateError(RuntimeError):
 
     For the simple scheme the pivot is K/dt - Peff/4, for the collocation
     scheme the stage matrix Q.  ``_pivot_inverse`` below is the one test;
-    ``build_blocks_simple`` and ``build_blocks_rk`` apply it and raise this,
-    and the integrators ask them.  Structural inconsistency makes the pivot
+    ``build_blocks_simple`` and ``build_blocks_rk`` apply it and raise this.
+    It is the integrators' one rule for whether a diamond can be solved:
+    both schemes' solves, linear or nonlinear, ask the builders, and a run
+    asks them before its start.  Structural inconsistency makes the pivot
     singular at every step size, but so can cancelling entries of a
     consistent form (det(x K - Peff/4) = 0 for all x).
     """

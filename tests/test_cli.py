@@ -186,6 +186,21 @@ def test_cli_run_solver_failure_is_one_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("pde", ["kdv", "camassa_holm", "bbm", "hunter_saxton_1", "hunter_saxton_2"])
+def test_cli_run_on_a_singular_pivot_is_step3s_error(pde, tmp_path, capsys):
+    # Step 3's pivot decides both schemes, linear or nonlinear, before the start
+    args = ["run", "--pde", pde, "--dx", "0.1", "--dt", "0.05", "--T", "0.5", "--ic", "zero"]
+    for scheme, message in (
+        ("simple", f"update pivot K/dt - P/4 is singular for '{pde}' at dt=0.05; "
+                   "the form may be structurally inconsistent, or its entries cancel"),
+        ("rk:2", f"collocation stage matrix Q is singular for '{pde}'; "
+                 "structural inconsistency carries over to the high-order scheme"),
+    ):
+        assert main([*args, "--scheme", scheme, "--out", str(tmp_path / scheme)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / scheme).exists()
+
+
 DECIDED_BEFORE_STEP3 = {
     "kdv": "StructurallyInconsistent",
     "camassa_holm": "StructurallyInconsistent",
@@ -257,9 +272,11 @@ def test_form_consistent_only_through_nonlinear_terms(tmp_path, capsys):
     assert report.dm.consistent and not report.lin_dm.consistent
     assert report.classification == "StructurallyInconsistent"
     assert report.lin is not None and report.verdict is None and report.spectral_verdict is None
-    # the collocation stage test refuses the same form
+    # the pivot tests of both schemes refuse the same form
     with pytest.raises(spectral.SingularUpdateError):
         solve_diamond_rk(form, gauss_tableau(2), np.zeros((2, 4)), np.zeros((2, 4)), 0.1, 0.1)
+    with pytest.raises(spectral.SingularUpdateError):
+        integrator.solve_diamonds(form, *np.zeros((3, 2, 4)), 0.1, 0.1)
 
     assert main(["analyze", str(path), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -275,9 +292,9 @@ def test_form_consistent_only_through_nonlinear_terms(tmp_path, capsys):
 
 
 def test_cli_analyze_json_nls_gets_the_plane_wave_step2(tmp_path, capsys):
-    # a JSON form carries no constants: the copy of nls has the equations of
-    # the registered nls at its default a, so it is linearized about the
-    # same plane wave and gets the same Step-2 edges and verdict
+    # the copy of nls has the equations of the registered nls at its default
+    # a, so it is linearized about the same plane wave and gets the same
+    # Step-2 edges and verdict
     path = tmp_path / "nls.json"
     path.write_text(json.dumps(form_to_dict(registry_get("nls"))))
     steps = []
@@ -628,8 +645,54 @@ def test_cli_run_of_a_json_copy_refuses_constants_it_lacks(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--pde", path, "--params", "rho=3", "--dx", "0.6", "--dt", "0.2", "--T", "0.4",
                  "--ic", "zero", "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err == "error: form 'dirac' has no constant rho; its constants: none\n"
+    assert capsys.readouterr().err == "error: form 'dirac' has no constant rho; its constants: m, lam\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_of_a_json_copy_keeps_its_constants(tmp_path):
+    # the copy of dirac at m = 2 is recognised as that form: its breather
+    # reads m = 2, as --params m=2 gives the registered dirac
+    path = tmp_path / "dirac_m2.json"
+    path.write_text(json.dumps(form_to_dict(registry_get("dirac", m=2.0))))
+    args = ["--dx", "0.6", "--dt", "0.2", "--domain=-12,12", "--T", "0.4", "--ic", "breather",
+            "--observe", "energy,snapshots"]
+    assert main(["run", "--pde", "dirac", "--params", "m=2", *args, "--out", str(tmp_path / "name")]) == 0
+    assert main(["run", "--pde", str(path), *args, "--out", str(tmp_path / "json")]) == 0
+    files = sorted(p.name for p in (tmp_path / "name").iterdir())
+    assert len(files) >= 3 and files == sorted(p.name for p in (tmp_path / "json").iterdir())
+    for f in files:
+        assert (tmp_path / "json" / f).read_bytes() == (tmp_path / "name" / f).read_bytes(), f
+
+
+def test_cli_analyze_of_a_json_copy_keeps_its_constants(tmp_path, capsys):
+    # the copy of nls at a = 3 gets the registered plane-wave linearization
+    # at a = 3, not the linearization at zero
+    path = tmp_path / "nls_a3.json"
+    path.write_text(json.dumps(form_to_dict(registry_get("nls", a=3.0))))
+    steps = []
+    for argv in ([str(path), "--params", "rho=9"], ["nls", "--params", "a=3", "rho=9"]):
+        assert main(["analyze", *argv, "--step2", "--format", "json"]) == 0
+        steps.append(json.loads(capsys.readouterr().out)["step2"])
+    assert steps[0] == steps[1]
+    report = run_pipeline(load_form_json(path), rho=9.0, stop_after=2)
+    assert np.diag(report.lin.Peff).tolist() == [27.0, 27.0, 1.0, 1.0] and len(report.graph.edges) == 10
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ([1.0], "{path}: params = [1.0] is not an object"),
+        ({"a": "abc"}, "{path}: params.a = 'abc' is not a number"),
+        ({"a": float("nan")}, "params.a = nan is not finite"),
+    ],
+)
+def test_cli_bad_params_of_a_json_form_are_one_error_line(params, message, tmp_path, capsys):
+    data = form_to_dict(registry_get("nls"))
+    data["params"] = params
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 def test_cli_edges_final_x_are_the_sampled_positions(tmp_path, monkeypatch):

@@ -760,6 +760,18 @@ def test_chord_solve_properties(name, scheme, amplitude, dt_over_dx, rows, seed)
         assert np.array_equal(one_newton, newton[i])
 
 
+def _pivot_is_singular(form, dt, dx):
+    """Whether Step 3 refuses the form's simple pivot at dt and dx; where it
+    does, the form gets no diamond kernel either."""
+    try:
+        integrator._step3_blocks(form, "simple", dt, dx)
+    except SingularUpdateError:
+        with pytest.raises(SingularUpdateError):
+            integrator._diamond_kernel(form, dt, dx)
+        return True
+    return False
+
+
 def _diamond_kernel_forms(random_term_form):
     rng = np.random.default_rng(2323)
     forms = [f for f in map(registry_get, registry_names()) if not f.is_linear]
@@ -773,19 +785,17 @@ def test_generated_diamond_kernel_matches_the_diamond_equation(dt, dx, random_te
     # and subtracts without a product
     rng = np.random.default_rng(2424)
     for form in _diamond_kernel_forms(random_term_form):
-        kernel, mag = integrator._diamond_kernel(form, dt, dx), magnitude_form(form)
         Z, Zb, Zl, Zr = (integrator._rows(rng.standard_normal((7, form.d))) for _ in range(4))
+        if _pivot_is_singular(form, dt, dx):
+            continue
+        kernel, mag = integrator._diamond_kernel(form, dt, dx), magnitude_form(form)
         got = kernel.residual(Z, *kernel.corners(Zb, Zl, Zr))
         avg = 0.25 * (Z + Zb + Zl + Zr)
         ref = (Z - Zb) @ form.K.T / dt + (Zr - Zl) @ form.L.T / dx - eval_grad_S(form, avg)
         bound = (np.abs(Z) + np.abs(Zb)) @ mag.K.T / dt + (np.abs(Zr) + np.abs(Zl)) @ mag.L.T / dx
         bound += eval_grad_S(mag, np.abs(avg))
         assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + bound))
-        try:
-            pivot_inv = integrator._step3_blocks(form, "simple", dt, dx).pivot_inv
-        except spectral.SingularUpdateError:
-            assert kernel.step is None
-            continue
+        pivot_inv = integrator._step3_blocks(form, "simple", dt, dx).pivot_inv
         delta, norm = kernel.step(got)
         assert np.all(np.abs(delta - got @ pivot_inv.T) <= 1e-14 * (1.0 + np.abs(got) @ np.abs(pivot_inv).T))
         assert np.all(np.abs(norm - np.linalg.norm(delta, axis=1)) <= 1e-14 * norm)
@@ -794,46 +804,50 @@ def test_generated_diamond_kernel_matches_the_diamond_equation(dt, dx, random_te
 def test_generated_diamond_kernel_rows_equal_one_row_calls(random_term_form):
     rng = np.random.default_rng(2525)
     for form in _diamond_kernel_forms(random_term_form):
-        kernel = integrator._diamond_kernel(form, 0.1, 0.2)
         Z, Zb, Zl, Zr = (integrator._rows(rng.standard_normal((9, form.d))) for _ in range(4))
+        if _pivot_is_singular(form, 0.1, 0.2):
+            continue
+        kernel = integrator._diamond_kernel(form, 0.1, 0.2)
         c, s = kernel.corners(Zb, Zl, Zr)
         res = kernel.residual(Z, c, s)
-        step = kernel.step(res) if kernel.step is not None else None
+        step = kernel.step(res)
         for i in range(len(Z)):
             one = [integrator._rows(X[i]) for X in (Z, Zb, Zl, Zr)]
             c1, s1 = kernel.corners(*one[1:])
             assert np.array_equal(c1[0], c[i]) and np.array_equal(s1[0], s[i])
             res1 = kernel.residual(one[0], c1, s1)
             assert np.array_equal(res1[0], res[i])
-            if step is not None:
-                delta1, norm1 = kernel.step(res1)
-                assert np.array_equal(delta1[0], step[0][i]) and norm1[0] == step[1][i]
+            delta1, norm1 = kernel.step(res1)
+            assert np.array_equal(delta1[0], step[0][i]) and norm1[0] == step[1][i]
         # an empty batch has empty parts
         empty = np.zeros((0, form.d))
         c0, s0 = kernel.corners(empty, empty, empty)
         assert c0.shape == s0.shape == kernel.residual(empty, c0, s0).shape == (0, form.d)
-        if kernel.step is not None:
-            delta0, norm0 = kernel.step(empty)
-            assert delta0.shape == (0, form.d) and norm0.shape == (0,)
+        delta0, norm0 = kernel.step(empty)
+        assert delta0.shape == (0, form.d) and norm0.shape == (0,)
 
 
-def test_chord_skipped_where_the_update_matrix_is_singular():
-    # K/dt - P/4 = [[-1, 1], [-1, 1]] at dt = 1: Newton alone solves the rows
+def test_singular_update_matrix_refuses_the_solve():
+    # K/dt - P/4 = [[-1, 1], [-1, 1]] at dt = 1: Step 3 refuses the
+    # nonlinear solve as it refuses a linear one
     form = MultiSymplecticForm(
         "pivot", ("a", "b"), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.diag([4.0, -4.0]),
         (PolynomialTerm(1, 1.0, (3, 0)),),
     )
-    for _ in range(2):  # the second call raises from the kept message
-        with pytest.raises(SingularUpdateError):
-            integrator._step3_blocks(form, "simple", 1.0, 0.1)
-    integrator._step3_blocks(form, "simple", 0.5, 0.1)
-    # the generated kernel has no chord step there
-    assert integrator._diamond_kernel(form, 1.0, 0.1).step is None
-    assert integrator._diamond_kernel(form, 0.5, 0.1).step is not None
     Zb, Zl, Zr = 0.5 + 0.1 * np.random.default_rng(5).standard_normal((3, 6, 2))
-    np.testing.assert_array_equal(
-        solve_diamonds(form, Zb, Zl, Zr, 1.0, 0.1), _newton_only(solve_diamonds, form, Zb, Zl, Zr, 1.0, 0.1)
-    )
+    messages = []
+    for _ in range(2):  # the second call raises from the kept message
+        with pytest.raises(SingularUpdateError) as info:
+            solve_diamonds(form, Zb, Zl, Zr, 1.0, 0.1)
+        messages.append(str(info.value))
+    assert messages == [
+        "update pivot K/dt - P/4 is singular for 'pivot' at dt=1; "
+        "the form may be structurally inconsistent, or its entries cancel"
+    ] * 2
+    # at dt = 0.5 the pivot is regular and the chord solves the rows
+    assert integrator._diamond_kernel(form, 0.5, 0.1).step is not None
+    chord = solve_diamonds(form, Zb, Zl, Zr, 0.5, 0.1)
+    np.testing.assert_allclose(chord, _newton_only(solve_diamonds, form, Zb, Zl, Zr, 0.5, 0.1), rtol=1e-12)
 
 
 def _solve_both(form, tableau):
@@ -857,8 +871,8 @@ generate_grad_kernel = msform._generate_grad_kernel
 
 
 def test_what_a_form_makes_once_is_dropped_with_it(monkeypatch):
-    # kdv's pivots are singular (its simple-scheme rows run Newton alone,
-    # which meets a singular Newton matrix here); dirac and nls solve
+    # kdv's pivots are singular, so Step 3 refuses both schemes' solves;
+    # dirac and nls solve
     tableau = gauss_tableau(2)
     pivots, kernels = [], []
     monkeypatch.setattr(spectral, "_pivot_inverse", lambda M: pivots.append(M) or spectral_pivot_inverse(M))
@@ -866,7 +880,7 @@ def test_what_a_form_makes_once_is_dropped_with_it(monkeypatch):
     gc.collect()
     stored = len(msform._MADE)
     for name, expected, made in (
-        ("kdv", [NewtonError, SingularUpdateError], 0), ("dirac", ["solved"] * 2, 1), ("nls", ["solved"] * 2, 1),
+        ("kdv", [SingularUpdateError] * 2, 0), ("dirac", ["solved"] * 2, 1), ("nls", ["solved"] * 2, 1),
     ):
         form = registry_get(name)
         first = _solve_both(form, tableau)
@@ -899,12 +913,36 @@ def test_what_a_form_makes_once_is_dropped_with_it(monkeypatch):
 
 
 def test_singular_newton_matrix_is_a_newton_error():
-    # kdv's pivot is singular, so Newton runs alone, and its first matrix is singular
-    form = registry_get("kdv")
+    # K = [[0, 1], [-1, 0]], L = P = 0 and S = a^2 b: the pivot K/dt is
+    # regular, but Newton's matrix K - J_S/4 at a = 2 has a zero column
+    form = MultiSymplecticForm(
+        "newton", ("a", "b"), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.zeros((2, 2)),
+        (PolynomialTerm(1, 2.0, (1, 1)), PolynomialTerm(2, 1.0, (2, 0))),
+    )
+    rows = np.tile([2.0, 0.3], (3, 1))
     with pytest.raises(NewtonError) as info:
-        solve_diamonds(form, np.full((3, 4), 0.1), np.zeros((3, 4)), np.zeros((3, 4)), 0.1, 0.1)
+        _newton_only(solve_diamonds, form, rows, rows, rows, 1.0, 0.1)
     assert str(info.value) == "singular Newton matrix in the diamond solve"
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("name", ["kdv", "camassa_holm", "bbm", "hunter_saxton_1", "hunter_saxton_2"])
+def test_a_run_on_a_singular_pivot_ends_before_its_start(name):
+    # these forms are structurally inconsistent: the run stops with Step 3's
+    # message, before the box start, in both schemes
+    form = registry_get(name)
+    mesh = MeshParams(a=0.0, b=1.0, N=11, dt=0.05, T=0.5)
+
+    def ic(x):
+        return np.outer(0.1 * np.sin(2 * np.pi * x), np.ones(form.d))
+
+    for scheme, message in (
+        ("simple", f"update pivot K/dt - P/4 is singular for '{name}' at dt=0.05; "),
+        ("rk:2", f"collocation stage matrix Q is singular for '{name}'; "),
+    ):
+        with pytest.raises(SingularUpdateError) as info:
+            integrate(form, scheme, ic, mesh, init_method="box")
+        assert str(info.value).startswith(message)
 
 
 def test_unknown_init_method_is_refused():
@@ -1054,6 +1092,23 @@ def test_bounded_nls_run_keeps_its_400_step_values():
     rows = list(NLS_400_ROWS)
     ref = np.array([NLS_400_ROWS[i] for i in rows])
     assert np.abs(res.state.values[rows] - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("scheme", ["simple", "rk:2"])
+def test_doubling_K_and_dt_leaves_the_dirac_breather_run_unchanged(scheme):
+    # 2K z_t + L z_x = grad S is solved by z(x, t/2): with dt -> 2dt and
+    # T -> 2T the run takes the same steps, and since K/dt keeps its bits
+    # it ends in the same state bit for bit
+    form = registry_get("dirac")
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"), 0.5)
+    doubled = dataclasses.replace(form, K=2.0 * form.K)
+    states = []
+    for f, dt, start in ((form, 0.2, exact), (doubled, 0.4, lambda x, t: exact(x, t / 2.0))):
+        mesh = MeshParams(a=-24.0, b=24.0, N=160, dt=dt, T=10 * dt)
+        res = integrate(f, scheme, ic, mesh, observers=(), exact=start)
+        assert res.status == "completed"
+        states.append(res.state.values if scheme == "simple" else res.edge_state)
+    assert np.array_equal(states[0], states[1])
 
 
 def test_nonfinite_row_reaches_newton_and_leaves_the_others_alone(monkeypatch):

@@ -75,12 +75,17 @@ def test_missing_constant_names_the_form_and_its_constants(tmp_path):
     with pytest.raises(ValueError) as exc:
         registry_get("dirac").param("mass")
     assert str(exc.value) == "form 'dirac' has no constant mass; its constants: m, lam"
-    # a JSON form carries no constants
+    # a JSON form written without params carries no constants
+    data = msform.form_to_dict(registry_get("dirac"))
     path = tmp_path / "dirac.json"
-    path.write_text(json.dumps(msform.form_to_dict(registry_get("dirac"))))
+    path.write_text(json.dumps({key: value for key, value in data.items() if key != "params"}))
     with pytest.raises(ValueError) as exc:
         load_form_json(path).param("m")
     assert str(exc.value) == "form 'dirac' has no constant m; its constants: none"
+    # the copy form_to_dict writes keeps them
+    path.write_text(json.dumps(data))
+    copy = load_form_json(path)
+    assert copy.params == registry_get("dirac").params and copy.param("m") == 1.0
 
 
 def test_skew_violation_reported_with_indices():

@@ -747,3 +747,65 @@ def test_simple_and_rk1_symbols_have_equal_power_traces(name):
             for k in range(16):
                 worst = max(worst, _power_trace_gap(simple.symbol(k), rk1.symbol(k)))
     assert worst <= TRACE_GAP.get(name, 5e-14), worst
+
+
+def _covariance_lins():
+    """The five forms of the basis checks, linearized as Step 3 reads them."""
+    lins = {name: lin_for(name) for name in ("wave", "linear_kg", "good_boussinesq", "dirac")}
+    lins["nls"] = nls_constant_amplitude_linearization(9.0)
+    return lins
+
+
+def _changes_of_basis(d, rng):
+    """Every elementary shear I +- e_i e_j^T (i != j) and 9 signed permutations."""
+    for i in range(d):
+        for j in range(d):
+            for sign in (1.0, -1.0) if i != j else ():
+                T = np.eye(d)
+                T[i, j] = sign
+                yield T
+    for _ in range(9):
+        yield np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+
+
+def test_step3_symbols_do_not_depend_on_the_basis_of_z():
+    # z = T w turns K, L and Peff into T^T K T, T^T L T and T^T Peff T; the
+    # diamond maps are then T^-1 (map) T on each of the 2r edge blocks of
+    # the state, so the symbols satisfy Lambda_w = S^-1 Lambda_z S with
+    # S = I_2r (x) T (r = 1 for the simple scheme)
+    rng = np.random.default_rng(2601)
+    dt, dx, N = 0.01, 0.1, 16
+    q = np.arange(N) / N
+    cases = 0
+    for name, lin in _covariance_lins().items():
+        for T in _changes_of_basis(lin.d, rng):
+            moved = LinearizedForm(
+                name, lin.names, T.T @ lin.K @ T, T.T @ lin.L @ T, T.T @ lin.Peff @ T, np.linalg.solve(T, lin.z_ref)
+            )
+            for scheme, r in (("simple", 1), (gauss_tableau(1), 1), (gauss_tableau(2), 2)):
+                lam_z = symbol_family(lin, scheme, dt, dx, N).symbols_at(q)
+                lam_w = symbol_family(moved, scheme, dt, dx, N).symbols_at(q)
+                S = np.kron(np.eye(2 * r), T)
+                gap = np.abs(lam_w - np.linalg.solve(S, lam_z @ S)).max()
+                assert gap <= 1e-11 * np.abs(lam_z).max(), (name, T.tolist(), scheme)
+                cases += 1
+    assert cases == 423
+
+
+def _blocks_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+@pytest.mark.parametrize("scheme", ["simple", "rk:2"])
+def test_step3_is_unchanged_by_doubling_K_and_dt(scheme):
+    # K -> 2K with dt -> 2dt leaves K/dt, and with it every block, bit for
+    # bit: powers of two scale without rounding
+    tableau = "simple" if scheme == "simple" else gauss_tableau(2)
+    build = build_blocks_simple if scheme == "simple" else (lambda lin, dt, dx: build_blocks_rk(lin, tableau, dt, dx))
+    for name, lin in _covariance_lins().items():
+        doubled = LinearizedForm(name, lin.names, 2.0 * lin.K, lin.L, lin.Peff, lin.z_ref)
+        assert _blocks_equal(build(doubled, 0.02, 0.1), build(lin, 0.01, 0.1)), name
+    lin = lin_for("good_boussinesq")
+    doubled = LinearizedForm(lin.name, lin.names, 2.0 * lin.K, lin.L, lin.Peff, lin.z_ref)
+    family = symbol_family(doubled, tableau, 0.02, 0.1, 16)
+    assert _blocks_equal(family, symbol_family(lin, tableau, 0.01, 0.1, 16))
