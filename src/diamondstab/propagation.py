@@ -152,12 +152,13 @@ def build_propagation_graph(lin: LinearizedForm, dm: DMReport) -> PropagationGra
 
 
 def propagation_dot(graph: PropagationGraph) -> str:
-    """Graphviz rendering with symbolic edge weights ("s-1", "-1", ...)."""
+    """Graphviz rendering with symbolic edge weights ("s-1", "-1", ...);
+    node n{i} is variable i, labelled with its name."""
     lines = ["digraph propagation {"]
-    for n in graph.names:
-        lines.append(f'  "{n}";')
+    for i in graph.nodes:
+        lines.append(f'  n{i} [label="{graph.names[i]}"];')
     for e in graph.edges:
-        lines.append(f'  "{graph.names[e.src]}" -> "{graph.names[e.dst]}" [label="{e.index.label()}"];')
+        lines.append(f'  n{e.src} -> n{e.dst} [label="{e.index.label()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -167,29 +168,40 @@ def enumerate_cycles(graph: PropagationGraph) -> list[Cycle]:
 
     Depth-first search from each node in turn, visiting only greater nodes,
     so every cycle starts at its least node and is found once per choice of
-    parallel edges.
+    parallel edges.  The search pushes and pops one path and one edge list
+    and carries the integer weight sums; a Cycle is built when one closes.
     """
-    out = [[e for e in graph.edges if e.src == n] for n in graph.nodes]
+    out = [[(e.dst, e.index.a, e.index.b, e) for e in graph.edges if e.src == n] for n in graph.nodes]
     cycles: list[Cycle] = []
+    path: list[int] = []
+    chosen: list[PropEdge] = []
 
-    def extend(root: int, path: list[int], chosen: list[PropEdge]) -> None:
-        for e in out[path[-1]]:
-            if e.dst == root:
-                edges = (*chosen, e)
-                weight = sum((x.index for x in edges), AffineIndex(0, 0))
-                cycles.append(Cycle(tuple(path), edges, weight))
-            elif e.dst > root and e.dst not in path:
-                extend(root, path + [e.dst], chosen + [e])
+    def extend(root: int, a: int, b: int) -> None:
+        for dst, ea, eb, e in out[path[-1]]:
+            if dst == root:
+                cycles.append(Cycle(tuple(path), (*chosen, e), AffineIndex(a + ea, b + eb)))
+            elif dst > root and dst not in path:
+                path.append(dst)
+                chosen.append(e)
+                extend(root, a + ea, b + eb)
+                path.pop()
+                chosen.pop()
 
     for root in graph.nodes:
-        extend(root, [root], [])
+        path.append(root)
+        extend(root, 0, 0)
+        path.pop()
     return cycles
 
 
 def stability_threshold(cycles: list[Cycle]) -> Step2Verdict:
-    """Exact-rational feasible set { s > 0 : every cycle weight >= 0 }."""
-    lower = Fraction(0)
-    upper: Fraction | None = None
+    """Exact-rational feasible set { s > 0 : every cycle weight >= 0 }.
+
+    The bounds are kept as integer pairs (n, d), d > 0, and compared by
+    cross-multiplication; only the returned ones become Fractions.
+    """
+    lo_n, lo_d = 0, 1
+    upper: tuple[int, int] | None = None
     witness: list[Cycle] = []
     for c in cycles:
         a, b = c.weight.a, c.weight.b
@@ -197,16 +209,14 @@ def stability_threshold(cycles: list[Cycle]) -> Step2Verdict:
             if b < 0:
                 witness.append(c)
         elif a > 0:
-            lower = max(lower, Fraction(-b, a))
-        else:
-            bound = Fraction(b, -a)
-            if bound <= 0:
-                witness.append(c)
-            elif upper is None or bound < upper:
-                upper = bound
-    if witness or (upper is not None and lower > upper):
+            if -b * lo_d > lo_n * a:  # -b/a > lower
+                lo_n, lo_d = -b, a
+        elif b <= 0:  # the bound b/(-a) is not positive
+            witness.append(c)
+        elif upper is None or b * upper[1] < upper[0] * -a:
+            upper = (b, -a)
+    if witness or (upper is not None and lo_n * upper[1] > upper[0] * lo_d):
         return Step2Verdict(True, None, None, (), tuple(witness))
-    binding = tuple(
-        c for c in cycles if Fraction(c.weight.a) * lower + c.weight.b == 0
-    )
-    return Step2Verdict(False, lower, upper, binding, ())
+    binding = tuple(c for c in cycles if c.weight.a * lo_n + c.weight.b * lo_d == 0)
+    s_hi = None if upper is None else Fraction(*upper)
+    return Step2Verdict(False, Fraction(lo_n, lo_d), s_hi, binding, ())

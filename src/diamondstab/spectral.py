@@ -322,9 +322,10 @@ class SpectralVerdict:
 # N = 800 with m up to 16).
 _EIGVALS_CHUNK = 32
 # k_marginal: a modulus within _ON_CIRCLE of 1 is a unitary eigenvalue's
-# rounding; one below 1 - _MARGIN (under "growth": below half the threshold)
+# rounding (1e-16 to 1e-9 on these symbols), one tenth of the criterion's
+# slack; one below 1 - _MARGIN (under "growth": below half the threshold)
 # is too far inside to cross it
-_ON_CIRCLE = 1e-12
+_ON_CIRCLE = _TOL / 10
 _MARGIN = 1e-6
 
 
@@ -370,7 +371,7 @@ def _within(criterion: Criterion, dominant: float, dt: float | None) -> bool:
 
 
 def _marginal(criterion: Criterion, moduli: np.ndarray, dt: float | None) -> tuple[int, ...]:
-    """The k whose modulus is more than _ON_CIRCLE off the unit circle and
+    """The k whose modulus is more than _ON_CIRCLE (1e-10) off the unit circle and
     above 1 - _MARGIN, or under "growth" above half the growth threshold
     (lambda ** (1/dt) > sqrt(theta)); never k = 0 under "nozero"."""
     if criterion.kind == "growth":
@@ -501,17 +502,21 @@ def stability_boundary_sweep(
     otherwise provisionally stable.  When the
     search at a dx ends, one full verdict confirms its dt_max.  Each full
     verdict adds its ``k_marginal`` to W, and an unstable one adds its
-    deciding k and runs the search at that dx again from dt = dx.  W carries
-    across dx.  The search therefore takes the path, and every bit, of a
-    bisection with a full verdict per dt wherever the stability of the
-    unwatched frequencies changes only once on the path (at a boundary
-    below which they are all stable).
+    deciding k and runs the search at that dx again from dt = dx.  At the
+    next dx, W keeps only the k that have decided a dt unstable (at any dx)
+    and the ``k_marginal`` of the last full verdict.  The search therefore
+    takes the path, and every bit, of a bisection with a full verdict per
+    dt wherever the stability of the unwatched frequencies changes only
+    once on the path (at a boundary below which they are all stable).
     """
     _require_sweep_lengths(domain_length, dx_list)
     points: list[SweepPoint] = []
     watch: list[int] = []  # the k that last decided a dt unstable comes first
+    deciders: set[int] = set()  # every k that has decided a dt unstable
+    last_marginal: tuple[int, ...] = ()  # of the last full verdict
 
     def lead(k: int) -> None:
+        deciders.add(k)
         if k in watch:
             watch.remove(k)
         watch.insert(0, k)
@@ -519,6 +524,7 @@ def stability_boundary_sweep(
     for dx in dx_list:
         N = max(2, round(domain_length / dx))
         decided = spectra = 0
+        watch[:] = [k for k in watch if k in deciders or k in last_marginal]
 
         def provisionally_stable(dt: float) -> bool:
             nonlocal decided
@@ -531,7 +537,8 @@ def stability_boundary_sweep(
         while (dt_max := _boundary(provisionally_stable, dx)) is not None:
             spectra += 1
             verdict = spectral_verdict(symbol_family(lin, scheme, dt_max, dx, N), criterion, dt=dt_max)
-            watch += [k for k in verdict.k_marginal if k not in watch]
+            last_marginal = verdict.k_marginal
+            watch += [k for k in last_marginal if k not in watch]
             if verdict.stable:
                 break
             lead(verdict.k_dominant_nonzero if criterion.kind == "nozero" else verdict.k_dominant)

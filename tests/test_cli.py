@@ -744,11 +744,14 @@ def test_cli_analyze_writes_dot_files(tmp_path):
     assert [line for line in lines if " -- " in line] == [
         f"  eq{i} -- un{j} [style={'solid' if tag == 'K' else 'dashed'}];" for (i, j), tag in report.bip.provenance
     ]
-    # one directed line per Step-2 edge between the names of its nodes, labelled with its index
+    # one node per variable, labelled with its name, and one directed line per
+    # Step-2 edge between the nodes of its variables, labelled with its index
     lines = (tmp_path / "nls" / "nls_propagation.dot").read_text().splitlines()
-    names = report.graph.names
+    assert [line for line in lines if "label" in line and " -> " not in line] == [
+        f'  n{i} [label="{name}"];' for i, name in enumerate(report.graph.names)
+    ]
     assert [line for line in lines if " -> " in line] == [
-        f'  "{names[e.src]}" -> "{names[e.dst]}" [label="{e.index.label()}"];' for e in report.graph.edges
+        f'  n{e.src} -> n{e.dst} [label="{e.index.label()}"];' for e in report.graph.edges
     ]
     assert len(report.bip.provenance) == 6 and len(report.graph.edges) == 10
     # kdv stops at Step 1: no propagation graph to draw

@@ -13,6 +13,7 @@ import pytest
 
 import diamondstab
 from diamondstab.msform import (
+    LinearizedForm,
     MultiSymplecticForm,
     form_to_dict,
     linearize,
@@ -26,8 +27,10 @@ from diamondstab.propagation import (
     Cycle,
     PropagationGraph,
     PropEdge,
+    Step2Verdict,
     build_propagation_graph,
     enumerate_cycles,
+    propagation_dot,
     stability_threshold,
 )
 from diamondstab.structure import classify_consistency
@@ -157,6 +160,120 @@ def test_cycles_match_brute_force_on_random_multigraphs():
             )
 
 
+def oracle_enumerate_cycles(graph):
+    """The former enumeration: a copied path and edge list per step, and each
+    weight summed as AffineIndex from the cycle's edges."""
+    out = [[e for e in graph.edges if e.src == n] for n in graph.nodes]
+    cycles = []
+
+    def extend(root, path, chosen):
+        for e in out[path[-1]]:
+            if e.dst == root:
+                edges = (*chosen, e)
+                weight = sum((x.index for x in edges), AffineIndex(0, 0))
+                cycles.append(Cycle(tuple(path), edges, weight))
+            elif e.dst > root and e.dst not in path:
+                extend(root, path + [e.dst], chosen + [e])
+
+    for root in graph.nodes:
+        extend(root, [root], [])
+    return cycles
+
+
+def oracle_stability_threshold(cycles):
+    """The former threshold, in Fractions throughout."""
+    lower = Fraction(0)
+    upper = None
+    witness = []
+    for c in cycles:
+        a, b = c.weight.a, c.weight.b
+        if a == 0:
+            if b < 0:
+                witness.append(c)
+        elif a > 0:
+            lower = max(lower, Fraction(-b, a))
+        else:
+            bound = Fraction(b, -a)
+            if bound <= 0:
+                witness.append(c)
+            elif upper is None or bound < upper:
+                upper = bound
+    if witness or (upper is not None and lower > upper):
+        return Step2Verdict(True, None, None, (), tuple(witness))
+    binding = tuple(c for c in cycles if Fraction(c.weight.a) * lower + c.weight.b == 0)
+    return Step2Verdict(False, lower, upper, binding, ())
+
+
+def assert_step2_matches_the_oracle(graph):
+    cycles = enumerate_cycles(graph)
+    assert cycles == oracle_enumerate_cycles(graph)
+    assert stability_threshold(cycles) == oracle_stability_threshold(cycles)
+    return len(cycles)
+
+
+def signed_permutation(lin, perm, signs):
+    """z = T w with T a signed permutation: K, L and Peff become T^T K T,
+    T^T L T and T^T Peff T, a relabelling of the unknowns and equations."""
+    T = np.eye(lin.d)[:, perm] * signs
+    return type(lin)(
+        name=lin.name,
+        names=tuple(lin.names[j] for j in perm),
+        K=T.T @ lin.K @ T,
+        L=T.T @ lin.L @ T,
+        Peff=T.T @ lin.Peff @ T,
+        z_ref=T.T @ lin.z_ref,
+    )
+
+
+def test_step2_matches_the_oracle_on_registered_forms_and_their_signed_permutations():
+    rng = np.random.default_rng(3)
+    graphs = 0
+    for name in registry_names():
+        lin = reference_linearization(registry_get(name))
+        for perm in [np.arange(lin.d), np.arange(lin.d)[::-1]] + [rng.permutation(lin.d) for _ in range(6)]:
+            moved = signed_permutation(lin, perm, rng.choice([-1.0, 1.0], lin.d))
+            dm = classify_consistency(moved)
+            if dm.consistent:
+                assert_step2_matches_the_oracle(build_propagation_graph(moved, dm))
+                graphs += 1
+    assert graphs == 8 * 8  # the 8 consistent registered forms, 8 relabellings each
+
+
+def _skew(rng, d, density):
+    M = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rng.random() < density:
+                M[i, j] = float(rng.choice([-1.0, 1.0, -0.5, 0.5]))
+                M[j, i] = -M[i, j]
+    return M
+
+
+def random_linearization(rng, d):
+    """K, L and P drawn as perfbench/formgen.py draws them (a cubic S adds
+    nothing to the linearization at zero)."""
+    K, L = _skew(rng, d, 0.35), _skew(rng, d, 0.3)
+    P = np.zeros((d, d))
+    for i in range(d):
+        if rng.random() < 0.5:
+            P[i, i] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+        for j in range(i + 1, d):
+            if rng.random() < 0.12:
+                P[i, j] = P[j, i] = float(rng.choice([-1.0, 1.0]))
+    return LinearizedForm("random", tuple(f"z{i}" for i in range(d)), K, L, P, np.zeros(d))
+
+
+def test_step2_matches_the_oracle_on_random_graphs():
+    rng = np.random.default_rng(1)
+    counts = []
+    while len(counts) < 240:
+        lin = random_linearization(rng, 3 + len(counts) % 6)  # d = 3 .. 8
+        dm = classify_consistency(lin)
+        if dm.consistent:
+            counts.append(assert_step2_matches_the_oracle(build_propagation_graph(lin, dm)))
+    assert max(counts) >= 5000
+
+
 def step2_outcome(report):
     """Classification, (s_lo, s_hi), index edges and (nodes, weight) cycles of a report."""
     v = report.verdict
@@ -220,15 +337,7 @@ def test_steps_1_2_are_invariant_under_signed_permutations():
         expected = steps_1_2(lin)
         perms = [np.arange(lin.d)[::-1]] + [rng.permutation(lin.d) for _ in range(8)]
         for perm in perms:
-            T = np.eye(lin.d)[:, perm] * rng.choice([-1.0, 1.0], lin.d)
-            moved = type(lin)(
-                name=lin.name,
-                names=tuple(lin.names[j] for j in perm),
-                K=T.T @ lin.K @ T,
-                L=T.T @ lin.L @ T,
-                Peff=T.T @ lin.Peff @ T,
-                z_ref=T.T @ lin.z_ref,
-            )
+            moved = signed_permutation(lin, perm, rng.choice([-1.0, 1.0], lin.d))
             assert steps_1_2(moved) == expected, (name, perm)
 
 
@@ -255,6 +364,20 @@ def test_steps_1_2_under_elementary_shears():
         print(f"BASIS {name}: {changed}/{total} elementary shears change Steps 1-2")
         if name in ("dirac", "hunter_saxton_1", "hunter_saxton_2"):
             assert changed == 0, name
+
+
+def test_propagation_dot_draws_one_node_per_variable():
+    # the wave matrices with one name for every variable: three nodes, and
+    # the six edges between them, not one node with loops
+    form = dataclasses.replace(registry_get("wave"), names=("z", "z", "z"))
+    graph = run_pipeline(form, stop_after=2).graph
+    lines = propagation_dot(graph).splitlines()
+    assert [line for line in lines if " -> " not in line and "label" in line] == [
+        '  n0 [label="z"];', '  n1 [label="z"];', '  n2 [label="z"];'
+    ]
+    edges = [line for line in lines if " -> " in line]
+    assert edges == [f'  n{e.src} -> n{e.dst} [label="{e.index.label()}"];' for e in graph.edges]
+    assert {(e.src, e.dst) for e in graph.edges} == {(0, 0), (1, 1), (2, 2), (2, 1), (0, 2), (1, 0)}
 
 
 def test_import_leaves_out_networkx():
