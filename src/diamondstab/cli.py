@@ -55,14 +55,18 @@ def _step1_dict(dm: structure.DMReport) -> dict:
 
 
 def _step2_dict(graph, cycles, verdict) -> dict:
-    """Step 2 as JSON, each variable index written as its name."""
+    """Step 2 as JSON, each variable written as its name and its index
+    (names may repeat; the ``.dot`` file's node n{i} is index i)."""
+    names = graph.names
     return {
         "edges": [
-            {"src": graph.names[e.src], "dst": graph.names[e.dst], "index": e.index.label(), "equation": e.equation}
+            {"src": names[e.src], "src_index": e.src, "dst": names[e.dst], "dst_index": e.dst,
+             "index": e.index.label(), "equation": e.equation}
             for e in graph.edges
         ],
         "cycles": [
-            {"nodes": [graph.names[n] for n in c.nodes], "weight": c.weight.label()} for c in cycles
+            {"nodes": [names[n] for n in c.nodes], "node_indices": list(c.nodes), "weight": c.weight.label()}
+            for c in cycles
         ],
         "verdict": {
             "unconditionally_unstable": verdict.unconditionally_unstable,

@@ -26,7 +26,7 @@ from .msform import (
     _frozen_array,
     _grad_kernel,
     _KernelSource,
-    _made_once,
+    _made_per_mesh,
     _require_positive,
     eval_S,
     eval_grad_S,
@@ -100,7 +100,7 @@ class RKTableau:
 def gauss_tableau(r: int) -> RKTableau:
     """Gauss-Legendre collocation on (0, 1) with r stages: one tableau per r,
     shared by every caller, so its arrays are read-only and a form's store
-    (msform._made_once) keeps one Step-3 entry per r and mesh."""
+    (msform._made_per_mesh) keeps one Step-3 entry per r and mesh."""
     if not 1 <= r <= 4:
         raise ValueError("stage count r must be in 1..4")
     nodes, weights = np.polynomial.legendre.leggauss(r)
@@ -219,7 +219,8 @@ _STEP_TOL = 1e-13
 
 def _step3_blocks(form: MultiSymplecticForm, scheme, dt: float, dx: float):
     """Step 3's one-diamond map of the form linearized at zero, made once per
-    form, scheme ("simple" or an RKTableau), dt and dx.  Where its pivot is
+    form, scheme ("simple" or an RKTableau), dt and dx, and kept for the
+    form's last meshes (msform._made_per_mesh).  Where its pivot is
     singular every lookup raises a new SingularUpdateError with the message
     of the first, which is what is kept."""
 
@@ -232,7 +233,7 @@ def _step3_blocks(form: MultiSymplecticForm, scheme, dt: float, dx: float):
         except spectral.SingularUpdateError as exc:
             return str(exc)
 
-    blocks = _made_once(form, (scheme, dt, dx), make)
+    blocks = _made_per_mesh(form, (dt, dx), scheme, make)
     if isinstance(blocks, str):
         raise spectral.SingularUpdateError(blocks)
     return blocks
@@ -269,11 +270,14 @@ def _require_solved(res: np.ndarray, tol: float, *values: np.ndarray) -> None:
     that row across ``values``); NaN never passes.  Raises NewtonError
     naming the first five rows that are not solved."""
     norm = _row_norms(res)
-    # norm <= tol * scale with scale >= 1: only rows above tol need the scale
+    # norm <= tol * scale with scale >= 1: only rows above tol need the scale,
+    # taken from the row norms of the values side by side (cheaper than
+    # gathering the rows above tol from each value first)
     bad = np.flatnonzero(~(norm <= tol))
     if bad.size:
-        flat = np.concatenate([v[bad].reshape(bad.size, -1) for v in values], axis=1)
-        bad = bad[~(norm[bad] <= tol * (1.0 + np.linalg.norm(flat, axis=1)))]
+        flat = np.concatenate([v.reshape(len(v), -1) for v in values], axis=1)
+        scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        bad = bad[~(norm[bad] <= tol * (1.0 + scale[bad]))]
     if bad.size:
         raise NewtonError(f"diamond solve did not converge at rows {bad[:5].tolist()}")
 
@@ -464,14 +468,15 @@ def _generate_diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float, pi
 
 
 def _diamond_kernel(form: MultiSymplecticForm, dt: float, dx: float) -> _DiamondKernel:
-    """The form's diamond kernel for dt and dx, made once; the chord step
+    """The form's diamond kernel for dt and dx, made once and kept as Step 3's
+    blocks are (_step3_blocks); the chord step
     comes from the pivot of Step 3's blocks, so a singular pivot raises
     SingularUpdateError (_step3_blocks) and no kernel is made."""
 
     def make(form):
         return _generate_diamond_kernel(form, dt, dx, _step3_blocks(form, "simple", dt, dx).pivot_inv)
 
-    return _made_once(form, ("kernel", dt, dx), make)
+    return _made_per_mesh(form, (dt, dx), "kernel", make)
 
 
 def _rows(Z) -> np.ndarray:

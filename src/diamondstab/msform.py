@@ -19,6 +19,7 @@ import inspect
 import json
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,13 @@ __all__ = [
 
 
 # what is made once per form: its compiled terms, its generated grad S kernel
-# and, in the integrators, Step 3's blocks and the diamond kernel, each under
-# its own key; a form does not change, and its entries go when it is freed
+# and, in the integrators, Step 3's blocks and the diamond kernel of a mesh
+# (dt, dx), each under its own key; a form does not change, and its entries
+# go when it is freed
 _MADE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# meshes (dt, dx) whose entries a form keeps: enough for a run's scheme and
+# a second dt, or both schemes of a run, never to make them again
+_MESHES_KEPT = 4
 
 
 def _made_once(form: MultiSymplecticForm, key, make):
@@ -59,6 +64,22 @@ def _made_once(form: MultiSymplecticForm, key, make):
     if key not in per_form:
         per_form[key] = make(form)
     return per_form[key]
+
+
+def _made_per_mesh(form: MultiSymplecticForm, mesh: tuple[float, float], key, make):
+    """``_made_once`` for what depends on a mesh (dt, dx): kept for the
+    _MESHES_KEPT meshes of the form used last, the oldest dropped whole."""
+    meshes = _made_once(form, "meshes", lambda form: OrderedDict())
+    per_mesh = meshes.get(mesh)
+    if per_mesh is None:
+        per_mesh = meshes[mesh] = {}
+        if len(meshes) > _MESHES_KEPT:
+            meshes.popitem(last=False)
+    else:
+        meshes.move_to_end(mesh)
+    if key not in per_mesh:
+        per_mesh[key] = make(form)
+    return per_mesh[key]
 
 
 @dataclass(frozen=True)

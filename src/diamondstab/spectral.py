@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -317,10 +321,20 @@ class SpectralVerdict:
     k_marginal: tuple[int, ...]
 
 
-# Phases per stacked eigvals call.  One call on the whole (N, m, m) stack is
-# no faster than chunks of 16 to 32 and raises peak memory (by about 5 MB at
-# N = 800 with m up to 16).
-_EIGVALS_CHUNK = 32
+# Phases per stacked eigvals call: at least the fewest, from _MIN_CHUNK,
+# whose phases x block size exceed _GIL_FREE_SIZE, with the phases split
+# evenly so that no short last stack is left.  numpy's stacked eigvals
+# releases the GIL only above that size, so smaller stacks would run one at
+# a time on the pool's threads (and a short last stack made two-stack
+# verdicts slower on the pool than serial).  One call on the whole (N, m, m)
+# stack is no faster and raises peak memory (by about 5 MB at N = 800 with
+# m up to 16).
+_MIN_CHUNK = 32
+_GIL_FREE_SIZE = 500
+# one pool thread per usable core; with one, every call stays serial
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 # k_marginal: a modulus within _ON_CIRCLE of 1 is a unitary eigenvalue's
 # rounding (1e-16 to 1e-9 on these symbols), one tenth of the criterion's
 # slack; one below 1 - _MARGIN (under "growth": below half the threshold)
@@ -329,15 +343,43 @@ _ON_CIRCLE = _TOL / 10
 _MARGIN = 1e-6
 
 
+def _eigvals_pool() -> ThreadPoolExecutor:
+    """The process's eigvals pool, made at its first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="eigvals")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads: it makes its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chunk_moduli(family: SymbolFamily, q: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvals(family.symbols_at(q))).max(axis=1)
+
+
 def _moduli_at(family: SymbolFamily, q) -> np.ndarray:
     """max |eig(Lambda(q))| per phase q; a stacked ``eigvals`` call gives
-    each symbol the bits of a call on that symbol alone."""
+    each symbol the bits of a call on that symbol alone, so the chunks may
+    run in any order.  Two or more chunks go to the pool when there is more
+    than one usable core; an error of a chunk reaches the caller as from
+    the serial loop."""
     q = np.asarray(q, dtype=float)
-    moduli = np.empty(len(q))
-    for start in range(0, len(q), _EIGVALS_CHUNK):
-        ev = np.linalg.eigvals(family.symbols_at(q[start : start + _EIGVALS_CHUNK]))
-        moduli[start : start + len(ev)] = np.abs(ev).max(axis=1)
-    return moduli
+    size = max(_MIN_CHUNK, _GIL_FREE_SIZE // family.block_size + 1)
+    if len(q) < 2 * size:
+        return _chunk_moduli(family, q)
+    chunks = np.array_split(q, len(q) // size)
+    work = partial(_chunk_moduli, family)
+    parts = _eigvals_pool().map(work, chunks) if _WORKERS > 1 else map(work, chunks)
+    return np.concatenate(list(parts))
 
 
 def _evaluated(family: SymbolFamily) -> int:

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from diamondstab import integrator, propagation, spectral
-from diamondstab.cli import _criterion, main
+from diamondstab.cli import _criterion, _step2_dict, main
 from diamondstab.integrator import gauss_tableau, solve_diamond_rk
 from diamondstab.msform import (
     MultiSymplecticForm,
@@ -289,6 +290,20 @@ def test_form_consistent_only_through_nonlinear_terms(tmp_path, capsys):
     assert "step 1 on the linearization: structurally inconsistent" in text
     assert main(["analyze", str(path), "--params", "a=1"]) == 1
     assert "JSON" in capsys.readouterr().err
+
+
+def test_step2_json_tells_repeated_names_apart():
+    # the wave matrices with one name for every variable: the indices, as
+    # in the .dot file's nodes n{i}, keep the three variables apart
+    form = dataclasses.replace(registry_get("wave"), names=("z", "z", "z"))
+    report = run_pipeline(form, stop_after=2)
+    step2 = json.loads(json.dumps(_step2_dict(report.graph, report.cycles, report.verdict)))
+    assert {(e["src"], e["dst"]) for e in step2["edges"]} == {("z", "z")}
+    assert [(e["src_index"], e["dst_index"]) for e in step2["edges"]] == [(e.src, e.dst) for e in report.graph.edges]
+    assert {(e["src_index"], e["dst_index"]) for e in step2["edges"]} == {(0, 0), (1, 1), (2, 2), (2, 1), (0, 2), (1, 0)}
+    assert [c["node_indices"] for c in step2["cycles"]] == [list(c.nodes) for c in report.cycles]
+    assert all(c["nodes"] == ["z"] * len(c["node_indices"]) for c in step2["cycles"])
+    assert [0, 2, 1] in [c["node_indices"] for c in step2["cycles"]]
 
 
 def test_cli_analyze_json_nls_gets_the_plane_wave_step2(tmp_path, capsys):

@@ -85,6 +85,30 @@ def test_one_tableau_per_r_keeps_the_store_from_growing():
     assert sizes == sizes[:1] * 3
 
 
+def test_the_store_keeps_the_last_meshes_only(monkeypatch):
+    # Step 3's blocks and the diamond kernel are kept for the last
+    # _MESHES_KEPT meshes (dt, dx) of a form: 200 dt leave a bounded store
+    # (401 entries when nothing was dropped), and a run's two dt with both
+    # schemes, which fit, are never made again
+    form = registry_get("dirac")
+    tableau = gauss_tableau(2)
+    pivots = []
+    monkeypatch.setattr(spectral, "_pivot_inverse", lambda M: pivots.append(M) or spectral_pivot_inverse(M))
+    for dt in np.linspace(0.01, 0.2, 200):
+        integrator._diamond_kernel(form, float(dt), 0.1)
+    meshes = msform._MADE[form]["meshes"]
+    assert len(meshes) == msform._MESHES_KEPT >= 2
+    assert set(meshes) == {(float(dt), 0.1) for dt in np.linspace(0.01, 0.2, 200)[-msform._MESHES_KEPT:]}
+    assert sum(len(per_mesh) for per_mesh in meshes.values()) == 2 * msform._MESHES_KEPT
+    assert set(msform._MADE[form]) <= {"terms", "grad S", "meshes"}
+    pivots.clear()
+    for _ in range(3):
+        for dt in (0.05, 0.025):
+            integrator._diamond_kernel(form, dt, 0.1)
+            integrator._step3_blocks(form, tableau, dt, 0.1)
+    assert len(pivots) == 4
+
+
 def test_mesh_params_validation():
     with pytest.raises(ValueError):
         MeshParams(a=0.0, b=1.0, N=1, dt=0.1, T=1.0)

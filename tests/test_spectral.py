@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -394,6 +395,104 @@ def test_batched_verdict_matches_per_k_loop(name, N):
         assert 1 <= v.k_dominant_nonzero <= N // 2
 
 
+def complex_family(N):
+    # complex blocks: every k is evaluated, none mirrored
+    rng = np.random.default_rng(3)
+    m = 4
+    C0 = rng.standard_normal((m, m)) + 0.3j * np.eye(m)
+    return SymbolFamily(C0, rng.standard_normal((m, m)), rng.standard_normal((m, m)), N)
+
+
+def pooled_moduli(fam, monkeypatch, chunk):
+    """_dominant_moduli on the pool with ``chunk`` phases per eigvals call,
+    and how many calls took the pool."""
+    calls = []
+    pool = spectral._eigvals_pool
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_WORKERS", 2)
+        patch.setattr(spectral, "_MIN_CHUNK", chunk)
+        patch.setattr(spectral, "_GIL_FREE_SIZE", 0)
+        patch.setattr(spectral, "_eigvals_pool", lambda: calls.append(1) or pool())
+        return spectral._dominant_moduli(fam), len(calls)
+
+
+@pytest.mark.parametrize("N", [64, 65, 800])
+@pytest.mark.parametrize("name", [*BATCH_FAMILIES, "complex"])
+def test_pool_and_serial_paths_give_the_loops_bits(name, N, monkeypatch):
+    fam = complex_family(N) if name == "complex" else batch_family(name, N)
+    n = spectral._evaluated(fam)
+    # the pool forced on, with 8 phases per chunk and with the default rule
+    # (several chunks, of at least that many phases, at N = 800 only), then
+    # the serial path of one core
+    forced, took = pooled_moduli(fam, monkeypatch, 8)
+    assert took == 1
+    chunk = max(32, 500 // fam.block_size + 1)
+    default, took = pooled_moduli(fam, monkeypatch, chunk)
+    assert took == (n >= 2 * chunk) and (took or N < 800)
+    monkeypatch.setattr(spectral, "_WORKERS", 1)
+    monkeypatch.setattr(spectral, "_eigvals_pool", None)  # never called
+    serial = spectral._dominant_moduli(fam)
+    assert forced.tobytes() == default.tobytes() == serial.tobytes()
+    assert serial[:n].tobytes() == loop_moduli(fam)[:n].tobytes()
+
+
+def test_one_chunk_or_one_core_starts_no_pool(monkeypatch):
+    # a witness read of a few k is one chunk: no pool is made, even with
+    # several cores, and no thread is started
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_pool", None)
+    fam = batch_family("good_boussinesq", 800)
+    for watch in ([1], [1, 7, 3, 400]):
+        spectral._witness(fam, Criterion("growth", theta=1e9), 1.0, watch)
+    spectral.spectral_verdict(batch_family("good_boussinesq", 40), Criterion("strict"))
+    assert spectral._pool is None
+    # with one usable core, neither is a verdict of several chunks
+    monkeypatch.setattr(spectral, "_WORKERS", 1)
+    spectral.spectral_verdict(fam, Criterion("strict"))
+    assert spectral._pool is None
+
+
+def test_a_non_finite_symbol_raises_the_same_error_on_both_paths(monkeypatch):
+    # only the last chunk's k = N/2 symbol is non-finite
+    class Broken(SymbolFamily):
+        def symbols_at(self, q):
+            stack = super().symbols_at(q)
+            stack[np.asarray(q) == 0.5] = np.nan
+            return stack
+
+    good = batch_family("good_boussinesq", 800)
+    fam = Broken(good.C0, good.Cp, good.Cm, good.N)
+    errors = []
+    for workers in (2, 1):
+        monkeypatch.setattr(spectral, "_WORKERS", workers)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            spectral.spectral_verdict(fam, Criterion("strict"))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and "infs or NaNs" in errors[0]
+
+
+def _verdict_in_child(expected: bytes) -> None:
+    if spectral._dominant_moduli(batch_family("good_boussinesq", 800)).tobytes() != expected:
+        raise SystemExit(1)
+
+
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    # the parent's pool threads are not in the child: without a pool of its
+    # own, the child's multi-chunk verdict would wait on them for ever
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    fam = batch_family("good_boussinesq", 800)
+    expected = spectral._dominant_moduli(fam).tobytes()
+    assert spectral._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_verdict_in_child, args=(expected,))
+    child.start()
+    child.join(timeout=30)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and child.exitcode == 0
+
+
 @pytest.mark.parametrize("criterion", [Criterion("strict"), Criterion("nozero"), Criterion("growth", theta=1.1)],
                          ids=["strict", "nozero", "growth:1.1"])
 @pytest.mark.parametrize("name", list(BATCH_FAMILIES))
@@ -439,10 +538,7 @@ def test_real_blocks_give_conjugate_symbols_at_mirrored_phases(name):
 def test_complex_blocks_evaluate_every_frequency():
     # Lambda_{N-k} = conj(Lambda_k) needs real blocks: here |eig| differs
     # between k and N - k, so a mirrored half would be wrong
-    rng = np.random.default_rng(3)
-    m, N = 4, 70
-    C0 = rng.standard_normal((m, m)) + 0.3j * np.eye(m)
-    fam = SymbolFamily(C0, rng.standard_normal((m, m)), rng.standard_normal((m, m)), N)
+    fam = complex_family(70)
     loop = loop_moduli(fam)
     np.testing.assert_array_equal(spectral._dominant_moduli(fam), loop)
     assert np.abs(loop[1:] - loop[1:][::-1]).max() > 1e-3
