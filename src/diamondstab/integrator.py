@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.sparse import bsr_matrix
-from scipy.sparse.linalg import splu
 
 from . import spectral
 from .msform import (
@@ -658,6 +656,16 @@ def _eval_pointwise(fn, xs: np.ndarray, d: int) -> np.ndarray:
     return np.stack([np.asarray(fn(float(x)), dtype=float) for x in xs])
 
 
+def splu(A):
+    """scipy's sparse LU of ``A``.  scipy is imported here, on the first box
+    start, because no other path of the package needs it: imported with the
+    package, it about tripled the time and doubled the memory that
+    ``import diamondstab`` takes."""
+    from scipy.sparse import linalg
+
+    return linalg.splu(A)
+
+
 def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams) -> np.ndarray:
     """One Preissmann-type box step of length dt/2 onto the half-point grid.
 
@@ -697,6 +705,8 @@ def _box_half_step(form: MultiSymplecticForm, ic, mesh: MeshParams) -> np.ndarra
                 "box initialization failed: singular Jacobian, because L is singular and "
                 f"N = {N} is even; use the exact start or an odd N"
             )
+    from scipy.sparse import bsr_matrix
+
     dself = K / (2 * dt2) + L / (2 * dx)
     dprev = K / (2 * dt2) - L / (2 * dx)
     # cyclic block-bidiagonal Jacobian: block row i couples cells i and i-1

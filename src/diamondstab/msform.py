@@ -613,6 +613,16 @@ def _json_number(path, where: str, value) -> float:
         raise ValueError(f"{path}: {where} is an integer beyond the float range") from None
 
 
+def _json_name(path, value) -> str:
+    """The ``name`` of a JSON form.  ``analyze --dot-dir`` writes files named
+    after it, so it must stay one file name inside that directory."""
+    if not isinstance(value, str):
+        raise ValueError(f"{path}: name = {value!r} is not a string")
+    if value in ("", ".", "..") or "/" in value or "\\" in value:
+        raise ValueError(f"{path}: name = {value!r} is not a file name (empty, '.', '..', or holding / or \\)")
+    return value
+
+
 def _json_matrix(path, key: str, value, d: int) -> list:
     """K, L or P of a JSON form: a list of d rows, each a list of d numbers."""
     rows = _json_list(path, key, value)
@@ -655,7 +665,8 @@ def load_form_json(path) -> MultiSymplecticForm:
     and ``exponents``.  ``K``, ``L`` and ``P`` must be d lists of d numbers;
     a string, boolean or null entry is named rather than converted.  The
     optional ``params`` is an object of the form's named constants, each a
-    number.
+    number.  The optional ``name`` (default "json_form") must be a non-empty
+    string that is not ``.`` or ``..`` and holds no ``/`` or ``\\``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -676,7 +687,7 @@ def load_form_json(path) -> MultiSymplecticForm:
     if not isinstance(params, dict):
         raise ValueError(f"{path}: params = {params!r} is not an object")
     form = MultiSymplecticForm(
-        name=str(data.get("name", "json_form")),
+        name=_json_name(path, data.get("name", "json_form")),
         names=names,
         K=_json_matrix(path, "K", data["K"], d),
         L=_json_matrix(path, "L", data["L"], d),

@@ -11,13 +11,11 @@ update matrix is singular for every step size.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .msform import LinearizedForm, MultiSymplecticForm
 
@@ -123,11 +121,70 @@ def _preferred_matching(bip: BipartiteSystem) -> dict[int, int]:
     """
     n = bip.n
     big = 4 * n
-    score = np.zeros((n, n))
+    score = [[0] * n for _ in range(n)]
     for (i, j), tag in bip.provenance:
-        score[i, j] = big + (1 if tag == "K" else 0)
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    return {int(i): int(j) for i, j in zip(rows, cols) if score[i, j] > 0}
+        score[i][j] = big + (1 if tag == "K" else 0)
+    return {i: j for i, j in enumerate(_max_score_assignment(score)) if score[i][j] > 0}
+
+
+def _max_score_assignment(score: list[list[int]]) -> list[int]:
+    """Column of each row in a maximum-score assignment of the square
+    integer matrix ``score``, as scipy's ``linear_sum_assignment(score,
+    maximize=True)`` chooses it.
+
+    A port of the shortest augmenting path algorithm of scipy's
+    rectangular_lsap.cpp (D. F. Crouse, IEEE TAES 52, 2016) on the cost
+    -score.  Where several assignments are optimal, the order decides which
+    one comes out, so the port keeps scipy's: the rows are added in turn,
+    the free columns are scanned from the last down, and a tie in path cost
+    goes to an unassigned column.  Integer costs keep the arithmetic exact.
+    """
+    n = len(score)
+    u = [0] * n
+    v = [0] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    path = [-1] * n
+    for cur in range(n):
+        # the shortest augmenting path from row cur, Dijkstra on reduced costs
+        short = [math.inf] * n
+        rows_seen = [cur]
+        cols_seen = []
+        remaining = list(range(n - 1, -1, -1))
+        i, min_val, sink = cur, 0, -1
+        while sink < 0:
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val - score[i][j] - u[i] - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                if short[j] < lowest or (short[j] == lowest and row4col[j] < 0):
+                    lowest = short[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.append(i)
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - short[j]
+        j = sink
+        while True:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def dm_decompose(bip: BipartiteSystem) -> DMReport:
@@ -141,9 +198,10 @@ def dm_decompose(bip: BipartiteSystem) -> DMReport:
     """
     matching = _preferred_matching(bip)
     match_of_un = {un: eq for eq, un in matching.items()}
-    adj_eq = {i: set(bip.neighbors(i)) for i in range(bip.n)}
+    adj_eq: dict[int, set[int]] = {i: set() for i in range(bip.n)}
     adj_un: dict[int, set[int]] = {j: set() for j in range(bip.n)}
     for i, j in bip.edges:
+        adj_eq[i].add(j)
         adj_un[j].add(i)
 
     over_eqs, over_uns = _alternating_reach(
@@ -218,15 +276,19 @@ def _alternating_reach(starts, adj, partner) -> tuple[set[int], set[int]]:
 def _topological_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Strongly connected components of a digraph on 0..n-1, upstream first.
 
-    ``edges`` must come grouped by source in increasing order, so that they
-    are the rows of a CSR matrix.  Kahn's algorithm with a FIFO queue seeded
-    in scipy's label order; each component is a sorted tuple of its nodes.
+    The components are labelled as scipy's ``connected_components(...,
+    connection="strong")`` labels them (``_strong_components``), each node's
+    successors taken in the order of ``edges``.  Kahn's algorithm with a
+    FIFO queue seeded in label order; each component is a sorted tuple of
+    its nodes.
     """
-    src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
-    adj = csr_matrix((np.ones(len(src)), dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
-    ncomp, label = connected_components(adj, directed=True, connection="strong")
+    succ_of: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        succ_of[a].append(b)
+    ncomp, label = _strong_components(succ_of)
     succ: list[list[int]] = [[] for _ in range(ncomp)]
-    for ca, cb in zip(label[src].tolist(), label[dst].tolist()):
+    for a, b in edges:
+        ca, cb = label[a], label[b]
         if ca != cb and cb not in succ[ca]:
             succ[ca].append(cb)
     indegree = Counter(c for out in succ for c in out)
@@ -236,7 +298,85 @@ def _topological_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 order.append(nxt)
-    return [tuple(int(v) for v in np.flatnonzero(label == c)) for c in order]
+    members: list[list[int]] = [[] for _ in range(ncomp)]
+    for v, c in enumerate(label):
+        members[c].append(v)
+    return [tuple(members[c]) for c in order]
+
+
+def _strong_components(succ: list[list[int]]) -> tuple[int, list[int]]:
+    """(count, label of each node) of the strongly connected components of
+    the digraph with successor lists ``succ``.
+
+    A port of scipy's ``connected_components(..., connection="strong")``:
+    Pearce's iterative, memory-lean variant of Tarjan's algorithm (D. J.
+    Pearce, "An improved algorithm for finding the strongly connected
+    components of a directed graph", 2005).  Roots are tried in node order,
+    the depth-first stack is a doubly linked list from which a node pushed
+    again is moved to the top, and components are numbered in the order
+    they complete.  ``low`` holds the lowlinks of open nodes and the
+    (downward counting) label of finished ones, which is what lets a
+    finished node never lower a lowlink.
+    """
+    n = len(succ)
+    void, end = -1, -2
+    low = [void] * n
+    scc_next = [void] * n  # the stack of finished nodes awaiting their root
+    stack_f = [void] * n  # the depth-first stack, linked both ways
+    stack_b = [void] * n
+    scc_head = end
+    index = 0
+    label = n - 1
+    for root in range(n):
+        if low[root] != void:
+            continue
+        head = root
+        stack_f[root] = stack_b[root] = end
+        while head != end:
+            v = head
+            if low[v] == void:
+                low[v] = index
+                index += 1
+                for w in succ[v]:
+                    # a repeated edge to the top node would link it to itself
+                    # (scipy loops forever there); it is on top already
+                    if low[w] == void and w != head:
+                        if stack_f[w] != void:  # on the stack already: excise it
+                            f, b = stack_f[w], stack_b[w]
+                            if b != end:
+                                stack_f[b] = f
+                            if f != end:
+                                stack_b[f] = b
+                        stack_f[w] = head
+                        stack_b[w] = end
+                        stack_b[head] = w
+                        head = w
+            else:
+                head = stack_f[v]
+                if head >= 0:
+                    stack_b[head] = end
+                stack_f[v] = stack_b[v] = void
+                is_root = True
+                low_v = low[v]
+                for w in succ[v]:
+                    if low[w] < low_v:
+                        low_v = low[w]
+                        is_root = False
+                low[v] = low_v
+                if is_root:
+                    index -= 1
+                    while scc_head != end and low[v] <= low[scc_head]:
+                        w = scc_head
+                        scc_head = scc_next[w]
+                        scc_next[w] = void
+                        low[w] = label
+                        index -= 1
+                    low[v] = label
+                    label -= 1
+                else:
+                    scc_next[v] = scc_head
+                    scc_head = v
+    return (n - 1) - label, [(n - 1) - x for x in low]
 
 
 def classify_consistency(form) -> DMReport:

@@ -49,6 +49,26 @@ def _magnitude_form(form):
     return MultiSymplecticForm("abs", form.names, np.abs(form.K), np.abs(form.L), np.abs(form.P), terms)
 
 
+def _signed_permutation(lin, perm, signs):
+    """z = T w with T a signed permutation: K, L and Peff become T^T K T,
+    T^T L T and T^T Peff T, a relabelling of the unknowns and equations."""
+    T = np.eye(lin.d)[:, perm] * signs
+    return type(lin)(
+        name=lin.name,
+        names=tuple(lin.names[j] for j in perm),
+        K=T.T @ lin.K @ T,
+        L=T.T @ lin.L @ T,
+        Peff=T.T @ lin.Peff @ T,
+        z_ref=T.T @ lin.z_ref,
+    )
+
+
+@pytest.fixture
+def signed_permutation():
+    """The linearization relabelled by a signed permutation (perm, signs)."""
+    return _signed_permutation
+
+
 @pytest.fixture
 def random_term_form():
     """A form of dimension d with random P and terms, drawn from rng."""

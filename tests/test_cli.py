@@ -590,6 +590,35 @@ def test_cli_refuses_a_json_form_that_is_not_exact_or_repeats_a_name(case, tmp_p
     assert captured.err.strip() == f"error: {fault}" and captured.out == ""
 
 
+@pytest.mark.parametrize("name, stem", [
+    ("../escaped", None), ("..", None), ("a/b", None), ("a\\b", None), ("", None),
+    ("..escaped", "..escaped"), (None, "json_form"),
+])
+def test_cli_dot_dir_writes_only_inside_its_directory(name, stem, tmp_path, capsys):
+    # a JSON form's name becomes a file name in --dot-dir, so one that would
+    # leave the directory is refused before anything is written; a missing
+    # name keeps its default
+    data = form_to_dict(registry_get("wave"))
+    if name is None:
+        del data["name"]
+    else:
+        data["name"] = name
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(data))
+    dots = tmp_path / "work" / "dots"
+    rc = main(["analyze", str(path), "--dot-dir", str(dots)])
+    written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p != path)
+    captured = capsys.readouterr()
+    if stem is None:
+        assert rc == 1 and written == []
+        assert captured.err.strip() == (
+            f"error: {path}: name = {name!r} is not a file name (empty, '.', '..', or holding / or \\)"
+        )
+    else:
+        assert rc == 0
+        assert written == [dots / f"{stem}_bipartite.dot", dots / f"{stem}_propagation.dot"]
+
+
 def test_unknown_constant_error_names_the_form_constants(capsys):
     assert main(["analyze", "dirac", "--params", "mass=2"]) == 1
     assert capsys.readouterr().err.strip() == "error: form 'dirac' has no constant mass; its constants: m, lam"

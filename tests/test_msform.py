@@ -387,6 +387,10 @@ def test_json_term_without_key_is_named(key, tmp_path):
     (("K",), [[0.0] * 4] * 3, "K has 3 rows, expected d=4"),
     (("L", 1), [0.0] * 5, "L[1] has 5 entries, expected d=4"),
     (("P", 2), 7, "P[2] = 7 is not a list"),
+    (("name",), 5, "name = 5 is not a string"),
+    (("name",), ["a"], "name = ['a'] is not a string"),
+    *((("name",), name, f"name = {name!r} is not a file name (empty, '.', '..', or holding / or \\)")
+      for name in ("", ".", "..", "../escaped", "a/b", "a\\b", "/abs")),
 ])
 def test_json_shape_fault_is_named(keys, value, fault, tmp_path):
     path = _nls_json_with(tmp_path, keys, value)

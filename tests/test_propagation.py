@@ -211,21 +211,7 @@ def assert_step2_matches_the_oracle(graph):
     return len(cycles)
 
 
-def signed_permutation(lin, perm, signs):
-    """z = T w with T a signed permutation: K, L and Peff become T^T K T,
-    T^T L T and T^T Peff T, a relabelling of the unknowns and equations."""
-    T = np.eye(lin.d)[:, perm] * signs
-    return type(lin)(
-        name=lin.name,
-        names=tuple(lin.names[j] for j in perm),
-        K=T.T @ lin.K @ T,
-        L=T.T @ lin.L @ T,
-        Peff=T.T @ lin.Peff @ T,
-        z_ref=T.T @ lin.z_ref,
-    )
-
-
-def test_step2_matches_the_oracle_on_registered_forms_and_their_signed_permutations():
+def test_step2_matches_the_oracle_on_registered_forms_and_their_signed_permutations(signed_permutation):
     rng = np.random.default_rng(3)
     graphs = 0
     for name in registry_names():
@@ -325,7 +311,7 @@ def steps_1_2(lin):
     return True, (v.unconditionally_unstable, v.s_lo, v.s_hi)
 
 
-def test_steps_1_2_are_invariant_under_signed_permutations():
+def test_steps_1_2_are_invariant_under_signed_permutations(signed_permutation):
     # z = T w with T a signed permutation maps K, L and Peff to T^T K T, T^T L T
     # and T^T Peff T, a relabelling of the unknowns and of the equations.  Only
     # the verdicts are compared: ties in the DM matching may pick other pivots,
@@ -388,6 +374,59 @@ def test_import_leaves_out_networkx():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+SCIPY_FOOTPRINT = """
+import json, os, sys, tempfile
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+
+seen = {}
+import diamondstab
+seen["import diamondstab"] = loaded()
+from diamondstab import msform, spectral
+from diamondstab.integrator import MeshParams, init_half_step, integrate
+from diamondstab.pipeline import run_pipeline
+from diamondstab.solutions import builtin_initial_condition
+
+assert run_pipeline(msform.registry_get("dirac"), dt=0.2, dx=0.3, N=40).spectral_verdict is not None
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "nls.json")
+    with open(path, "w") as fh:
+        json.dump(msform.form_to_dict(msform.registry_get("nls")), fh)
+    report = run_pipeline(msform.load_form_json(path))
+assert report.spectral_verdict is not None
+seen["run_pipeline to Step 3"] = loaded()
+spectral.stability_boundary_sweep(report.lin, "simple", 4.0, [0.4, 0.2], spectral.Criterion("strict"))
+seen["stability_boundary_sweep"] = loaded()
+dirac = msform.registry_get("dirac")
+ic, exact = builtin_initial_condition("breather", dirac)
+mesh = MeshParams(a=-24.0, b=24.0, N=160, dt=0.2, T=0.4)
+assert integrate(dirac, "simple", ic, mesh, exact=exact, init_method="exact").status == "completed"
+seen["exact-start integrate"] = loaded()
+init_half_step(dirac, ic, mesh, method="box")
+print(json.dumps([seen, "scipy.sparse.linalg" in sys.modules]))
+"""
+
+
+def test_only_the_box_start_imports_scipy():
+    # scipy.optimize and scipy.sparse cost every process about 0.6 s and
+    # 50 MB; Steps 1-3, sweeps and exact-start runs must not load them
+    src = str(Path(diamondstab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_FOOTPRINT], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    seen, box_loads_splu = json.loads(out.stdout)
+    assert seen == {
+        "import diamondstab": [],
+        "run_pipeline to Step 3": [],
+        "stability_boundary_sweep": [],
+        "exact-start integrate": [],
+    }
+    assert box_loads_splu
 
 
 @pytest.mark.parametrize(

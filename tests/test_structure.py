@@ -1,12 +1,28 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-from diamondstab.msform import LinearizedForm, MultiSymplecticForm, linearize, registry_get, registry_names
+from diamondstab import structure
+from diamondstab.msform import (
+    LinearizedForm,
+    MultiSymplecticForm,
+    PolynomialTerm,
+    linearize,
+    registry_get,
+    registry_names,
+)
+from diamondstab.pipeline import reference_linearization
 from diamondstab.spectral import SingularUpdateError, _pivot_inverse, build_blocks_rk, build_blocks_simple
 from diamondstab.structure import (
     BipartiteSystem,
+    _max_score_assignment,
+    _preferred_matching,
+    _strong_components,
+    _topological_components,
     build_equation_unknown_graph,
     classify_consistency,
     dm_decompose,
@@ -209,6 +225,128 @@ def test_dm_blocks_invariant_under_permutation(name, seed):
         )
 
     assert block_sets(dm0, form.names) == block_sets(dm1, permuted.names)
+
+
+# -- Step 1's matching and components against scipy ----------------------------
+
+
+def oracle_preferred_matching(bip):
+    """The former matching: scipy's linear_sum_assignment on float scores."""
+    n = bip.n
+    big = 4 * n
+    score = np.zeros((n, n))
+    for (i, j), tag in bip.provenance:
+        score[i, j] = big + (1 if tag == "K" else 0)
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    return {int(i): int(j) for i, j in zip(rows, cols) if score[i, j] > 0}
+
+
+def oracle_topological_components(n, edges):
+    """The former components: scipy's strong connected_components of the CSR
+    matrix of ``edges`` (grouped by source), then Kahn's order."""
+    src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(len(src)), dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
+    ncomp, label = connected_components(adj, directed=True, connection="strong")
+    succ = [[] for _ in range(ncomp)]
+    for ca, cb in zip(label[src].tolist(), label[dst].tolist()):
+        if ca != cb and cb not in succ[ca]:
+            succ[ca].append(cb)
+    indegree = Counter(c for out in succ for c in out)
+    order = [c for c in range(ncomp) if indegree[c] == 0]
+    for c in order:
+        for nxt in succ[c]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                order.append(nxt)
+    return [tuple(int(v) for v in np.flatnonzero(label == c)) for c in order]
+
+
+def oracle_classify_consistency(form, monkeypatch):
+    """classify_consistency with the former, scipy-backed matching and components."""
+    with monkeypatch.context() as m:
+        m.setattr(structure, "_preferred_matching", oracle_preferred_matching)
+        m.setattr(structure, "_topological_components", oracle_topological_components)
+        return classify_consistency(form)
+
+
+def test_step1_ports_equal_scipy_on_random_inputs():
+    # Step 2 follows the matched targets and the topological order, so the
+    # ports must pick what scipy picks among equal optima, not just an optimum
+    rng = np.random.default_rng(33)
+    for _ in range(5000):
+        n = int(rng.integers(1, 17))
+        density = rng.random()  # from nearly empty, with empty rows, to full
+        edges = {(i, j) for i in range(n) for j in range(n) if rng.random() < density}
+        prov = tuple(sorted((e, "KS"[int(rng.integers(2))]) for e in edges))
+        bip = BipartiteSystem(n, tuple(f"z{i}" for i in range(n)), frozenset(edges), prov)
+        assert _preferred_matching(bip) == oracle_preferred_matching(bip)
+        score = [[0] * n for _ in range(n)]
+        for (i, j), tag in prov:
+            score[i][j] = 4 * n + (tag == "K")
+        assert _max_score_assignment(score) == linear_sum_assignment(np.array(score, float), maximize=True)[1].tolist()
+        # a digraph with self loops, empty rows and successors in random order
+        most = int(rng.integers(0, n + 1))
+        succ = [rng.permutation(n)[: rng.integers(0, most + 1)].tolist() for _ in range(n)]
+        arcs = [(v, w) for v in range(n) for w in succ[v]]
+        src, dst = np.array(arcs, dtype=int).reshape(-1, 2).T
+        adj = csr_matrix((np.ones(len(src)), dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
+        ncomp, label = connected_components(adj, directed=True, connection="strong")
+        assert _strong_components(succ) == (ncomp, label.tolist())
+        assert _topological_components(n, arcs) == oracle_topological_components(n, arcs)
+
+
+def test_strong_components_take_a_repeated_edge_once():
+    # scipy's connected_components never returns when an edge repeats the
+    # one that put its target on top of the depth-first stack
+    assert _strong_components([[1, 1], [0]]) == _strong_components([[1], [0]]) == (1, [0, 0])
+    assert _strong_components([[2, 1, 1], [], [0]]) == _strong_components([[2, 1], [], [0]])
+
+
+def formgen_style_form(rng, d):
+    """A form drawn as perfbench/formgen.py draws one: sparse skew K and L
+    with entries +-1 and +-1/2, a sparse symmetric P, and with probability 1/2
+    the gradient of one or two cubic monomials of S."""
+    K, L = (np.zeros((d, d)) for _ in range(2))
+    for M, density in ((K, 0.35), (L, 0.3)):
+        for i in range(d):
+            for j in range(i + 1, d):
+                if rng.random() < density:
+                    M[i, j] = float(rng.choice([-1.0, 1.0, -0.5, 0.5]))
+                    M[j, i] = -M[i, j]
+    P = np.zeros((d, d))
+    for i in range(d):
+        if rng.random() < 0.5:
+            P[i, i] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+        for j in range(i + 1, d):
+            if rng.random() < 0.12:
+                P[i, j] = P[j, i] = float(rng.choice([-1.0, 1.0]))
+    terms = []
+    if rng.random() < 0.5:
+        for _ in range(int(rng.integers(1, 3))):
+            e = np.bincount(rng.integers(0, d, size=3), minlength=d)
+            c = float(rng.choice([-1.0, 1.0]))
+            for i in np.flatnonzero(e):
+                de = e.copy()
+                de[i] -= 1
+                terms.append(PolynomialTerm(int(i) + 1, c * int(e[i]), tuple(de.tolist())))
+    return MultiSymplecticForm("gen", tuple(f"z{i}" for i in range(d)), K, L, P, tuple(terms))
+
+
+def test_step1_reports_equal_the_scipy_backed_reports(monkeypatch, signed_permutation):
+    rng = np.random.default_rng(34)
+    forms = []
+    for name in registry_names():
+        form = registry_get(name)
+        lin = reference_linearization(form)
+        forms += [form, lin]
+        forms += [signed_permutation(lin, rng.permutation(lin.d), rng.choice([-1.0, 1.0], lin.d)) for _ in range(8)]
+    forms += [formgen_style_form(rng, 3 + k % 6) for k in range(2000)]  # d = 3 .. 8
+    split = 0
+    for form in forms:
+        dm = classify_consistency(form)
+        assert dm == oracle_classify_consistency(form, monkeypatch), form.name
+        split += len(dm.well) > 1
+    assert split >= 800, split  # the order of several blocks is exercised
 
 
 def pivot_singular(lin, scheme, dt, dx=0.1):
