@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diamondstab.msform import MultiSymplecticForm, PolynomialTerm
+from diamondstab.msform import LinearizedForm, MultiSymplecticForm, PolynomialTerm
 
 
 def _stage_matrix(lin, F, dt, dx):
@@ -61,6 +61,37 @@ def _signed_permutation(lin, perm, signs):
         Peff=T.T @ lin.Peff @ T,
         z_ref=T.T @ lin.z_ref,
     )
+
+
+def _random_skew(rng, d, density):
+    M = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rng.random() < density:
+                M[i, j] = float(rng.choice([-1.0, 1.0, -0.5, 0.5]))
+                M[j, i] = -M[i, j]
+    return M
+
+
+def _random_linearization(rng, d):
+    """K, L and P drawn as perfbench/formgen.py draws them (a cubic S adds
+    nothing to the linearization at zero)."""
+    K, L = _random_skew(rng, d, 0.35), _random_skew(rng, d, 0.3)
+    P = np.zeros((d, d))
+    for i in range(d):
+        if rng.random() < 0.5:
+            P[i, i] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+        for j in range(i + 1, d):
+            if rng.random() < 0.12:
+                P[i, j] = P[j, i] = float(rng.choice([-1.0, 1.0]))
+    return LinearizedForm("random", tuple(f"z{i}" for i in range(d)), K, L, P, np.zeros(d))
+
+
+@pytest.fixture
+def random_linearization():
+    """A linearization at zero of dimension d, drawn from rng as
+    perfbench/formgen.py draws a form."""
+    return _random_linearization
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ import pytest
 
 import diamondstab
 from diamondstab.msform import (
-    LinearizedForm,
     MultiSymplecticForm,
     form_to_dict,
     linearize,
@@ -225,31 +224,7 @@ def test_step2_matches_the_oracle_on_registered_forms_and_their_signed_permutati
     assert graphs == 8 * 8  # the 8 consistent registered forms, 8 relabellings each
 
 
-def _skew(rng, d, density):
-    M = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            if rng.random() < density:
-                M[i, j] = float(rng.choice([-1.0, 1.0, -0.5, 0.5]))
-                M[j, i] = -M[i, j]
-    return M
-
-
-def random_linearization(rng, d):
-    """K, L and P drawn as perfbench/formgen.py draws them (a cubic S adds
-    nothing to the linearization at zero)."""
-    K, L = _skew(rng, d, 0.35), _skew(rng, d, 0.3)
-    P = np.zeros((d, d))
-    for i in range(d):
-        if rng.random() < 0.5:
-            P[i, i] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
-        for j in range(i + 1, d):
-            if rng.random() < 0.12:
-                P[i, j] = P[j, i] = float(rng.choice([-1.0, 1.0]))
-    return LinearizedForm("random", tuple(f"z{i}" for i in range(d)), K, L, P, np.zeros(d))
-
-
-def test_step2_matches_the_oracle_on_random_graphs():
+def test_step2_matches_the_oracle_on_random_graphs(random_linearization):
     rng = np.random.default_rng(1)
     counts = []
     while len(counts) < 240:

@@ -241,12 +241,18 @@ def oracle_preferred_matching(bip):
     return {int(i): int(j) for i, j in zip(rows, cols) if score[i, j] > 0}
 
 
-def oracle_topological_components(n, edges):
-    """The former components: scipy's strong connected_components of the CSR
-    matrix of ``edges`` (grouped by source), then Kahn's order."""
+def scipy_strong_components(n, edges):
+    """scipy's strong connected_components of the CSR matrix of ``edges``
+    (grouped by source): (count, labels)."""
     src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
     adj = csr_matrix((np.ones(len(src)), dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
-    ncomp, label = connected_components(adj, directed=True, connection="strong")
+    return connected_components(adj, directed=True, connection="strong")
+
+
+def oracle_topological_components(n, edges):
+    """The former components: scipy's strong components, then Kahn's order."""
+    src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
+    ncomp, label = scipy_strong_components(n, edges)
     succ = [[] for _ in range(ncomp)]
     for ca, cb in zip(label[src].tolist(), label[dst].tolist()):
         if ca != cb and cb not in succ[ca]:
@@ -288,9 +294,7 @@ def test_step1_ports_equal_scipy_on_random_inputs():
         most = int(rng.integers(0, n + 1))
         succ = [rng.permutation(n)[: rng.integers(0, most + 1)].tolist() for _ in range(n)]
         arcs = [(v, w) for v in range(n) for w in succ[v]]
-        src, dst = np.array(arcs, dtype=int).reshape(-1, 2).T
-        adj = csr_matrix((np.ones(len(src)), dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
-        ncomp, label = connected_components(adj, directed=True, connection="strong")
+        ncomp, label = scipy_strong_components(n, arcs)
         assert _strong_components(succ) == (ncomp, label.tolist())
         assert _topological_components(n, arcs) == oracle_topological_components(n, arcs)
 
@@ -302,24 +306,11 @@ def test_strong_components_take_a_repeated_edge_once():
     assert _strong_components([[2, 1, 1], [], [0]]) == _strong_components([[2, 1], [], [0]])
 
 
-def formgen_style_form(rng, d):
-    """A form drawn as perfbench/formgen.py draws one: sparse skew K and L
-    with entries +-1 and +-1/2, a sparse symmetric P, and with probability 1/2
-    the gradient of one or two cubic monomials of S."""
-    K, L = (np.zeros((d, d)) for _ in range(2))
-    for M, density in ((K, 0.35), (L, 0.3)):
-        for i in range(d):
-            for j in range(i + 1, d):
-                if rng.random() < density:
-                    M[i, j] = float(rng.choice([-1.0, 1.0, -0.5, 0.5]))
-                    M[j, i] = -M[i, j]
-    P = np.zeros((d, d))
-    for i in range(d):
-        if rng.random() < 0.5:
-            P[i, i] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
-        for j in range(i + 1, d):
-            if rng.random() < 0.12:
-                P[i, j] = P[j, i] = float(rng.choice([-1.0, 1.0]))
+def with_cubic_terms(lin, rng):
+    """The form with ``lin``'s K, L and P and, with probability 1/2, the
+    gradient of one or two cubic monomials of S, as perfbench/formgen.py
+    draws them."""
+    d = lin.d
     terms = []
     if rng.random() < 0.5:
         for _ in range(int(rng.integers(1, 3))):
@@ -329,10 +320,10 @@ def formgen_style_form(rng, d):
                 de = e.copy()
                 de[i] -= 1
                 terms.append(PolynomialTerm(int(i) + 1, c * int(e[i]), tuple(de.tolist())))
-    return MultiSymplecticForm("gen", tuple(f"z{i}" for i in range(d)), K, L, P, tuple(terms))
+    return MultiSymplecticForm("gen", lin.names, lin.K, lin.L, lin.Peff, tuple(terms))
 
 
-def test_step1_reports_equal_the_scipy_backed_reports(monkeypatch, signed_permutation):
+def test_step1_reports_equal_the_scipy_backed_reports(monkeypatch, signed_permutation, random_linearization):
     rng = np.random.default_rng(34)
     forms = []
     for name in registry_names():
@@ -340,7 +331,7 @@ def test_step1_reports_equal_the_scipy_backed_reports(monkeypatch, signed_permut
         lin = reference_linearization(form)
         forms += [form, lin]
         forms += [signed_permutation(lin, rng.permutation(lin.d), rng.choice([-1.0, 1.0], lin.d)) for _ in range(8)]
-    forms += [formgen_style_form(rng, 3 + k % 6) for k in range(2000)]  # d = 3 .. 8
+    forms += [with_cubic_terms(random_linearization(rng, 3 + k % 6), rng) for k in range(2000)]  # d = 3 .. 8
     split = 0
     for form in forms:
         dm = classify_consistency(form)
