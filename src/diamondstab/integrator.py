@@ -205,12 +205,13 @@ class RunResult:
 # single-diamond solves (vectorized over diamonds)
 # ---------------------------------------------------------------------------
 
-# a row stays with the chord while each step shrinks at least this factor
-# and the steps predicted from that rate reach the tolerance within the budget
+# a row keeps its matrix, the chord or its own, while each step shrinks at
+# least this factor and the steps predicted from that rate reach the
+# tolerance within the budget
 _CHORD_CONTRACTION = 100.0
 _CHORD_BUDGET = 2
-# iterations per chord or Newton run (the box start's too), and the diamond
-# solves' step tolerance relative to 1 + |Z|
+# steps per row of a diamond solve (iterations of the box start), and the
+# diamond solves' step tolerance relative to 1 + |Z|
 _MAX_ITER = 50
 _STEP_TOL = 1e-13
 
@@ -280,62 +281,53 @@ def _require_solved(res: np.ndarray, tol: float, *values: np.ndarray) -> None:
         raise NewtonError(f"diamond solve did not converge at rows {bad[:5].tolist()}")
 
 
-def _solve_nonlinear(residual, jacobian, Z0, data, chord, res_tol):
-    """The nonlinear diamond solve of both schemes.
+def _solve_nonlinear(residual, jacobian, Z0, data, chord):
+    """The nonlinear diamond solve of both schemes: one loop of simplified
+    Newton steps Z -= delta from Z0, in which only the rows that stall
+    take a Jacobian.
 
     Rows (axis 0 of Z0 and of every array in ``data``) are independent
     diamonds.  ``residual(Z, *data)`` and ``jacobian(Z, *data)`` take the
-    iterates of some rows and the same rows of ``data``.  A chord iteration
-    from Z0 with ``chord``, which maps a residual to its step through the
-    inverse of the Jacobian at z = 0 and returns that step and its row
-    norms, runs first (see _chord_iterate for the rule); the scheme's
-    pivot is regular, or Step 3 has refused the solve.  The rows it leaves
-    go on to Newton from their last chord iterate, or from Z0 where that
-    iterate's residual is not below the one at Z0.  The iterates keep Z0's
-    memory layout.  Returns the final iterate and its residual.
-    """
-    Z = np.copy(Z0)
-    res = residual(Z, *data)
-    res0 = np.copy(res)
-    rows = _chord_iterate(residual, Z, res, data, chord)
-    if rows.size:
-        # Newton starts afresh where the chord raised the residual or overflowed
-        back = rows[~(_row_norms(res[rows]) < _row_norms(res0[rows]))]
-        Z[back], res[back] = Z0[back], res0[back]
-        Z[rows], res[rows] = _newton(
-            residual, jacobian, Z[rows], res[rows], _take(data, rows), res_tol
-        )
-    return Z, res
-
-
-def _chord_iterate(residual, Z, res, data, chord):
-    """Chord (simplified Newton) steps Z -= delta on the whole batch, where
-    ``chord(r)`` returns the step delta of the residual r and its row norms.
+    iterates of some rows and the same rows of ``data``.  Every row starts
+    on the chord, ``chord(r)``, which maps a residual to its step through
+    the inverse of the Jacobian at z = 0 and returns that step and its row
+    norms; the scheme's pivot is regular, or Step 3 has refused the solve.
 
     A row is solved once the step it took is below tol = _STEP_TOL (1 + |Z|),
     or once its next step would be below tol / _CHORD_CONTRACTION, the error
     a taken step below tol leaves at that contraction; that step is not
-    taken.  A row goes to Newton when its step is not finite, when the
-    step shrinks less than _CHORD_CONTRACTION-fold from the one before,
-    when the steps predicted from that rate would not reach tol within
-    _CHORD_BUDGET more steps, or when _MAX_ITER steps have run; the first
-    step, with none before it, is checked for finiteness alone.
-    Each row decides for itself, so whether it goes to Newton does not
-    depend on the rest of the batch.  Every step evaluates the whole batch
-    and moves only the rows still active (a mask, not a compacted copy), so
-    a finished row's iterate, and with it its residual, stays as it was and
-    the arrays keep the layout the scheme chose (the simple scheme stores
-    its rows components first).  Updates Z and res in place and returns the
-    rows left for Newton.
+    taken.  A row re-linearises when its step is not finite, when the step
+    shrinks less than _CHORD_CONTRACTION-fold from the one before, or when
+    the steps predicted from that rate would not reach tol within
+    _CHORD_BUDGET more steps; the first step, with none before it, is
+    checked for finiteness alone.  It then takes the Jacobian at its
+    iterate, and steps with that matrix's inverse from there on, its next
+    step at once; the first time, it restarts from Z0 where its residual is
+    not below the one at Z0.  A row whose own matrix stalls re-linearises
+    again, so at worst it runs Newton.  A row takes at most _MAX_ITER steps.
+
+    Each row decides for itself, and the rows that own a matrix step with
+    stacked products, so a row's bits do not depend on the rest of the
+    batch.  Every step evaluates the whole batch and moves only the rows
+    still active (a mask, not a compacted copy), so a finished row's
+    iterate, and with it its residual, stays as it was and the arrays keep
+    Z0's memory layout (the simple scheme stores its rows components
+    first).  Returns the final iterate and its residual.
     """
+    Z = np.copy(Z0)
+    res0 = r = residual(Z, *data)
     n = len(Z)
     active = np.ones(n, dtype=bool)
-    newton = np.zeros(n, dtype=bool)
+    # the rows that own a matrix, listed in own, with their inverses in the
+    # same rows of inverse
+    owner, own, inverse = np.zeros(n, dtype=bool), (), None
     tol = _STEP_TOL * (1.0 + _row_norms(Z))
-    rate, r = np.zeros(n), res
+    rate = np.zeros(n)
     # on booleans, a > b is a and not b; the loop ends once no row is active
     for k in range(_MAX_ITER):
         delta, step = chord(r)
+        if len(own):
+            delta[own], step[own] = _own_step(inverse[own], r[own])
         np.greater(active, step < tol / _CHORD_CONTRACTION, out=active)  # solved: not taken
         if k == 0:
             fast = np.isfinite(step)
@@ -343,8 +335,24 @@ def _chord_iterate(residual, Z, res, data, chord):
             # a finished row keeps its last rate: no 0/0 from its zero step
             np.divide(step, prev, out=rate, where=active)
             fast = (rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)
-        newton |= active > fast
-        active &= fast
+        stale = active > fast
+        if np.count_nonzero(stale):
+            stale = stale.nonzero()[0]
+            # a row's first Jacobian is taken afresh where the chord raised
+            # the residual or overflowed
+            first = stale[~owner[stale]]
+            back = first[~(_row_norms(r[first]) < _row_norms(res0[first]))]
+            Z[back], r[back] = Z0[back], res0[back]
+            try:
+                fresh = np.linalg.inv(jacobian(Z[stale], *_take(data, stale)))
+            except np.linalg.LinAlgError as exc:
+                raise NewtonError("singular Newton matrix in the diamond solve") from exc
+            if inverse is None:
+                inverse = np.empty((n,) + fresh.shape[1:])
+            inverse[stale] = fresh
+            owner[stale] = True
+            own = owner.nonzero()[0]
+            delta[stale], step[stale] = _own_step(fresh, r[stale])
         if not np.count_nonzero(active):
             break
         np.subtract(Z, delta, out=Z, where=active.reshape((n,) + (1,) * (Z.ndim - 1)))
@@ -354,35 +362,14 @@ def _chord_iterate(residual, Z, res, data, chord):
         if not np.count_nonzero(active):
             break
         prev = step
-    newton |= active  # rows still going after _MAX_ITER steps
-    res[...] = r
-    return np.flatnonzero(newton)
+    return Z, r
 
 
-def _newton(residual, jacobian, Z, res, data, res_tol):
-    """Newton on rows started at Z with residual res.
-
-    A row stops once its residual is at most res_tol (1 + |Z|) or its own
-    step is below _STEP_TOL (1 + |Z|), so its result does not depend on the
-    rest of the batch.  Updates Z and res in place and returns them.
-    """
-    rows = np.arange(len(Z))
-    for _ in range(_MAX_ITER):
-        Za, ra = Z[rows], res[rows]
-        scale = 1.0 + _row_norms(Za)
-        live = _row_norms(ra) > res_tol * scale
-        rows, Za, ra, scale = rows[live], Za[live], ra[live], scale[live]
-        if rows.size == 0:
-            break
-        da = _take(data, rows)
-        try:
-            delta = np.linalg.solve(jacobian(Za, *da), ra.reshape(rows.size, -1, 1)).reshape(Za.shape)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError("singular Newton matrix in the diamond solve") from exc
-        Z[rows] = Za = Za - delta
-        res[rows] = residual(Za, *da)
-        rows = rows[~(_row_norms(delta) / scale < _STEP_TOL)]
-    return Z, res
+def _own_step(inverse, r):
+    """The steps inverse @ r of rows that own a matrix, and their norms, by
+    a stacked product that forms each row alone."""
+    delta = (inverse @ r.reshape(len(r), -1, 1)).reshape(r.shape)
+    return delta, _row_norms(delta)
 
 
 @dataclass(frozen=True)
@@ -500,10 +487,10 @@ def solve_diamonds(
     one-diamond map z_t = B z_b + Am z_l + Ap z_r; a stacked product gives
     each row the bits of a one-row call.  Nonlinear forms solve the residual
     K/dt Z + c - grad S((Z + s)/4), with the known corners folded into c and
-    s, by _solve_nonlinear with res_tol 1e-13 opscale and the inverse of
-    that pivot as the chord.  _require_solved accepts each row at 1e-9
-    opscale, scaled by its top and corners, and raises NewtonError
-    otherwise.  The rows are stored
+    s, by _solve_nonlinear with the inverse of that pivot as the chord and
+    K/dt - J_S/4 as the Jacobian of the rows that re-linearise.
+    _require_solved accepts each row at 1e-9 opscale, scaled by its top and
+    corners, and raises NewtonError otherwise.  The rows are stored
     components first (each component of the batch is one contiguous
     vector; inputs stored so are not copied), and the corners, the residual
     and the chord step with its row norms come from one kernel generated
@@ -525,7 +512,7 @@ def solve_diamonds(
         kernel.residual,
         lambda Z, c, s: kernel.Kdt - 0.25 * eval_jac_S(form, 0.25 * (Z + s)),
         Zb if _start is None else _rows(_start),
-        kernel.corners(Zb, Zl, Zr), kernel.step, 1e-13 * kernel.opscale,
+        kernel.corners(Zb, Zl, Zr), kernel.step,
     )
     _require_solved(res, 1e-9 * kernel.opscale, Zt, Zb, Zl, Zr)
     return Zt
@@ -551,15 +538,14 @@ def solve_diamond_rk(
     raises SingularUpdateError where the stage matrix Q is singular.  Linear
     forms apply that map.  Nonlinear forms solve the map's stage system
     Q Z = Db zb + Dl zl with grad S(Z), from the form's generated kernel, in
-    place of (I (x) P) Z, by the simple
-    scheme's solver, _solve_nonlinear, from stages equal to the bottom stack,
-    with the inverse of Q (the stage Jacobian at z = 0) as the chord and
-    res_tol 0 (Newton stops a row on its step alone).  _require_solved
-    accepts each row by the simple scheme's rule, at 1e-9 opscale (the stage
-    residual carries Q's K/dt and L/dx entries), scaled by its stages and
-    lower edge stacks, and raises NewtonError otherwise.  Each diamond is
-    carried as a (1, r*r*d) row, so each output row equals a one-diamond call
-    bit for bit.
+    place of (I (x) P) Z, by the simple scheme's solver, _solve_nonlinear,
+    from stages equal to the bottom stack, with the inverse of Q (the stage
+    Jacobian at z = 0) as the chord.  _require_solved accepts each row by
+    the simple scheme's rule, at 1e-9 opscale (the stage residual carries
+    Q's K/dt and L/dx entries), scaled by its stages and lower edge stacks,
+    and raises NewtonError otherwise.  Each diamond is carried as a
+    (1, r*r*d) row, so each output row equals a one-diamond call bit for
+    bit.
     """
     r, d = tableau.r, form.d
     single = np.ndim(zb_stack) <= 2
@@ -599,7 +585,7 @@ def solve_diamond_rk(
         delta = res @ chord_matrix
         return delta, _row_norms(delta)
 
-    Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), chord, 0.0)
+    Z, res = _solve_nonlinear(residual, jacobian, Z0, (rhs,), chord)
     _require_solved(res, 1e-9 * _opscale(form, dt, dx), Z, zb, zl)
     Z = Z.reshape(n, r, r, d)
     beta, alpha = tableau.beta, tableau.alpha

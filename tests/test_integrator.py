@@ -720,11 +720,11 @@ def test_chord_solve_matches_newton_only(case):
     Zb, Zl, Zr = _half_step_corners(values)
     for half in range(2):
         chord = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
-        newton = _newton_only(solve_diamonds, form, Zb, Zl, Zr, mesh.dt, mesh.dx)
-        # Newton stops once the residual is below 1e-13 * opscale * (1 + |z|)
-        # in every row; in the NLS constraint rows at dt = 4e-5 that leaves
-        # v and w up to 1.7e-9 off on near-zero rows, which it returns unsolved
-        assert _relative_gap(chord, newton) <= 1e-8
+        newton = _newton_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
+        # both stop a row on its step alone: the largest gap measured is
+        # 1.0e-15 (nls at dt = 2.5e-6), against 5.5e-14 on dirac where Newton
+        # stopped the simple scheme's rows on a residual test
+        assert _relative_gap(chord, newton) <= 1e-14
         # where the two differ most, the chord is within 1e-13 of a 40-digit solve
         gap = np.abs(chord - newton).max(axis=1)
         for i in np.argsort(gap)[-2:]:
@@ -734,11 +734,67 @@ def test_chord_solve_matches_newton_only(case):
         Zb, Zl, Zr = values[1::2], chord, np.roll(chord, -1, axis=0)
 
 
-def _newton_only(solve, *args):
-    # the same solve with the chord handing every row to Newton at once
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "_chord_iterate", lambda residual, Z, *rest: np.arange(len(Z)))
-        return solve(*args)
+def _newton_rows(residual, jacobian, Z0):
+    """Plain Newton on each row alone, sharing nothing with the library's
+    solve: a fresh Jacobian at every step, np.linalg.solve, and a stop once
+    the step taken is below 1e-13 (1 + |z|).  ``residual(i, z)`` and
+    ``jacobian(i, z)`` are row i's; raises AssertionError on a row that does
+    not stop within 50 steps."""
+    out = np.array(Z0, dtype=float)
+    for i, z in enumerate(out):
+        for _ in range(50):
+            delta = np.linalg.solve(jacobian(i, z), residual(i, z))
+            z -= delta
+            if np.linalg.norm(delta) < 1e-13 * (1.0 + np.linalg.norm(z)):
+                break
+        else:
+            raise AssertionError(f"Newton did not stop on row {i}")
+    return out
+
+
+def _newton_diamonds(form, Zb, Zl, Zr, dt, dx):
+    """The simple scheme's diamond equation K (z - zb)/dt + L (zr - zl)/dx =
+    grad S((z + zb + zl + zr)/4) solved by _newton_rows from zb, as
+    solve_diamonds takes and returns its rows."""
+    Zb, Zl, Zr = (np.array(Z, dtype=float, ndmin=2) for Z in (Zb, Zl, Zr))
+    K, L = form.K, form.L
+
+    def residual(i, z):
+        avg = 0.25 * (z + Zb[i] + Zl[i] + Zr[i])
+        return K @ (z - Zb[i]) / dt + L @ (Zr[i] - Zl[i]) / dx - eval_grad_S(form, avg)
+
+    def jacobian(i, z):
+        return K / dt - 0.25 * integrator.eval_jac_S(form, 0.25 * (z + Zb[i] + Zl[i] + Zr[i]))
+
+    return _newton_rows(residual, jacobian, Zb)
+
+
+def _newton_stages(form, tableau, zb_stack, zl_stack, dt, dx):
+    """The collocation stage system Q Z = Db zb + Dl zl of Step 3's blocks
+    (build_blocks_rk of the form linearized at zero), with grad S(Z) in place
+    of (I (x) P) Z, solved by _newton_rows from stages equal to the bottom
+    stack; returns the top and right stacks as solve_diamond_rk does."""
+    r, d = tableau.r, form.d
+    single = np.ndim(zb_stack) <= 2
+    zb, zl = (np.asarray(z, dtype=float).reshape(-1, r * d) for z in (zb_stack, zl_stack))
+    bl = build_blocks_rk(linearize(form, np.zeros(d)), tableau, dt, dx)
+    A = bl.Q - np.kron(np.eye(r * r), form.P)
+    rhs = zb @ bl.Db.T + zl @ bl.Dl.T
+
+    def residual(i, z):
+        return eval_grad_S(form, z.reshape(r * r, d)).reshape(-1) + A @ z - rhs[i]
+
+    def jacobian(i, z):
+        blocks = integrator.eval_jac_S(form, z.reshape(r * r, d))
+        return A + np.block([[blocks[s] if s == t else np.zeros((d, d)) for t in range(r * r)] for s in range(r * r)])
+
+    Z0 = np.repeat(zb.reshape(-1, r, 1, d), r, axis=2).reshape(len(zb), -1)
+    Z = _newton_rows(residual, jacobian, Z0).reshape(-1, r, r, d)
+    zb, zl = zb.reshape(-1, r, d), zl.reshape(-1, r, d)
+    beta, alpha = tableau.beta, tableau.alpha
+    zt = (1.0 - alpha) * zb + np.einsum("j,nijk->nik", beta, Z)
+    zr = (1.0 - alpha) * zl + np.einsum("i,nijk->njk", beta, Z)
+    return (zt[0], zr[0]) if single else (zt, zr)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -760,6 +816,8 @@ def test_chord_solve_properties(name, scheme, amplitude, dt_over_dx, rows, seed)
 
         def solve(*corners):
             return solve_diamonds(form, *corners, dt, dx)
+
+        newton = _newton_diamonds(form, *corners, dt, dx)
     else:
         tab = parse_scheme(scheme)
         # random NLS edges put stage values up to 1e3 (v and w are slopes
@@ -771,17 +829,12 @@ def test_chord_solve_properties(name, scheme, amplitude, dt_over_dx, rows, seed)
             # the top and right stacks of each diamond, one after the other
             return np.concatenate(solve_diamond_rk(form, tab, *corners, dt, dx), axis=-2)
 
+        newton = np.concatenate(_newton_stages(form, tab, *corners, dt, dx), axis=-2)
     batch = solve(*corners)
-    newton = _newton_only(solve, *corners)
     assert _relative_gap(batch, newton) <= 1e-12
     for i in range(rows):
         one = solve(*(Z[i] for Z in corners))
-        # Newton stops each row on its own residual or step, whatever the other rows need
-        one_newton = _newton_only(solve, *(Z[i] for Z in corners))
-        if scheme == "simple":
-            one, one_newton = one[0], one_newton[0]
-        assert np.array_equal(one, batch[i])
-        assert np.array_equal(one_newton, newton[i])
+        assert np.array_equal(one[0] if scheme == "simple" else one, batch[i])
 
 
 def _pivot_is_singular(form, dt, dx):
@@ -871,7 +924,7 @@ def test_singular_update_matrix_refuses_the_solve():
     # at dt = 0.5 the pivot is regular and the chord solves the rows
     assert integrator._diamond_kernel(form, 0.5, 0.1).step is not None
     chord = solve_diamonds(form, Zb, Zl, Zr, 0.5, 0.1)
-    np.testing.assert_allclose(chord, _newton_only(solve_diamonds, form, Zb, Zl, Zr, 0.5, 0.1), rtol=1e-12)
+    np.testing.assert_allclose(chord, _newton_diamonds(form, Zb, Zl, Zr, 0.5, 0.1), rtol=1e-12)
 
 
 def _solve_both(form, tableau):
@@ -937,15 +990,19 @@ def test_what_a_form_makes_once_is_dropped_with_it(monkeypatch):
 
 
 def test_singular_newton_matrix_is_a_newton_error():
-    # K = [[0, 1], [-1, 0]], L = P = 0 and S = a^2 b: the pivot K/dt is
-    # regular, but Newton's matrix K - J_S/4 at a = 2 has a zero column
+    # K = [[0, 1], [-1, 0]], L = P = 0 and S = -a^2 b at dt = 1: the pivot K
+    # is regular, but Newton's matrix K - J_S/4 at a = 2 has a zero row.  From
+    # corners (2, b) the chord's first step raises the residual from
+    # 4 (1 + b^2)^(1/2) to (25 + 64 b^2)^(1/2), and its second step is longer
+    # than its first, so the row re-linearises from the start, where that
+    # matrix is singular
     form = MultiSymplecticForm(
         "newton", ("a", "b"), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.zeros((2, 2)),
-        (PolynomialTerm(1, 2.0, (1, 1)), PolynomialTerm(2, 1.0, (2, 0))),
+        (PolynomialTerm(1, -2.0, (1, 1)), PolynomialTerm(2, -1.0, (2, 0))),
     )
     rows = np.tile([2.0, 0.3], (3, 1))
     with pytest.raises(NewtonError) as info:
-        _newton_only(solve_diamonds, form, rows, rows, rows, 1.0, 0.1)
+        solve_diamonds(form, rows, rows, rows, 1.0, 0.1)
     assert str(info.value) == "singular Newton matrix in the diamond solve"
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
@@ -980,7 +1037,6 @@ def test_nonlinear_solve_of_an_empty_batch():
     form = registry_get("nls")
     Z = np.zeros((0, 4))
     assert solve_diamonds(form, Z, Z, Z, 0.1, 0.1).shape == (0, 4)
-    assert _newton_only(solve_diamonds, form, Z, Z, Z, 0.1, 0.1).shape == (0, 4)
     zt, zr = solve_diamond_rk(form, gauss_tableau(2), np.zeros((0, 2, 4)), np.zeros((0, 2, 4)), 0.1, 0.1)
     assert zt.shape == zr.shape == (0, 2, 4)
 
@@ -1004,41 +1060,36 @@ def test_chord_batch_with_newton_rows_matches_scipy_root(monkeypatch):
     form, mesh, values = _nls_start(4e-5)
     Zb, Zl, Zr = (Z[::12] for Z in _half_step_corners(values))
     amp = np.ones(len(Zb))
-    amp[::4] = 20.0  # there the chord contracts too slowly and hands over
+    amp[::4] = 20.0  # there the chord contracts too slowly and re-linearises
     Zb, Zl, Zr = (amp[:, None] * Z for Z in (Zb, Zl, Zr))
-    newton_rows = []
-    original = integrator._newton
-
-    def recorded(residual, jacobian, Z, *args):
-        newton_rows.append(len(Z))
-        return original(residual, jacobian, Z, *args)
-
-    monkeypatch.setattr(integrator, "_newton", recorded)
+    jacobian_rows = _record_jacobians(monkeypatch)
     got = solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
-    assert len(newton_rows) == 1 and 0 < newton_rows[0] < len(Zb)
+    # those rows re-linearise once, and their own matrix solves them
+    assert len(jacobian_rows) == 1 and 0 < jacobian_rows[0] < len(Zb)
     for i in range(len(Zb)):
         ref = _diamond_by_lm(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)
         assert np.abs(got[i] - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
-        # each row leaves the chord and stops Newton on its own, and every
-        # product is a column product, so it is its one-row call bit for bit
+        # each row re-linearises and stops on its own, and every product is
+        # a column or stacked product, so it is its one-row call bit for bit
         assert np.array_equal(solve_diamonds(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)[0], got[i])
 
 
-def _count_jacobians(monkeypatch):
+def _record_jacobians(monkeypatch):
+    """The number of points of each integrator.eval_jac_S call from here on."""
     calls = []
     original = integrator.eval_jac_S
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recorded(form, z):
+        calls.append(len(z))
+        return original(form, z)
 
-    monkeypatch.setattr(integrator, "eval_jac_S", counted)
+    monkeypatch.setattr(integrator, "eval_jac_S", recorded)
     return calls
 
 
 def test_chord_needs_no_jacobian_on_the_bounded_nls_run(monkeypatch):
     form, mesh, values = _nls_start(2.5e-6)
-    calls = _count_jacobians(monkeypatch)
+    calls = _record_jacobians(monkeypatch)
     run = MeshParams(mesh.a, mesh.b, mesh.N, mesh.dt, 20 * mesh.dt)
     res = integrate(form, "simple", nls_two_soliton_ic(), run, observers=(),
                     exact=lambda x, t: values[1::2], init_method="exact")
@@ -1046,30 +1097,57 @@ def test_chord_needs_no_jacobian_on_the_bounded_nls_run(monkeypatch):
     assert calls == []
 
 
-def test_chord_needs_no_more_jacobians_than_newton_on_dirac():
+def test_layer_counts_on_the_dirac_breather_run(monkeypatch):
+    # about 28 of the 160 rows of a half-step re-linearise, once each
     form, mesh, values = _dirac_start()
     ic, exact = dirac_breather(form.param("m"), form.param("lam"), 0.5)
     run = MeshParams(mesh.a, mesh.b, mesh.N, mesh.dt, 10 * mesh.dt)
-    for scheme, name in (("simple", "solve_diamonds"), ("rk:2", "solve_diamond_rk")):
-        solve, inputs = getattr(integrator, name), []
+    jacobians, residuals = _record_jacobians(monkeypatch), []
+    kernel = integrator._diamond_kernel
 
-        def recorded(*args):
-            # integrate overwrites the arrays it passes in the next half-step
-            inputs.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
-            return solve(*args)
+    def counted_kernel(*args):
+        made = kernel(*args)
+        return dataclasses.replace(made, residual=lambda *a: residuals.append(1) or made.residual(*a))
 
+    monkeypatch.setattr(integrator, "_diamond_kernel", counted_kernel)
+
+    def per_solve(scheme, name):
+        """Jacobian and kernel residual calls per call of the solve ``name``."""
+        solve, solves = getattr(integrator, name), []
+        jacobians.clear(), residuals.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integrator, name, recorded)
+            mp.setattr(integrator, name, lambda *args: solves.append(1) or solve(*args))
             assert integrate(form, scheme, ic, run, observers=(), exact=exact).status == "completed"
-            assert len(inputs) == 20
-            calls = _count_jacobians(mp)
-            for args in inputs:
-                solve(*args)
-            chord = len(calls)
-            calls.clear()
-            for args in inputs:
-                _newton_only(solve, *args)
-        assert 0 < chord <= len(calls)
+        assert len(solves) == 20
+        return len(jacobians) / len(solves), len(residuals) / len(solves)
+
+    # the chord, then Newton on the rows it left, took 2.0 and 7.0
+    jacobians_per_solve, residuals_per_solve = per_solve("simple", "solve_diamonds")
+    assert 0 < jacobians_per_solve <= 1.1 and residuals_per_solve <= 5.1
+    # and 3.0 Jacobians per collocation solve
+    jacobians_per_solve, _ = per_solve("rk:2", "solve_diamond_rk")
+    assert 0 < jacobians_per_solve <= 1.0
+
+
+def test_relinearised_rows_equal_their_one_row_calls(monkeypatch):
+    # the first half-step of the breather run in both schemes, where some of
+    # the rows step with their own matrix
+    form, mesh, values = _dirac_start()
+    ic, exact = dirac_breather(form.param("m"), form.param("lam"), 0.5)
+    tableau = gauss_tableau(2)
+    edges = init_edges_rk(form, tableau, ic, mesh, exact=exact)
+    jacobian_rows = _record_jacobians(monkeypatch)
+    for solve, corners in (
+        (lambda *c: solve_diamonds(form, *c, mesh.dt, mesh.dx), _half_step_corners(values)),
+        (lambda *c: np.concatenate(solve_diamond_rk(form, tableau, *c, mesh.dt, mesh.dx), axis=-2),
+         (edges[0::2], np.roll(edges[1::2], 1, axis=0))),
+    ):
+        jacobian_rows.clear()
+        batch = solve(*corners)
+        assert len(jacobian_rows) == 1 and 0 < jacobian_rows[0] < len(batch)
+        for i in range(len(batch)):
+            one = solve(*(Z[i] for Z in corners))
+            assert np.array_equal(one.reshape(batch[i].shape), batch[i])
 
 
 @pytest.mark.parametrize("case", ["nls-2.5e-6", "nls-4e-5", "dirac"])
@@ -1139,26 +1217,23 @@ def test_nonfinite_row_reaches_newton_and_leaves_the_others_alone(monkeypatch):
     form, mesh, values = _nls_start(4e-5)
     Zb, Zl, Zr = (Z[::40].copy() for Z in _half_step_corners(values))
     Zl[3, 1] = np.nan
-    nonfinite, solved = [], []
-    newton, solve_nonlinear = integrator._newton, integrator._solve_nonlinear
-
-    def recorded_newton(residual, jacobian, Z, res, *args):
-        nonfinite.append(int((~np.isfinite(res).all(axis=1)).sum()))
-        return newton(residual, jacobian, Z, res, *args)
+    solved = []
+    solve_nonlinear = integrator._solve_nonlinear
 
     def recorded_solve(*args):
         Z, res = solve_nonlinear(*args)
         solved.append(Z.copy())
         return Z, res
 
-    monkeypatch.setattr(integrator, "_newton", recorded_newton)
     monkeypatch.setattr(integrator, "_solve_nonlinear", recorded_solve)
+    jacobian_rows = _record_jacobians(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NewtonError, match=r"rows \[3\]"):
             solve_diamonds(form, Zb, Zl, Zr, mesh.dt, mesh.dx)
-    # the NaN row's residual is not finite: the chord hands it to Newton
-    assert nonfinite == [1]
+    # the NaN row's chord step is not finite, so it re-linearises alone, and
+    # again at every step, since its own steps are not finite either
+    assert jacobian_rows == [1] * integrator._MAX_ITER
     for i in range(len(Zb)):
         if i != 3:
             assert np.array_equal(solve_diamonds(form, Zb[i], Zl[i], Zr[i], mesh.dt, mesh.dx)[0], solved[0][i])
