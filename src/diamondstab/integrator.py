@@ -22,7 +22,7 @@ from .msform import (
     LinearizedForm,
     MultiSymplecticForm,
     _frozen_array,
-    _grad_kernel,
+    _kernel,
     _KernelSource,
     _made_per_mesh,
     _require_positive,
@@ -304,7 +304,8 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord):
     iterate, and steps with that matrix's inverse from there on, its next
     step at once; the first time, it restarts from Z0 where its residual is
     not below the one at Z0.  A row whose own matrix stalls re-linearises
-    again, so at worst it runs Newton.  A row takes at most _MAX_ITER steps.
+    again, so at worst it runs Newton, but one whose own step is not finite
+    stops where it is.  A row takes at most _MAX_ITER steps.
 
     Each row decides for itself, and the rows that own a matrix step with
     stacked products, so a row's bits do not depend on the rest of the
@@ -336,6 +337,12 @@ def _solve_nonlinear(residual, jacobian, Z0, data, chord):
             np.divide(step, prev, out=rate, where=active)
             fast = (rate <= 1.0 / _CHORD_CONTRACTION) & (step * rate**_CHORD_BUDGET < tol)
         stale = active > fast
+        if np.count_nonzero(stale):
+            # a row whose own matrix gives a step that is not finite stops
+            # where it is, and _require_solved refuses it
+            lost = stale & owner & ~np.isfinite(step)
+            np.greater(active, lost, out=active)
+            np.greater(stale, lost, out=stale)
         if np.count_nonzero(stale):
             stale = stale.nonzero()[0]
             # a row's first Jacobian is taken afresh where the chord raised
@@ -566,7 +573,7 @@ def solve_diamond_rk(
     A = bl.Q - np.kron(np.eye(r * r), form.P)
     rhs = zb.reshape(n, 1, r * d) @ bl.Db.T + zl.reshape(n, 1, r * d) @ bl.Dl.T
 
-    grad_S = _grad_kernel(form)
+    grad_S = _kernel(form, "grad S")
 
     def residual(Z, rhs):
         return grad_S(Z.reshape(len(Z), r * r, d).T).T.reshape(Z.shape) + Z @ A.T - rhs

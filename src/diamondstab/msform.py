@@ -44,10 +44,10 @@ __all__ = [
 ]
 
 
-# what is made once per form: its compiled terms, its generated grad S kernel
-# and, in the integrators, Step 3's blocks and the diamond kernel of a mesh
-# (dt, dx), each under its own key; a form does not change, and its entries
-# go when it is freed
+# what is made once per form: its generated kernels of grad S, its Jacobian
+# and S ("grad S", "jac S", "S") and, in the integrators, Step 3's blocks and
+# the diamond kernel of a mesh (dt, dx), each under its own key; a form does
+# not change, and its entries go when it is freed
 _MADE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 # meshes (dt, dx) whose entries a form keeps: enough for a run's scheme and
 # a second dt, or both schemes of a run, never to make them again
@@ -205,57 +205,6 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _term_arrays(form: MultiSymplecticForm):
-    """Stacked exponent/coefficient arrays for vectorized term evaluation,
-    read through _compiled_terms.
-
-    Monomials are evaluated by gathering from a table of variable powers, so
-    the hot path uses only multiplies (no float pow).
-    """
-    d = form.d
-    n = len(form.terms)
-    E = np.array([t.exponents for t in form.terms], dtype=np.intp).reshape(n, d)
-    C = np.array([t.coeff for t in form.terms])
-    R = np.zeros((n, d))
-    for i, t in enumerate(form.terms):
-        R[i, t.row - 1] = 1.0
-    # derivative exponents: E[t] - e_j clipped at 0 (the factor E[t, j]
-    # vanishes exactly where clipping changes the value)
-    Ederiv = np.maximum(E[:, None, :] - np.eye(d, dtype=np.intp)[None, :, :], 0)
-    cols_g = np.broadcast_to(np.arange(d), (n, d))
-    cols_j = np.broadcast_to(np.arange(d), (n, d, d))
-    return E, C, R, Ederiv, int(E.max()), cols_g, cols_j
-
-
-def _compiled_terms(form: MultiSymplecticForm):
-    """The form's term arrays (_term_arrays), made once."""
-    return _made_once(form, "terms", _term_arrays)
-
-
-def _power_table(z: np.ndarray, max_exp: int) -> np.ndarray:
-    pows = np.empty(z.shape + (max_exp + 1,))
-    pows[..., 0] = 1.0
-    for k in range(1, max_exp + 1):
-        pows[..., k] = pows[..., k - 1] * z
-    return pows
-
-
-def eval_grad_S(form: MultiSymplecticForm, z) -> np.ndarray:
-    """Evaluate grad S(z) = P z + polynomial terms.
-
-    ``z`` may be a single vector of length d or a batch (..., d); the result
-    has the same shape.
-    """
-    z = np.asarray(z, dtype=float)
-    out = z @ form.P.T
-    if form.terms:
-        E, C, R, _, max_exp, cols_g, _ = _compiled_terms(form)
-        pows = _power_table(z, max_exp)
-        monos = pows[..., cols_g, E].prod(axis=-1)
-        out += (C * monos) @ R
-    return out
-
-
 class _KernelSource:
     """Python source of an elementwise kernel, built one statement at a time.
 
@@ -266,6 +215,9 @@ class _KernelSource:
     which multiply arrays faster than Python floats do.  A sum is formed
     left to right, in the order its summands are given; a summand is a sign
     and an expression, and a unit coefficient multiplies by nothing.
+    ``grad_S``, ``jac_S`` and ``S`` build a form's polynomial part from P
+    and its terms, all three through ``polynomial``; the temporaries are
+    keyed by exponents, so one source builds on one point ``w``.
     """
 
     def __init__(self):
@@ -328,117 +280,177 @@ class _KernelSource:
         else:
             self.line(f"np.multiply({self.const(value)}, {name}, {target})")
 
+    def power(self, w: list[str], j: int, e: int) -> str:
+        """w[j] ** e by repeated multiplication, each power formed once."""
+        return w[j] if e == 1 else self.let(("pow", j, e), f"{self.power(w, j, e - 1)} * {w[j]}")
+
+    def monomial(self, w: list[str], exps: tuple) -> str | None:
+        """The product of the powers w[j] ** exps[j], formed once; None for
+        the monomial 1."""
+        factors = [self.power(w, j, e) for j, e in enumerate(exps) if e]
+        if len(factors) <= 1:
+            return factors[0] if factors else None
+        return self.let(("mono", exps), " * ".join(factors))
+
+    @staticmethod
+    def split(exps_list: list[tuple]) -> tuple[tuple, tuple]:
+        """The exponents common to all of ``exps_list``, and what is left of each."""
+        common = tuple(min(col) for col in zip(*exps_list))
+        return common, tuple(tuple(e - c for e, c in zip(m, common)) for m in exps_list)
+
+    def by_coefficient(self, w: list[str], members: tuple) -> list[tuple[str, str]]:
+        """The summands of sum c w^e over members (c, e), grouped by
+        coefficient in order of first appearance: each coefficient times the
+        factor common to its monomials times the sum of the rest."""
+        groups: dict[float, list[tuple]] = {}
+        for coeff, exps in members:
+            groups.setdefault(coeff, []).append(exps)
+        summands = []
+        for coeff, exps_list in groups.items():
+            if len(exps_list) == 1:
+                summands.append(self.scaled(coeff, self.monomial(w, exps_list[0])))
+                continue
+            common, rest = self.split(exps_list)
+            total = self.let(("sum", rest), " + ".join(self.monomial(w, m) or "1.0" for m in rest))
+            factor = self.monomial(w, common)
+            part = total if factor is None else self.let(("prod", common, rest), f"{factor} * {total}")
+            summands.append(self.scaled(coeff, part))
+        return summands
+
+    def polynomial(self, w: list[str], summands: list[tuple[str, str]], members: list[tuple]) -> str | None:
+        """The expression of ``summands`` plus sum c w^e over ``members``
+        (c, e), factored, or None where both are empty.
+
+        The factor common to all the members is taken out, and the rest is
+        summed by coefficient (by_coefficient).  So the NLS rows of grad S
+        are p (a (p^2 + q^2)) and q (a (p^2 + q^2)), and every power,
+        monomial, sum and factored part is formed once.
+        """
+        summands = list(summands)
+        common, rest = self.split([exps for _, exps in members]) if members else ((), ())
+        if len(members) > 1 and any(common):
+            inner = tuple(zip((c for c, _ in members), rest))
+            key = ("inner", inner)
+            part = self.temps.get(key) or self.let(key, self.summed(self.by_coefficient(w, inner)))
+            factor = self.monomial(w, common)
+            summands.append(("+", self.let(("prod", common, inner), f"{factor} * {part}")))
+        elif members:
+            summands += self.by_coefficient(w, tuple(members))
+        return self.summed(summands) if summands else None
+
     def grad_S(self, form: MultiSymplecticForm, w: list[str]) -> list[str | None]:
         """The expression of each component of grad S at the point whose
-        components are named ``w``, or None where it is identically zero.
+        components are named ``w``, or None where it is identically zero:
+        component i is the nonzero P[i, j] w[j] (column order), then its
+        terms."""
+        return [
+            self.polynomial(
+                w,
+                [self.scaled(value, name) for value, name in self.linear(form.P[i], w)],
+                [(t.coeff, tuple(t.exponents)) for t in form.terms if t.row == i + 1],
+            )
+            for i in range(form.d)
+        ]
 
-        Component i is the sum of the nonzero P[i, j] w[j] (column order)
-        and of its terms, factored: the factor common to all the row's terms
-        is taken out, and the rest is summed by coefficient (in order of
-        first appearance), each coefficient times its own common factor
-        times the sum of the remaining monomials.  So the NLS rows are
-        p (a (p^2 + q^2)) and q (a (p^2 + q^2)), and every power (by
-        repeated multiplication, as in eval_grad_S), monomial, sum and
-        factored row part is formed once.
-        """
-
-        def power(j: int, e: int) -> str:
-            return w[j] if e == 1 else self.let(("pow", j, e), f"{power(j, e - 1)} * {w[j]}")
-
-        def monomial(exps: tuple) -> str | None:
-            factors = [power(j, e) for j, e in enumerate(exps) if e]
-            if len(factors) <= 1:
-                return factors[0] if factors else None
-            return self.let(("mono", exps), " * ".join(factors))
-
-        def times(factor: str | None, expr: str) -> str:
-            return expr if factor is None else f"{factor} * {expr}"
-
-        def split(exps_list: list[tuple]) -> tuple[tuple, tuple]:
-            common = tuple(min(col) for col in zip(*exps_list))
-            return common, tuple(tuple(e - c for e, c in zip(m, common)) for m in exps_list)
-
-        def by_coefficient(members: tuple) -> list[tuple[str, str]]:
-            groups: dict[float, list[tuple]] = {}
-            for coeff, exps in members:
-                groups.setdefault(coeff, []).append(exps)
-            summands = []
-            for coeff, exps_list in groups.items():
-                if len(exps_list) == 1:
-                    summands.append(self.scaled(coeff, monomial(exps_list[0])))
-                    continue
-                common, rest = split(exps_list)
-                total = self.let(("sum", rest), " + ".join(monomial(m) or "1.0" for m in rest))
-                factor = monomial(common)
-                part = total if factor is None else self.let(("prod", common, rest), times(factor, total))
-                summands.append(self.scaled(coeff, part))
-            return summands
-
-        exprs: list[str | None] = []
+    def jac_S(self, form: MultiSymplecticForm, w: list[str]) -> list[list[str | None]]:
+        """The expression of each entry (i, j) of the Jacobian of grad S, or
+        None where it is identically zero: P[i, j], then c e_j w^(e - e_j)
+        over row i's terms with e_j >= 1."""
+        exprs = []
         for i in range(form.d):
-            summands = [self.scaled(value, name) for value, name in self.linear(form.P[i], w)]
-            members = [(t.coeff, tuple(t.exponents)) for t in form.terms if t.row == i + 1]
-            common, rest = split([exps for _, exps in members]) if members else ((), ())
-            if len(members) > 1 and any(common):
-                inner = tuple(zip((c for c, _ in members), rest))
-                key = ("inner", inner)
-                part = self.temps.get(key) or self.let(key, self.summed(by_coefficient(inner)))
-                summands.append(("+", self.let(("prod", common, inner), times(monomial(common), part))))
-            elif members:
-                summands += by_coefficient(tuple(members))
-            exprs.append(self.summed(summands) if summands else None)
+            terms = [t for t in form.terms if t.row == i + 1]
+            row = []
+            for j in range(form.d):
+                members = [
+                    (t.coeff * t.exponents[j], tuple(e - (k == j) for k, e in enumerate(t.exponents)))
+                    for t in terms if t.exponents[j]
+                ]
+                constant = [self.scaled(float(form.P[i, j]), None)] if form.P[i, j] else []
+                row.append(self.polynomial(w, constant, members))
+            exprs.append(row)
         return exprs
+
+    def S(self, form: MultiSymplecticForm, w: list[str]) -> str | None:
+        """The expression of S, or None where it is identically zero: the
+        sum over i of w[i] times P[i, j]/2 w[j] (column order) plus
+        c w^e / (|e| + 1) over row i's terms."""
+        summands = []
+        for i in range(form.d):
+            part = self.polynomial(
+                w,
+                [self.scaled(0.5 * value, name) for value, name in self.linear(form.P[i], w)],
+                [(t.coeff / (t.degree + 1), tuple(t.exponents)) for t in form.terms if t.row == i + 1],
+            )
+            if part is not None:
+                summands.append(("+", f"{w[i]} * ({part})"))
+        return self.summed(summands) if summands else None
 
     def compile(self, name: str, *args: str):
         exec(f"def {name}({', '.join(args)}):\n" + "\n".join(self.lines), self.namespace)
         return self.namespace[name]
 
 
-def _generate_grad_kernel(form: MultiSymplecticForm):
-    """grad S as Python source generated from P and the term list
-    (_KernelSource.grad_S).
+def _generate_kernel(form: MultiSymplecticForm, name: str):
+    """The kernel ``name`` of the form's polynomial part, as Python source
+    generated from P and the term list (_KernelSource): "grad S" returns
+    grad S, "jac S" its Jacobian and "S" the potential S.
 
-    The returned function takes its points components first: ``w[j]`` holds
-    the j-th component of every point (arrays of one common shape, or
-    scalars), and the result stacks the d components of grad S on a new
-    first axis.  Each component is a fixed chain of elementwise operations,
-    so a point's bits do not depend on how many points share the call; they
-    differ from eval_grad_S's by rounding.
+    The returned function takes its points components first: ``w[j]``
+    holds the j-th component of every point (arrays of one common shape, or
+    scalars), and the result puts the d components of grad S, or the d x d
+    entries of its Jacobian, on new first axes; S has the points' shape.
+    Each output is a fixed chain of elementwise operations, so a point's
+    bits do not depend on how many points share the call.
     """
     src = _KernelSource()
     w = [f"w{j}" for j in range(form.d)]
     src.rows("w", w)
-    grad = src.grad_S(form, w)
-    for i, expr in enumerate(grad):
-        src.line(f"g{i} = {expr or 'np.zeros_like(w0)'}")
-    src.line(f"return np.array([{', '.join(f'g{i}' for i in range(form.d))}])")
-    return src.compile("grad_S", "w")
+    if name == "grad S":
+        for i, expr in enumerate(src.grad_S(form, w)):
+            src.line(f"g{i} = {expr or 'np.zeros_like(w0)'}")
+        src.line(f"return np.array([{', '.join(f'g{i}' for i in range(form.d))}])")
+    elif name == "jac S":
+        src.line(f"out = np.zeros(({form.d}, {form.d}) + np.shape(w0))")
+        for i, row in enumerate(src.jac_S(form, w)):
+            for j, expr in enumerate(row):
+                if expr is not None:
+                    src.line(f"out[{i}, {j}] = {expr}")
+        src.line("return out")
+    else:
+        src.line(f"return {src.S(form, w) or 'np.zeros_like(w0)'}")
+    return src.compile(name.replace(" ", "_"), "w")
 
 
-def _grad_kernel(form: MultiSymplecticForm):
-    """The form's generated grad S kernel, made once; it takes and returns
-    points components first, and eval_grad_S checks it."""
-    return _made_once(form, "grad S", _generate_grad_kernel)
+def _kernel(form: MultiSymplecticForm, name: str):
+    """The form's generated kernel ``name`` (_generate_kernel), made once;
+    it takes its points components first."""
+    return _made_once(form, name, lambda form: _generate_kernel(form, name))
+
+
+def _points(z) -> np.ndarray:
+    """z as float points, components first: (d, ...) for z of shape (..., d)."""
+    return np.moveaxis(np.asarray(z, dtype=float), -1, 0)
+
+
+def eval_grad_S(form: MultiSymplecticForm, z) -> np.ndarray:
+    """Evaluate grad S(z) = P z + polynomial terms by the form's generated
+    kernel (_generate_kernel).
+
+    ``z`` may be a single vector of length d or a batch (..., d); the result
+    has the same shape.
+    """
+    return np.moveaxis(_kernel(form, "grad S")(_points(z)), 0, -1)
 
 
 def eval_jac_S(form: MultiSymplecticForm, z) -> np.ndarray:
-    """Jacobian of grad S at z; shape (..., d, d)."""
-    z = np.asarray(z, dtype=float)
-    batch = z.shape[:-1]
-    d = form.d
-    jac = np.broadcast_to(form.P, batch + (d, d)).copy()
-    if form.terms:
-        E, C, R, Ederiv, max_exp, _, cols_j = _compiled_terms(form)
-        pows = _power_table(z, max_exp)
-        # val[..., t, j] = coeff_t * E[t, j] * z ** (E[t] - e_j)
-        monos = pows[..., cols_j, Ederiv].prod(axis=-1)
-        val = (C[:, None] * E) * monos
-        jac += np.einsum("...tj,tr->...rj", val, R)
-    return jac
+    """Jacobian of grad S at z, by the form's generated kernel
+    (_generate_kernel); shape (..., d, d)."""
+    return np.moveaxis(_kernel(form, "jac S")(_points(z)), (0, 1), (-2, -1))
 
 
 def eval_S(form: MultiSymplecticForm, z) -> np.ndarray:
-    """Evaluate the scalar S(z) from its gradient, with S(0) = 0.
+    """Evaluate the scalar S(z) from its gradient, with S(0) = 0, by the
+    form's generated kernel (_generate_kernel); shape (...).
 
     S(z) = integral over tau in [0, 1] of z . grad S(tau z)
          = z.Pz / 2 + sum_t c_t z_{row_t} z^{e_t} / (|e_t| + 1).
@@ -447,17 +459,13 @@ def eval_S(form: MultiSymplecticForm, z) -> np.ndarray:
     every row it enters, to 1e-12 relative); for any other right-hand side
     there is no S to evaluate.
     """
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * np.einsum("...i,...i->...", z, z @ form.P.T)
-    if form.terms:
-        E, C, R, _, max_exp, cols_g, _ = _compiled_terms(form)
-        monos = _power_table(z, max_exp)[..., cols_g, E].prod(axis=-1)
-        out += (monos * (z @ R.T)) @ (C / (E.sum(axis=1) + 1))
-    return out
+    return _kernel(form, "S")(_points(z))
 
 
 def linearize(form: MultiSymplecticForm, z_ref) -> LinearizedForm:
-    """Linearize grad S about z_ref: Peff = P + (Jacobian of terms at z_ref)."""
+    """Linearize grad S about z_ref: Peff = P + (Jacobian of terms at z_ref).
+    At z_ref = 0 that is P itself, since every term has degree >= 2, and
+    nothing is evaluated."""
     z_ref = np.asarray(z_ref, dtype=float)
     if z_ref.shape != (form.d,):
         raise ValueError(f"z_ref must have length {form.d}")
@@ -466,7 +474,7 @@ def linearize(form: MultiSymplecticForm, z_ref) -> LinearizedForm:
         names=form.names,
         K=form.K,
         L=form.L,
-        Peff=eval_jac_S(form, z_ref),
+        Peff=eval_jac_S(form, z_ref) if z_ref.any() else form.P,
         z_ref=z_ref,
     )
 

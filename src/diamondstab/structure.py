@@ -306,77 +306,49 @@ def _topological_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[
 
 def _strong_components(succ: list[list[int]]) -> tuple[int, list[int]]:
     """(count, label of each node) of the strongly connected components of
-    the digraph with successor lists ``succ``.
+    the digraph with successor lists ``succ``, labelled as scipy's
+    ``connected_components(..., connection="strong")`` labels them.
 
-    A port of scipy's ``connected_components(..., connection="strong")``:
-    Pearce's iterative, memory-lean variant of Tarjan's algorithm (D. J.
-    Pearce, "An improved algorithm for finding the strongly connected
-    components of a directed graph", 2005).  Roots are tried in node order,
-    the depth-first stack is a doubly linked list from which a node pushed
-    again is moved to the top, and components are numbered in the order
-    they complete.  ``low`` holds the lowlinks of open nodes and the
-    (downward counting) label of finished ones, which is what lets a
-    finished node never lower a lowlink.
+    Tarjan's algorithm, with an explicit stack of the nodes on the
+    depth-first path and the successors each has left to try.  Roots are
+    tried in node order and each node's successors last first, which is the
+    order in which scipy's depth-first stack pops them, and components are
+    numbered in the order they complete.
     """
     n = len(succ)
-    void, end = -1, -2
-    low = [void] * n
-    scc_next = [void] * n  # the stack of finished nodes awaiting their root
-    stack_f = [void] * n  # the depth-first stack, linked both ways
-    stack_b = [void] * n
-    scc_head = end
-    index = 0
-    label = n - 1
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    visited, count = 0, 0
+    unfinished: list[int] = []  # visited nodes not yet in a component
     for root in range(n):
-        if low[root] != void:
+        if index[root] >= 0:
             continue
-        head = root
-        stack_f[root] = stack_b[root] = end
-        while head != end:
-            v = head
-            if low[v] == void:
-                low[v] = index
-                index += 1
-                for w in succ[v]:
-                    # a repeated edge to the top node would link it to itself
-                    # (scipy loops forever there); it is on top already
-                    if low[w] == void and w != head:
-                        if stack_f[w] != void:  # on the stack already: excise it
-                            f, b = stack_f[w], stack_b[w]
-                            if b != end:
-                                stack_f[b] = f
-                            if f != end:
-                                stack_b[f] = b
-                        stack_f[w] = head
-                        stack_b[w] = end
-                        stack_b[head] = w
-                        head = w
-            else:
-                head = stack_f[v]
-                if head >= 0:
-                    stack_b[head] = end
-                stack_f[v] = stack_b[v] = void
-                is_root = True
-                low_v = low[v]
-                for w in succ[v]:
-                    if low[w] < low_v:
-                        low_v = low[w]
-                        is_root = False
-                low[v] = low_v
-                if is_root:
-                    index -= 1
-                    while scc_head != end and low[v] <= low[scc_head]:
-                        w = scc_head
-                        scc_head = scc_next[w]
-                        scc_next[w] = void
-                        low[w] = label
-                        index -= 1
-                    low[v] = label
-                    label -= 1
-                else:
-                    scc_next[v] = scc_head
-                    scc_head = v
-    return (n - 1) - label, [(n - 1) - x for x in low]
+        path = [[root, len(succ[root])]]
+        index[root] = low[root] = visited
+        visited += 1
+        unfinished.append(root)
+        while path:
+            top = path[-1]
+            v = top[0]
+            if top[1]:
+                top[1] -= 1
+                w = succ[v][top[1]]
+                if index[w] < 0:
+                    path.append([w, len(succ[w])])
+                    index[w] = low[w] = visited
+                    visited += 1
+                    unfinished.append(w)
+                elif label[w] < 0:
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while label[v] < 0:
+                    label[unfinished.pop()] = count
+                count += 1
+    return count, label
 
 
 def classify_consistency(form) -> DMReport:

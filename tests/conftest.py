@@ -43,6 +43,48 @@ def _random_term_form(rng, d, skew=False):
     return MultiSymplecticForm("random", tuple(f"z{i}" for i in range(d)), K, L, P + P.T, tuple(terms))
 
 
+class _TermsOracle:
+    """grad S, its Jacobian and S of a form from P and its polynomial terms,
+    one term at a time with ``np.prod(z ** e)``, sharing no code with the
+    library's generated kernels (msform._KernelSource).  Points are (..., d)."""
+
+    @staticmethod
+    def grad(form, z):
+        z = np.asarray(z, dtype=float)
+        grad = z @ form.P.T
+        for term in form.terms:
+            grad[..., term.row - 1] += term.coeff * np.prod(z ** np.array(term.exponents), axis=-1)
+        return grad
+
+    @staticmethod
+    def jac(form, z):
+        # d/dz_j of c z^e is c e_j z^(e - e_j)
+        z = np.asarray(z, dtype=float)
+        jac = np.broadcast_to(form.P, z.shape[:-1] + form.P.shape).copy()
+        for term in form.terms:
+            e = np.array(term.exponents)
+            for j in np.flatnonzero(e):
+                lowered = e - (np.arange(form.d) == j)
+                jac[..., term.row - 1, j] += term.coeff * e[j] * np.prod(z**lowered, axis=-1)
+        return jac
+
+    @staticmethod
+    def S(form, z):
+        # z.Pz / 2 + sum_t c_t z_{row_t} z^{e_t} / (|e_t| + 1)
+        z = np.asarray(z, dtype=float)
+        S = 0.5 * np.einsum("...i,...i->...", z, z @ form.P.T)
+        for term in form.terms:
+            S = S + term.coeff / (term.degree + 1) * z[..., term.row - 1] * np.prod(z ** np.array(term.exponents), axis=-1)
+        return S
+
+
+@pytest.fixture(scope="session")
+def terms_oracle():
+    """grad S, its Jacobian and S (``.grad``, ``.jac``, ``.S``) evaluated
+    term by term, apart from the library's evaluators."""
+    return _TermsOracle
+
+
 def _magnitude_form(form):
     # every summand of grad S taken positive: bounds the rounding of any order
     terms = tuple(PolynomialTerm(t.row, abs(t.coeff), t.exponents) for t in form.terms)

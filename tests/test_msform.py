@@ -510,19 +510,53 @@ def test_forms_are_immutable():
         f.K[0, 0] = 5.0
 
 
-def test_generated_grad_kernel_matches_eval_grad_S(random_term_form, magnitude_form):
-    rng = np.random.default_rng(1616)
+EVALUATORS = {"grad S": eval_grad_S, "jac S": eval_jac_S, "S": eval_S}
+
+
+def _kernel_forms(random_term_form, seed):
+    rng = np.random.default_rng(seed)
     forms = [registry_get(name) for name in registry_names()]
     forms += [random_term_form(rng, d) for d in range(3, 9) for _ in range(8)]
     assert any(0 in col for f in forms[14:] for col in zip(*(t.exponents for t in f.terms)))
+    return forms, rng
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS))
+def test_generated_kernels_match_the_term_oracle(name, random_term_form, magnitude_form, terms_oracle):
+    evaluate, oracle = EVALUATORS[name], getattr(terms_oracle, name.split()[0])
+    forms, rng = _kernel_forms(random_term_form, 1616)
     for form in forms:
-        kernel = msform._generate_grad_kernel(form)
         for shape in [(form.d,), (7, form.d), (5, 4, form.d)]:
             z = rng.standard_normal(shape)
-            got = np.moveaxis(kernel(np.moveaxis(z, -1, 0)), 0, -1)
-            ref = eval_grad_S(form, z)
-            assert got.shape == ref.shape
-            assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + eval_grad_S(magnitude_form(form), np.abs(z))))
+            got, ref = evaluate(form, z), oracle(form, z)
+            assert np.shape(got) == ref.shape
+            # every summand taken positive bounds the rounding of any order
+            assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + oracle(magnitude_form(form), np.abs(z))))
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS))
+def test_each_point_of_a_batch_is_its_one_point_call(name, random_term_form):
+    evaluate = EVALUATORS[name]
+    forms, rng = _kernel_forms(random_term_form, 1717)
+    for form in forms:
+        z = rng.standard_normal((5, 4, form.d))
+        batch = evaluate(form, z)
+        for i, j in np.ndindex(5, 4):
+            assert np.array_equal(evaluate(form, z[i, j]), batch[i, j])
+            assert np.array_equal(evaluate(form, z[i, j : j + 1])[0], batch[i, j])
+
+
+def test_linearization_at_zero_is_P_and_makes_nothing(random_term_form):
+    forms, _ = _kernel_forms(random_term_form, 1818)
+    for form in forms:
+        lin = linearize(form, np.zeros(form.d))
+        assert lin.Peff.tobytes() == form.P.tobytes()
+        assert form not in msform._MADE
+    # elsewhere the Jacobian's terms count
+    nls = registry_get("nls")
+    z = np.array([0.5, -0.25, 0.0, 0.0])
+    np.testing.assert_array_equal(linearize(nls, z).Peff, eval_jac_S(nls, z))
+    assert not np.array_equal(linearize(nls, z).Peff, nls.P)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
